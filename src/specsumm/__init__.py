@@ -8,13 +8,13 @@ rows, and optionally polishes the grouping with greedy node moves.
 """
 
 from .errors import ConvergenceError, ParameterError, ParseError
-from .graph import (Graph, NodeRelabeling, adjacency_trace_sq, generate_sbm,
-                    largest_connected_component, load_edge_list, spmv,
+from .graph import (Graph, adjacency_trace_sq, generate_sbm,
+                    largest_connected_component, load_edge_list,
                     write_edge_list)
 from .kmeans import KmeansConfig, kmeans_cost, kmeanspp_init, minibatch_kmeans
 from .queries import (TriangleEstimate, exact_triangles, expected_triangles,
-                      pair_probability, triangles_triple_sum_oracle)
-from .spectral import EigenBasis, dense_eig_oracle, lm_eigs
+                      pair_probability)
+from .spectral import EigenBasis, lm_eigs
 from .stiefel import (AscentTrace, OcsaConfig, SkewDirection, cayley_step,
                       gradient, line_search, ocsa, orthonormality_defect,
                       random_orthonormal_init, skew_direction,
@@ -28,13 +28,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "ParameterError", "ParseError",
-    "Graph", "NodeRelabeling", "adjacency_trace_sq", "generate_sbm",
-    "largest_connected_component", "load_edge_list", "spmv",
-    "write_edge_list",
+    "Graph", "adjacency_trace_sq", "generate_sbm",
+    "largest_connected_component", "load_edge_list", "write_edge_list",
     "KmeansConfig", "kmeans_cost", "kmeanspp_init", "minibatch_kmeans",
     "TriangleEstimate", "exact_triangles", "expected_triangles",
-    "pair_probability", "triangles_triple_sum_oracle",
-    "EigenBasis", "dense_eig_oracle", "lm_eigs",
+    "pair_probability",
+    "EigenBasis", "lm_eigs",
     "AscentTrace", "OcsaConfig", "SkewDirection", "cayley_step", "gradient",
     "line_search", "ocsa", "orthonormality_defect",
     "random_orthonormal_init", "skew_direction", "trace_objective_relaxed",

@@ -32,7 +32,6 @@ from .graph import (Graph, adjacency_trace_sq, generate_sbm,
                     largest_connected_component, load_edge_list,
                     write_edge_list)
 from .queries import exact_triangles, expected_triangles
-from .rng import derive_seeds
 from .spectral import lm_eigs
 from .stiefel import AscentTrace, OcsaConfig, ocsa, random_orthonormal_init
 from .summary import (Membership, ReassignConfig, Summary, build_summary,
@@ -42,8 +41,8 @@ __all__ = ["SummaryFile", "read_summary_file", "write_trace", "main"]
 
 FORMAT_VERSION = 1
 
-# exact_triangles walks every edge's adjacency lists; past this order the
-# estimate is reported alone.
+# exact_triangles stores one sparse entry per oriented two-path; past this
+# order the estimate is reported alone.
 _EXACT_TRIANGLE_LIMIT = 10_000
 
 
@@ -136,7 +135,8 @@ def write_trace(path: str | Path, trace: AscentTrace) -> None:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                     allow_nan=False))
 
 
 def _hash_file(path: str | Path) -> str:
@@ -151,8 +151,7 @@ def _load_graph(path: str | Path) -> Graph:
     return graph
 
 
-def _metrics(graph: Graph, summary: Summary) -> dict:
-    objective = objective_integer(graph, summary.membership)
+def _metrics(graph: Graph, summary: Summary, objective: float) -> dict:
     loss = adjacency_trace_sq(graph) - objective
     return {"F": objective, "L": loss,
             "sqrt_L": math.sqrt(max(loss, 0.0)),
@@ -177,16 +176,13 @@ def cmd_summarize(args: argparse.Namespace) -> int:
                                reassign=reassign, seed=args.seed)
 
     t0 = time.perf_counter()
-    payload = _metrics(graph, summary)
+    payload = _metrics(graph, summary, report.objective)
     payload["seconds"] = {"load": load_seconds, **report.seconds,
                           "triangles": time.perf_counter() - t0}
     payload["reassign_moves"] = report.reassign_moves
 
-    relax_seed, cluster_seed, reassign_seed = derive_seeds(args.seed, 3)
     meta = {"source_hash": _hash_file(args.graph), "d": d,
-            "relax_method": method,
-            "seeds": {"master": args.seed, "relax": relax_seed,
-                      "cluster": cluster_seed, "reassign": reassign_seed},
+            "relax_method": method, "seeds": report.seeds,
             "params": {"k": args.k, "lcc": bool(args.lcc),
                        "reassign_rounds": args.reassign_rounds,
                        "reassign_samples": args.reassign_samples}}
@@ -205,12 +201,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     load_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    membership = Membership(np.asarray(stored.membership, dtype=np.int64),
-                            stored.k)
-    recomputed = build_summary(graph, membership)
-    drift = float(np.max(np.abs(stored.density_matrix() - recomputed.density),
+    summary = stored.to_summary()
+    recomputed = build_summary(graph, summary.membership)
+    drift = float(np.max(np.abs(summary.density - recomputed.density),
                          initial=0.0))
-    payload = _metrics(graph, recomputed)
+    payload = _metrics(graph, recomputed,
+                       objective_integer(graph, summary.membership))
     payload["density_drift_max"] = drift
     payload["density_drift"] = drift > 1e-9
     payload["seconds"] = {"load": load_seconds,

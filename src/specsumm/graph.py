@@ -8,7 +8,7 @@ small linear-algebra kernels the optimizers are built on.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable
@@ -22,14 +22,14 @@ from .rng import make_generator
 
 __all__ = [
     "Graph",
-    "NodeRelabeling",
     "load_edge_list",
     "write_edge_list",
     "largest_connected_component",
     "generate_sbm",
-    "spmv",
     "adjacency_trace_sq",
 ]
+
+_MAX_NODE_ID = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,28 +120,6 @@ class Graph:
         return np.column_stack([src[keep], self.indices[keep]])
 
 
-@dataclass(frozen=True)
-class NodeRelabeling:
-    """Bijection between retained original node ids and dense new ids.
-
-    ``to_original[new_id]`` gives the original id; ``to_new`` maps the
-    other way.
-    """
-
-    to_original: np.ndarray
-    to_new: dict[int, int] = field(repr=False)
-
-    @classmethod
-    def from_kept_ids(cls, kept: np.ndarray) -> "NodeRelabeling":
-        kept = np.asarray(kept, dtype=np.int64)
-        return cls(to_original=kept,
-                   to_new={int(orig): new for new, orig in enumerate(kept)})
-
-    @classmethod
-    def identity(cls, n: int) -> "NodeRelabeling":
-        return cls.from_kept_ids(np.arange(n, dtype=np.int64))
-
-
 def _canonicalize(pairs: np.ndarray) -> np.ndarray:
     """Unique undirected pairs in (min, max) form, lexicographically sorted."""
     if pairs.size == 0:
@@ -169,28 +147,29 @@ def _decode_lines(source: str | Path | IO) -> list[str]:
     else:
         data = source.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError("invalid UTF-8 byte",
+                             data.count(b"\n", 0, exc.start) + 1) from None
     return data.splitlines()
 
 
-def load_edge_list(source: str | Path | IO, *, dedupe: bool = True,
-                   drop_self_loops: bool = True) -> tuple[Graph, NodeRelabeling]:
+def load_edge_list(source: str | Path | IO) -> tuple[Graph, np.ndarray]:
     """Parse a whitespace-separated "u v" edge list into a Graph.
 
-    Node ids are arbitrary non-negative integers and are relabeled densely
-    to [0, n) in ascending original-id order; the relabeling is returned so
-    results can be mapped back.  Lines starting with '#' or '%' are
-    comments; blank lines are ignored.  With ``dedupe`` (default) repeated
-    edges collapse to one, otherwise a repeat is an error; likewise
-    ``drop_self_loops`` silently discards u-u lines rather than rejecting
-    them.
+    Node ids are integers in [0, 2**63 - 1] and are relabeled densely to
+    [0, n) in ascending original-id order.  Returns the graph and the
+    sorted int64 array of original ids, so node i of the graph is original
+    id ``ids[i]``.  Lines starting with '#' or '%' are comments; blank
+    lines are ignored.  Repeated edges collapse to one and self-loops are
+    dropped.
 
     Raises
     ------
     ParseError
-        On a malformed token (with its line number), on a duplicate or
-        self-loop when the corresponding option forbids it, or when no
-        edges remain ("empty graph").
+        On undecodable bytes or a malformed or out-of-range token (with its
+        line number), or when no edges remain ("empty graph").
     """
     us: list[int] = []
     vs: list[int] = []
@@ -207,12 +186,11 @@ def load_edge_list(source: str | Path | IO, *, dedupe: bool = True,
             raise ParseError(f"malformed integer in {tokens!r}", lineno) from None
         if u < 0 or v < 0:
             raise ParseError("node ids must be non-negative", lineno)
-        if u == v:
-            if not drop_self_loops:
-                raise ParseError(f"self-loop at node {u}", lineno)
-            continue
-        us.append(u)
-        vs.append(v)
+        if u > _MAX_NODE_ID or v > _MAX_NODE_ID:
+            raise ParseError(f"node id exceeds {_MAX_NODE_ID}", lineno)
+        if u != v:
+            us.append(u)
+            vs.append(v)
 
     if not us:
         raise ParseError("empty graph")
@@ -220,13 +198,9 @@ def load_edge_list(source: str | Path | IO, *, dedupe: bool = True,
     pairs = np.column_stack([np.asarray(us, dtype=np.int64),
                              np.asarray(vs, dtype=np.int64)])
     canonical = _canonicalize(pairs)
-    if not dedupe and len(canonical) != len(pairs):
-        raise ParseError("duplicate edges present and dedupe is disabled")
-
     original_ids = np.unique(canonical)
-    relabeling = NodeRelabeling.from_kept_ids(original_ids)
     dense = np.searchsorted(original_ids, canonical)
-    return _from_canonical_pairs(len(original_ids), dense), relabeling
+    return _from_canonical_pairs(len(original_ids), dense), original_ids
 
 
 def write_edge_list(graph: Graph, target: str | Path | IO) -> None:
@@ -240,15 +214,16 @@ def write_edge_list(graph: Graph, target: str | Path | IO) -> None:
         target.write(lines)
 
 
-def largest_connected_component(graph: Graph) -> tuple[Graph, NodeRelabeling]:
+def largest_connected_component(graph: Graph) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on the largest component, densely relabeled.
 
+    Returns the subgraph and the sorted int64 array of the kept node ids.
     Ties between equal-size components go to the one containing the
     smallest node id.
     """
     ncomp, labels = connected_components(graph._csr, directed=False)
     if ncomp == 1:
-        return graph, NodeRelabeling.identity(graph.node_count)
+        return graph, np.arange(graph.node_count, dtype=np.int64)
     sizes = np.bincount(labels, minlength=ncomp)
     # np.unique scans ascending, so first_index[c] is the smallest node in c.
     comps, first_index = np.unique(labels, return_index=True)
@@ -261,7 +236,7 @@ def largest_connected_component(graph: Graph) -> tuple[Graph, NodeRelabeling]:
     pairs = graph.edge_pairs()
     mask = (new_id[pairs[:, 0]] >= 0) & (new_id[pairs[:, 1]] >= 0)
     sub = _from_canonical_pairs(len(kept), new_id[pairs[mask]])
-    return sub, NodeRelabeling.from_kept_ids(kept)
+    return sub, kept
 
 
 def generate_sbm(blocks: int, block_size: int, p_in: float, p_out: float,
@@ -289,14 +264,6 @@ def generate_sbm(blocks: int, block_size: int, p_in: float, p_out: float,
     graph = _from_canonical_pairs(n, np.column_stack([iu[keep], ju[keep]]))
     planted = Membership(np.arange(n, dtype=np.int64) // block_size, blocks)
     return graph, planted
-
-
-def spmv(graph: Graph, x: np.ndarray) -> np.ndarray:
-    """Adjacency matrix–vector product A·x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (graph.node_count,):
-        raise ValueError(f"vector length {x.shape} does not match n={graph.node_count}")
-    return graph.adjacency_matmat(x)
 
 
 def adjacency_trace_sq(graph: Graph) -> float:

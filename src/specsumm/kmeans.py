@@ -14,12 +14,7 @@ import numpy as np
 from .errors import ParameterError
 from .rng import make_generator
 
-__all__ = ["PointSet", "Centroids", "KmeansConfig",
-           "kmeanspp_init", "minibatch_kmeans", "kmeans_cost"]
-
-# Points and centroids are plain row-major float arrays: one point per row.
-PointSet = np.ndarray
-Centroids = np.ndarray
+__all__ = ["KmeansConfig", "kmeanspp_init", "minibatch_kmeans", "kmeans_cost"]
 
 
 @dataclass(frozen=True)
@@ -27,16 +22,12 @@ class KmeansConfig:
     batch_size: int = 1024
     max_iterations: int = 100
     seed: int | None = None
-    # Empty-cluster repair is part of the output contract, not a choice.
-    reseed_empty: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
         if self.max_iterations < 0:
             raise ParameterError("max_iterations must be >= 0")
-        if not self.reseed_empty:
-            raise ParameterError("reseed_empty is fixed true")
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -72,10 +63,11 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return points[chosen].copy()
 
 
-def kmeanspp_init(points: PointSet, k: int, seed: int | None) -> Centroids:
+def kmeanspp_init(points: np.ndarray, k: int, seed: int | None) -> np.ndarray:
     """kmeans++ seeding: first centroid uniform, then D²-weighted draws.
 
-    Deterministic per seed.
+    Points and the returned centroids are row-major float arrays, one
+    point per row.  Deterministic per seed.
     """
     pts = _as_points(points)
     if not 1 <= k <= len(pts):
@@ -116,8 +108,8 @@ def _assign_with_repair(points: np.ndarray, centroids: np.ndarray
     raise RuntimeError("empty-cluster repair failed to terminate")
 
 
-def minibatch_kmeans(points: PointSet, k: int, config: KmeansConfig | None = None
-                     ) -> tuple[np.ndarray, Centroids, float]:
+def minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
     """Cluster points into k groups with mini-batch updates.
 
     Each iteration draws a batch, assigns it to the nearest centroids, then
@@ -152,7 +144,7 @@ def minibatch_kmeans(points: PointSet, k: int, config: KmeansConfig | None = Non
     return trained if trained[2] <= seeded[2] else seeded
 
 
-def kmeans_cost(points: PointSet, centroids: Centroids,
+def kmeans_cost(points: np.ndarray, centroids: np.ndarray,
                 assignment: np.ndarray) -> float:
     """Sum of squared distances from each point to its assigned centroid."""
     pts = _as_points(points)

@@ -12,15 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ParameterError
 from .graph import Graph
 from .summary import Summary
 
 __all__ = ["TriangleEstimate", "pair_probability", "expected_triangles",
-           "triangles_triple_sum_oracle", "exact_triangles"]
-
-_ORACLE_LIMIT = 1500
+           "exact_triangles"]
 
 
 @dataclass(frozen=True)
@@ -91,34 +90,13 @@ def expected_triangles(summary: Summary) -> TriangleEstimate:
     return TriangleEstimate(expected=total, method="closed-form")
 
 
-def triangles_triple_sum_oracle(summary: Summary) -> float:
-    """Same expectation by brute force over node triples.
-
-    Materializes the n x n pair-probability matrix, so it refuses large
-    summaries; it exists to cross-check the closed form.
-    """
-    n = summary.membership.n
-    if n > _ORACLE_LIMIT:
-        raise ParameterError(f"oracle limited to n <= {_ORACLE_LIMIT}")
-    a = summary.membership.assign
-    pi = _pair_matrix(summary)
-    p = pi[np.ix_(a, a)]
-    np.fill_diagonal(p, 0.0)
-    # With a zero diagonal and symmetry, tr(P^3)/6 is exactly the sum of
-    # p_uv p_vw p_wu over unordered triples of distinct nodes.
-    return float(np.sum((p @ p) * p)) / 6.0
-
-
 def exact_triangles(graph: Graph) -> int:
     """Triangle count of the graph itself.
 
-    For each edge (u, v) with u < v, counts common neighbors greater than
-    v by intersecting the two sorted adjacency lists, so each triangle is
-    seen exactly once at its lowest edge.
+    With U the strict upper triangle of the adjacency (edges oriented from
+    lower to higher id), (U @ U)[u, w] counts paths u < v < w, and masking
+    by U keeps those closed by the edge (u, w), so each triangle is counted
+    once.  Counts are small integers, exact in float64.
     """
-    total = 0
-    for u, v in graph.edge_pairs():
-        common = np.intersect1d(graph.neighbors(u), graph.neighbors(v),
-                                assume_unique=True)
-        total += int(np.count_nonzero(common > v))
-    return total
+    upper = sp.triu(graph._csr, k=1, format="csr")
+    return int((upper @ upper).multiply(upper).sum())

@@ -26,7 +26,3 @@ def derive_seeds(master: int | None, count: int) -> list[int]:
     ss = np.random.SeedSequence(DEFAULT_SEED if master is None else master)
     return [int(s) for s in ss.generate_state(count, dtype=np.uint64)]
 
-
-def resolve_seed(explicit: int | None, derived: int) -> int:
-    """Pick a config's own seed when set, otherwise the pipeline-derived one."""
-    return derived if explicit is None else explicit

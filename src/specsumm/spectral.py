@@ -18,9 +18,10 @@ from .errors import ConvergenceError, ParameterError
 from .graph import Graph
 from .rng import make_generator
 
-__all__ = ["EigenBasis", "lm_eigs", "dense_eig_oracle"]
+__all__ = ["EigenBasis", "lm_eigs"]
 
 _SIGN_EPS = 1e-10
+_RESIDUAL_TOL = 1e-8
 _ORTHO_TOL = 1e-8
 _DENSE_LIMIT = 512
 
@@ -83,9 +84,9 @@ def _canonicalize(values: np.ndarray, vectors: np.ndarray) -> EigenBasis:
     return EigenBasis(values=values, vectors=vectors)
 
 
-def _invariants_hold(graph: Graph, basis: EigenBasis, tol: float) -> bool:
+def _invariants_hold(graph: Graph, basis: EigenBasis) -> bool:
     res = basis.residual_norms(graph)
-    if np.any(res > tol * np.maximum(1.0, np.abs(basis.values))):
+    if np.any(res > _RESIDUAL_TOL * np.maximum(1.0, np.abs(basis.values))):
         return False
     gram = basis.vectors.T @ basis.vectors
     return np.abs(gram - np.eye(basis.d)).max() <= _ORTHO_TOL
@@ -96,19 +97,16 @@ def _dense_basis(graph: Graph) -> EigenBasis:
     return _canonicalize(values, vectors)
 
 
-def lm_eigs(graph: Graph, d: int, tol: float = 1e-8,
-            max_iter: int | None = None, seed: int | None = None) -> EigenBasis:
+def lm_eigs(graph: Graph, d: int, seed: int | None = None) -> EigenBasis:
     """Compute the d largest-magnitude eigenpairs of the adjacency matrix.
+
+    Every returned pair meets ‖A e_j − λ_j e_j‖ ≤ 1e-8·max(1, |λ_j|).
 
     Parameters
     ----------
     graph : Graph
     d : int
         Number of eigenpairs, 1 ≤ d ≤ n.
-    tol : float
-        Residual bound: ‖A e_j − λ_j e_j‖ ≤ tol·max(1, |λ_j|).
-    max_iter : int, optional
-        Lanczos restart budget (solver default when omitted).
     seed : int, optional
         Seeds the starting vector; fixed seeds give bit-identical output.
 
@@ -139,13 +137,17 @@ def lm_eigs(graph: Graph, d: int, tol: float = 1e-8,
     failure: ConvergenceError | None = None
     try:
         values, vectors = eigsh(graph._csr, k=d, which="LM", v0=v0,
-                                ncv=ncv, maxiter=max_iter, tol=0)
+                                ncv=ncv, tol=0)
         basis = _canonicalize(values, vectors)
-        if not _invariants_hold(graph, basis, tol):
+        if not _invariants_hold(graph, basis):
             failure = ConvergenceError("Lanczos output failed residual check",
                                        residuals=basis.residual_norms(graph))
     except ArpackNoConvergence as exc:
-        failure = ConvergenceError(str(exc), residuals=getattr(exc, "eigenvalues", None))
+        # Report the residuals of the pairs ARPACK converged before stopping.
+        partial = EigenBasis(np.asarray(exc.eigenvalues, dtype=np.float64),
+                             np.asarray(exc.eigenvectors, dtype=np.float64))
+        failure = ConvergenceError(str(exc), residuals=(
+            partial.residual_norms(graph) if partial.d else None))
     except (ArpackError, np.linalg.LinAlgError) as exc:
         failure = ConvergenceError(str(exc))
 
@@ -156,14 +158,3 @@ def lm_eigs(graph: Graph, d: int, tol: float = 1e-8,
         return EigenBasis(values=dense.values[:d].copy(),
                           vectors=dense.vectors[:, :d].copy())
     raise failure
-
-
-def dense_eig_oracle(graph: Graph) -> EigenBasis:
-    """Full dense eigendecomposition, for cross-checking the sparse path.
-
-    Refuses graphs with more than 512 nodes.
-    """
-    if graph.node_count > _DENSE_LIMIT:
-        raise ParameterError(
-            f"dense oracle refused: n={graph.node_count} exceeds {_DENSE_LIMIT}")
-    return _dense_basis(graph)

@@ -10,7 +10,7 @@ reduced to 2k×2k solves via the Sherman–Morrison–Woodbury identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +19,6 @@ from .errors import ParameterError
 from .graph import Graph
 
 __all__ = [
-    "RelaxedSolution",
     "OcsaConfig",
     "AscentTrace",
     "SkewDirection",
@@ -34,12 +33,6 @@ __all__ = [
     "orthonormality_defect",
     "ocsa",
 ]
-
-# A relaxed solution is a plain n×k float array with orthonormal columns
-# (‖ZᵀZ − I‖_max ≤ 1e-8); feasibility is checked where contracts demand it,
-# not on every objective evaluation, so finite-difference probes of the
-# objective at perturbed (infeasible) points remain legal.
-RelaxedSolution = np.ndarray
 
 FEASIBILITY_TOL = 1e-8
 _STATIONARY_REL = 1e-8
@@ -119,7 +112,10 @@ def trace_objective_relaxed(graph: Graph, Z: np.ndarray) -> float:
     """F(Z) = tr((ZᵀAZ)²), the squared Frobenius norm of ZᵀAZ.
 
     Defined for any n×k real matrix; column-orthonormal inputs are what the
-    optimization contracts assume.
+    optimization contracts assume.  A relaxed solution is a plain n×k float
+    array with ‖ZᵀZ − I‖_max ≤ 1e-8, checked where contracts demand it and
+    not here, so finite-difference probes at perturbed (infeasible) points
+    remain legal.
     """
     Z = np.asarray(Z, dtype=np.float64)
     M = Z.T @ graph.adjacency_matmat(Z)

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import ParameterError
 from .graph import Graph, adjacency_trace_sq
 from .kmeans import KmeansConfig, minibatch_kmeans
-from .rng import derive_seeds, make_generator, resolve_seed
+from .rng import derive_seeds, make_generator
 from .spectral import lm_eigs
-from .stiefel import OcsaConfig, ocsa, random_orthonormal_init
+from .stiefel import ocsa, random_orthonormal_init
 
 __all__ = ["Membership", "Summary", "ReassignConfig", "ReassignMove",
            "SummaryReport", "supernode_edge_counts", "objective_integer",
@@ -136,12 +136,15 @@ def membership_to_normalized(membership: Membership) -> np.ndarray:
     return z
 
 
+def _summary_from_counts(membership: Membership, counts: np.ndarray) -> Summary:
+    sizes = membership.sizes.astype(np.float64)
+    return Summary(membership, counts / (sizes[:, None] * sizes[None, :]))
+
+
 def build_summary(graph: Graph, membership: Membership) -> Summary:
     """Summary whose densities are exact edge counts over size products."""
-    counts = supernode_edge_counts(graph, membership)
-    sizes = membership.sizes.astype(np.float64)
-    density = counts / (sizes[:, None] * sizes[None, :])
-    return Summary(membership, density)
+    return _summary_from_counts(membership,
+                                supernode_edge_counts(graph, membership))
 
 
 def lifted_entry(summary: Summary, u: int, v: int) -> float:
@@ -287,13 +290,14 @@ class SummaryReport:
     relax_method: str
     reassign_moves: int
     seconds: dict[str, float]
+    # The caller's "master" seed and the "relax", "cluster" and "reassign"
+    # seeds derived from it.
+    seeds: dict[str, int | None]
 
 
 def specsumm(graph: Graph, k: int, d: int | None = None,
              relax_method: str = "lm-eigvecs",
-             kmeans_config: KmeansConfig | None = None,
              reassign: ReassignConfig | None = None,
-             ocsa_config: OcsaConfig | None = None,
              seed: int | None = None) -> tuple[Summary, SummaryReport]:
     """Full pipeline: spectral embedding, clustering, optional refinement.
 
@@ -301,8 +305,8 @@ def specsumm(graph: Graph, k: int, d: int | None = None,
     or an orthonormality-constrained ascent from a random start
     (ocsa-random).  Rows are clustered into k groups by mini-batch k-means,
     then refined by reassignment rounds when a config is given.  One master
-    seed derives the phase seeds, so equal seeds reproduce results exactly;
-    explicit seeds inside phase configs take precedence.
+    seed derives every phase seed (a seed set in ``reassign`` is replaced),
+    so equal seeds reproduce results exactly.
     """
     n = graph.node_count
     if not 1 <= k <= n:
@@ -321,32 +325,34 @@ def specsumm(graph: Graph, k: int, d: int | None = None,
         embedding = lm_eigs(graph, d, seed=relax_seed).vectors
     else:
         start = random_orthonormal_init(n, d, relax_seed)
-        embedding, _ = ocsa(graph, start, ocsa_config)
+        embedding, _ = ocsa(graph, start)
     seconds["relax"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    kcfg = kmeans_config or KmeansConfig()
-    kcfg = replace(kcfg, seed=resolve_seed(kcfg.seed, cluster_seed))
-    assign, _, _ = minibatch_kmeans(embedding, k, kcfg)
+    assign, _, _ = minibatch_kmeans(embedding, k,
+                                    KmeansConfig(seed=cluster_seed))
     membership = Membership(assign, k)
     seconds["cluster"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     moves: list[ReassignMove] = []
     if reassign is not None:
-        rcfg = replace(reassign, seed=resolve_seed(reassign.seed,
-                                                   reassign_seed))
         counts = supernode_edge_counts(graph, membership)
-        membership, moves = reassignment(graph, membership, counts, rcfg)
+        membership, moves = reassignment(
+            graph, membership, counts, replace(reassign, seed=reassign_seed))
     seconds["reassign"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    summary = build_summary(graph, membership)
-    objective = objective_integer(graph, membership)
+    counts = supernode_edge_counts(graph, membership)
+    summary = _summary_from_counts(membership, counts)
+    objective = _objective_from_counts(counts, membership.sizes)
     loss = adjacency_trace_sq(graph) - objective
     seconds["summary"] = time.perf_counter() - t0
 
     report = SummaryReport(objective=objective, loss=loss, k=k, d=d,
                            relax_method=relax_method,
-                           reassign_moves=len(moves), seconds=seconds)
+                           reassign_moves=len(moves), seconds=seconds,
+                           seeds={"master": seed, "relax": relax_seed,
+                                  "cluster": cluster_seed,
+                                  "reassign": reassign_seed})
     return summary, report

@@ -8,12 +8,45 @@ definition sums.  Slow on purpose; kept well away from production code.
 from __future__ import annotations
 
 import itertools
-import math
 
+import networkx as nx
 import numpy as np
 
-from specsumm import Graph, Membership, Summary, build_summary
+from specsumm import (EigenBasis, Graph, Membership, ParameterError, Summary,
+                      build_summary)
 from specsumm.queries import _pair_matrix
+from specsumm.spectral import _DENSE_LIMIT, _dense_basis
+
+_ORACLE_LIMIT = 1500
+
+
+def dense_eig_oracle(graph: Graph) -> EigenBasis:
+    """Full dense eigendecomposition, for cross-checking the sparse path.
+
+    Refuses graphs with more than 512 nodes.
+    """
+    if graph.node_count > _DENSE_LIMIT:
+        raise ParameterError(
+            f"dense oracle refused: n={graph.node_count} exceeds {_DENSE_LIMIT}")
+    return _dense_basis(graph)
+
+
+def triangles_triple_sum_oracle(summary: Summary) -> float:
+    """Expected triangles of a summary by brute force over node triples.
+
+    Materializes the n x n pair-probability matrix, so it refuses large
+    summaries; it exists to cross-check the closed form.
+    """
+    n = summary.membership.n
+    if n > _ORACLE_LIMIT:
+        raise ParameterError(f"oracle limited to n <= {_ORACLE_LIMIT}")
+    a = summary.membership.assign
+    pi = _pair_matrix(summary)
+    p = pi[np.ix_(a, a)]
+    np.fill_diagonal(p, 0.0)
+    # With a zero diagonal and symmetry, tr(P^3)/6 is exactly the sum of
+    # p_uv p_vw p_wu over unordered triples of distinct nodes.
+    return float(np.sum((p @ p) * p)) / 6.0
 
 
 def dense_objective(graph: Graph, z: np.ndarray) -> float:
@@ -118,6 +151,14 @@ def random_graph(rng: np.random.Generator, n: int, p: float = 0.3) -> Graph:
         edges = list(zip(iu[0][mask].tolist(), iu[1][mask].tolist()))
         if edges:
             return Graph.from_edges(n, edges)
+
+
+def to_networkx(graph: Graph) -> nx.Graph:
+    """The same graph as a networkx graph, isolated nodes included."""
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.node_count))
+    g.add_edges_from(graph.edge_pairs().tolist())
+    return g
 
 
 def random_membership(rng: np.random.Generator, n: int, k: int) -> Membership:

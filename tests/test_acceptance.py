@@ -14,16 +14,17 @@ import pytest
 
 from specsumm import (Graph, Membership, OcsaConfig, ReassignConfig,
                       adjacency_trace_sq, build_summary, cayley_step,
-                      dense_eig_oracle, generate_sbm, gradient, l2_loss,
+                      generate_sbm, gradient, l2_loss,
                       lm_eigs, minibatch_kmeans, objective_integer, ocsa,
                       orthonormality_defect, random_orthonormal_init,
                       reassignment, skew_direction, specsumm,
                       supernode_edge_counts, trace_objective_relaxed,
-                      triangles_triple_sum_oracle, expected_triangles)
+                      expected_triangles)
 
 from conftest import complete_graph
-from oracles import (dense_l2_loss, fd_gradient, random_graph,
-                     random_membership)
+from oracles import (dense_eig_oracle, dense_l2_loss, fd_gradient,
+                     random_graph, random_membership,
+                     triangles_triple_sum_oracle)
 
 TWO_TRIANGLES = Graph.from_edges(
     6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])

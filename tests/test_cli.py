@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specsumm import Membership, build_summary
+import specsumm
+from specsumm import Membership, build_summary, generate_sbm, write_edge_list
 from specsumm.cli import SummaryFile, main, read_summary_file
 
 TWO_TRIANGLES = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
@@ -75,6 +80,20 @@ class TestSummarize:
                      "--out", str(tmp_path / "s.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("content", [
+        b"0 1\n1 9223372036854775808\n",
+        b"0 1\n1 \xff2\n",
+    ], ids=["id-beyond-int64", "non-utf8"])
+    def test_unparseable_edge_list_exits_1(self, tmp_path, capsys, content):
+        path = tmp_path / "g.txt"
+        path.write_bytes(content)
+        code = main(["summarize", str(path), "--k", "1",
+                     "--out", str(tmp_path / "s.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2: ")
+
     def test_reassignment_and_lcc_flags(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         path.write_text(TWO_TRIANGLES + "6 7\n")  # stray 2-node component
@@ -130,6 +149,21 @@ class TestEvaluate:
         code, report = _run(capsys, ["evaluate", str(graph), str(summary)])
         assert code == 0
         assert report["L"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_nan_density_is_parameter_error(self, tmp_path, capsys):
+        graph = tmp_path / "k3.txt"
+        graph.write_text(K3)
+        doc = {"format_version": 1, "n": 3, "k": 2,
+               "membership": [0, 0, 1],
+               "densities": [0.5, float("nan"), 0.0], "meta": {}}
+        summary = tmp_path / "nan.json"
+        summary.write_text(json.dumps(doc))
+        for command in ("evaluate", "triangles"):
+            code = main([command, str(graph), str(summary)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == "error: density entries must be finite\n"
 
     def test_corrupt_summary_file(self, tmp_path, graph_file):
         bad = tmp_path / "bad.json"
@@ -273,3 +307,27 @@ class TestTriangles:
         other = tmp_path / "bigger.txt"
         other.write_text(TWO_TRIANGLES)
         assert main(["triangles", str(other), summary_path]) == 2
+
+
+@pytest.mark.parametrize("method_args", [
+    ["--method", "lm", "--reassign-rounds", "2"],
+    ["--method", "ocsa"],
+], ids=["lm-reassign", "ocsa"])
+def test_summary_bytes_do_not_depend_on_blas_threads(tmp_path, method_args):
+    graph, _ = generate_sbm(20, 50, 0.25, 0.05, seed=1)
+    edges = tmp_path / "sbm.txt"
+    write_edge_list(graph, edges)
+    src = str(Path(specsumm.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": pythonpath}
+        subprocess.run([sys.executable, "-m", "specsumm.cli", "summarize",
+                        str(edges), "--k", "20", "--seed", "0", *method_args,
+                        "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]

@@ -1,5 +1,6 @@
 import io
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from specsumm import (Graph, ParameterError, ParseError, adjacency_trace_sq,
                       generate_sbm, largest_connected_component,
-                      load_edge_list, spmv, write_edge_list)
+                      load_edge_list, write_edge_list)
 
-from oracles import random_graph
+from oracles import random_graph, to_networkx
 
 
 class TestLoadEdgeList:
@@ -26,11 +27,11 @@ class TestLoadEdgeList:
         assert graph.edge_count == 1
 
     def test_dense_relabeling(self):
-        graph, relabel = load_edge_list(io.StringIO("5 9\n9 7\n"))
+        graph, original = load_edge_list(io.StringIO("5 9\n9 7\n"))
         assert graph.node_count == 3
         assert graph.edge_count == 2
-        assert relabel.to_new == {5: 0, 7: 1, 9: 2}
-        assert relabel.to_original.tolist() == [5, 7, 9]
+        assert original.dtype == np.int64
+        assert original.tolist() == [5, 7, 9]
         # 5-9 and 9-7 become 0-2 and 2-1
         assert graph.has_edge(0, 2) and graph.has_edge(1, 2)
         assert not graph.has_edge(0, 1)
@@ -64,13 +65,20 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="empty graph"):
             load_edge_list(io.StringIO("# nothing\n"))
 
-    def test_self_loop_error_when_not_dropping(self):
-        with pytest.raises(ParseError, match="self-loop"):
-            load_edge_list(io.StringIO("0 0\n"), drop_self_loops=False)
+    def test_id_beyond_int64_reports_line(self):
+        largest = 2**63 - 1
+        _, original = load_edge_list(io.StringIO(f"0 {largest}\n"))
+        assert original.tolist() == [0, largest]
+        with pytest.raises(ParseError, match="line 2.*exceeds"):
+            load_edge_list(io.StringIO(f"0 1\n1 {largest + 1}\n"))
 
-    def test_duplicate_error_when_dedupe_off(self):
-        with pytest.raises(ParseError, match="duplicate"):
-            load_edge_list(io.StringIO("0 1\n1 0\n"), dedupe=False)
+    def test_non_utf8_bytes_report_line(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_bytes(b"0 1\n1 2\n2 \xff3\n")
+        with pytest.raises(ParseError, match="line 3.*UTF-8"):
+            load_edge_list(p)
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_edge_list(io.BytesIO(b"\xc3(0 1\n"))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=20), st.integers(0, 2**31))
@@ -78,11 +86,10 @@ class TestLoadEdgeList:
         graph = random_graph(np.random.default_rng(seed), n)
         buf = io.StringIO()
         write_edge_list(graph, buf)
-        reloaded, relabel = load_edge_list(io.StringIO(buf.getvalue()))
+        reloaded, back = load_edge_list(io.StringIO(buf.getvalue()))
         # isolated nodes vanish on reload; surviving edges are identical
         assert reloaded.edge_count == graph.edge_count
         pairs = {tuple(e) for e in graph.edge_pairs().tolist()}
-        back = relabel.to_original
         for u, v in reloaded.edge_pairs().tolist():
             assert (back[u], back[v]) in pairs or (back[v], back[u]) in pairs
 
@@ -120,23 +127,59 @@ class TestGraphStructure:
         assert dense.sum() == 2 * graph.edge_count
 
 
+def _shuffled_union(rng, parts):
+    """Disjoint union of graphs with node ids randomly permuted."""
+    n = sum(part.node_count for part in parts)
+    perm = rng.permutation(n)
+    edges, offset = [], 0
+    for part in parts:
+        edges.extend((perm[u + offset], perm[v + offset])
+                     for u, v in part.edge_pairs())
+        offset += part.node_count
+    return Graph.from_edges(n, edges)
+
+
 class TestLcc:
     def test_extracts_larger_component(self):
         graph = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
-        sub, relabel = largest_connected_component(graph)
+        sub, kept = largest_connected_component(graph)
         assert (sub.node_count, sub.edge_count) == (3, 2)
-        assert relabel.to_original.tolist() == [2, 3, 4]
+        assert kept.tolist() == [2, 3, 4]
 
     def test_connected_graph_is_identity(self, k3):
-        sub, relabel = largest_connected_component(k3)
+        sub, kept = largest_connected_component(k3)
         assert sub.node_count == 3 and sub.edge_count == 3
-        assert relabel.to_original.tolist() == [0, 1, 2]
+        assert kept.tolist() == [0, 1, 2]
 
     def test_tie_breaks_to_smallest_node(self):
         graph = Graph.from_edges(4, [(0, 1), (2, 3)])
-        sub, relabel = largest_connected_component(graph)
+        sub, kept = largest_connected_component(graph)
         assert sub.node_count == 2
-        assert relabel.to_original.tolist() == [0, 1]
+        assert kept.tolist() == [0, 1]
+
+    def test_matches_networkx(self, rng):
+        disconnected = 0
+        for i in range(20):
+            # Every other graph is a shuffled disjoint union of small random
+            # graphs, so equal-size largest components are common.
+            if i % 2:
+                parts = [random_graph(rng, int(rng.integers(2, 6)))
+                         for _ in range(int(rng.integers(2, 5)))]
+            else:
+                parts = [random_graph(rng, int(rng.integers(2, 80)),
+                                      p=float(rng.uniform(0.02, 0.3)))]
+            graph = _shuffled_union(rng, parts)
+            g = to_networkx(graph)
+            components = list(nx.connected_components(g))
+            disconnected += len(components) > 1
+            # Largest first; among equal sizes, the one with the smallest id.
+            best = sorted(max(components, key=lambda c: (len(c), -min(c))))
+            sub, kept = largest_connected_component(graph)
+            assert kept.tolist() == best
+            edges = {(int(kept[u]), int(kept[v]))
+                     for u, v in sub.edge_pairs()}
+            assert edges == {tuple(sorted(e)) for e in g.subgraph(best).edges}
+        assert disconnected >= 10
 
 
 class TestGenerateSbm:
@@ -175,20 +218,21 @@ class TestGenerateSbm:
 
 class TestKernels:
     def test_spmv_examples(self, k3, p3):
-        assert spmv(k3, np.ones(3)).tolist() == [2.0, 2.0, 2.0]
-        assert spmv(p3, np.array([1.0, 0.0, 0.0])).tolist() == [0.0, 1.0, 0.0]
-        assert spmv(p3, np.ones(3)).tolist() == [1.0, 2.0, 1.0]
+        assert k3.adjacency_matmat(np.ones(3)).tolist() == [2.0, 2.0, 2.0]
+        assert p3.adjacency_matmat(
+            np.array([1.0, 0.0, 0.0])).tolist() == [0.0, 1.0, 0.0]
+        assert p3.adjacency_matmat(np.ones(3)).tolist() == [1.0, 2.0, 1.0]
 
     def test_spmv_length_mismatch(self, k3):
         with pytest.raises(ValueError):
-            spmv(k3, np.ones(4))
+            k3.adjacency_matmat(np.ones(4))
 
     def test_spmv_matches_dense(self, rng):
         for _ in range(10):
             graph = random_graph(rng, int(rng.integers(2, 64)))
             x = rng.standard_normal(graph.node_count)
-            np.testing.assert_allclose(spmv(graph, x), graph.to_dense() @ x,
-                                       atol=1e-12)
+            np.testing.assert_allclose(graph.adjacency_matmat(x),
+                                       graph.to_dense() @ x, atol=1e-12)
 
     def test_trace_sq_examples(self, k3, p3, two_triangles):
         assert adjacency_trace_sq(k3) == 6.0

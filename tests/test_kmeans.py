@@ -117,7 +117,7 @@ class TestMinibatchKmeans:
         with pytest.raises(ParameterError):
             KmeansConfig(batch_size=0)
         with pytest.raises(ParameterError):
-            KmeansConfig(reseed_empty=False)
+            KmeansConfig(max_iterations=-1)
 
 
 class TestKmeansCost:

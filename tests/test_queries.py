@@ -1,13 +1,14 @@
+import networkx as nx
 import numpy as np
 import pytest
 
 from specsumm import (Graph, Membership, ParameterError, build_summary,
-                      exact_triangles, expected_triangles, pair_probability,
-                      triangles_triple_sum_oracle)
+                      exact_triangles, expected_triangles, pair_probability)
 
 from conftest import complete_graph
-from oracles import (random_graph, random_membership, triangle_count_dense,
-                     triangle_triple_loop)
+from oracles import (random_graph, random_membership, to_networkx,
+                     triangle_count_dense, triangle_triple_loop,
+                     triangles_triple_sum_oracle)
 
 
 def _summary(graph, labels, k):
@@ -138,3 +139,11 @@ class TestExactTriangles:
             graph = random_graph(rng, int(rng.integers(3, 40)),
                                  p=float(rng.uniform(0.1, 0.8)))
             assert exact_triangles(graph) == triangle_count_dense(graph)
+
+    def test_matches_networkx(self, rng):
+        for _ in range(20):
+            graph = random_graph(rng, int(rng.integers(3, 200)),
+                                 p=float(rng.uniform(0.005, 0.3)))
+            count = exact_triangles(graph)
+            assert type(count) is int
+            assert count == sum(nx.triangles(to_networkx(graph)).values()) // 3

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from specsumm import (Graph, ParameterError, adjacency_trace_sq,
-                      dense_eig_oracle, lm_eigs, trace_objective_relaxed)
+from specsumm import (ConvergenceError, Graph, ParameterError,
+                      adjacency_trace_sq, generate_sbm, lm_eigs, spectral,
+                      trace_objective_relaxed)
 
 from conftest import complete_graph
-from oracles import random_graph
+from oracles import dense_eig_oracle, random_graph
 
 SQRT2 = np.sqrt(2.0)
 
@@ -99,6 +101,37 @@ class TestLmEigs:
             basis = lm_eigs(graph, d, seed=1)
             f = trace_objective_relaxed(graph, basis.vectors)
             np.testing.assert_allclose(f, np.sum(basis.values**2), atol=1e-8)
+
+
+class TestLmEigsNoConvergence:
+    """ARPACK stalls on a graph too large for the dense fallback."""
+
+    @pytest.fixture
+    def big(self):
+        graph, _ = generate_sbm(3, 200, 0.05, 0.01, seed=0)
+        return graph
+
+    def _stall(self, monkeypatch, values, vectors):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK stalled", values, vectors)
+        monkeypatch.setattr(spectral, "eigsh", stalled)
+
+    def test_reports_residuals_of_partial_pairs(self, big, monkeypatch, rng):
+        vectors = np.linalg.qr(rng.standard_normal((big.node_count, 2)))[0]
+        values = np.array([5.0, -3.0])
+        self._stall(monkeypatch, values, vectors)
+        with pytest.raises(ConvergenceError) as info:
+            lm_eigs(big, 4, seed=0)
+        expected = np.linalg.norm(big.to_dense() @ vectors - vectors * values,
+                                  axis=0)
+        np.testing.assert_allclose(info.value.residuals, expected,
+                                   rtol=1e-12)
+
+    def test_no_partial_pairs_reports_none(self, big, monkeypatch):
+        self._stall(monkeypatch, np.empty(0), np.empty((big.node_count, 0)))
+        with pytest.raises(ConvergenceError) as info:
+            lm_eigs(big, 4, seed=0)
+        assert info.value.residuals is None
 
 
 def test_complete_graph_ordering_tie_rule():

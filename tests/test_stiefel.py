@@ -3,13 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from specsumm import (OcsaConfig, ParameterError, cayley_step,
-                      dense_eig_oracle, gradient, line_search, lm_eigs, ocsa,
-                      orthonormality_defect, random_orthonormal_init,
-                      skew_direction, trace_objective_relaxed,
-                      trace_objective_split)
+from specsumm import (OcsaConfig, ParameterError, cayley_step, gradient,
+                      line_search, lm_eigs, ocsa, orthonormality_defect,
+                      random_orthonormal_init, skew_direction,
+                      trace_objective_relaxed, trace_objective_split)
 
-from oracles import fd_gradient, random_graph
+from oracles import dense_eig_oracle, fd_gradient, random_graph
 
 
 def _delta_columns(n, cols):
