@@ -19,11 +19,13 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -41,9 +43,28 @@ __all__ = ["SummaryFile", "read_summary_file", "write_trace", "main"]
 
 FORMAT_VERSION = 1
 
-# exact_triangles stores one sparse entry per oriented two-path; past this
-# order the estimate is reported alone.
+# exact_triangles takes time in proportion to the oriented two-path count;
+# past this order the estimate is reported alone.
 _EXACT_TRIANGLE_LIMIT = 10_000
+
+
+@contextmanager
+def _atomic_output(path: str | Path) -> Iterator[TextIO]:
+    """Text handle whose content replaces ``path`` only once fully written.
+
+    The text goes to a temporary file beside the target, which os.replace
+    then renames over it; on any failure the temporary file is removed and
+    an earlier file at ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -96,9 +117,9 @@ class SummaryFile:
         payload = {"format_version": FORMAT_VERSION, "n": self.n,
                    "k": self.k, "membership": self.membership,
                    "densities": self.densities, "meta": self.meta}
-        Path(path).write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8")
+        with _atomic_output(path) as handle:
+            handle.write(json.dumps(payload, sort_keys=True,
+                                    separators=(",", ":")) + "\n")
 
 
 def read_summary_file(path: str | Path) -> SummaryFile:
@@ -131,7 +152,8 @@ def write_trace(path: str | Path, trace: AscentTrace) -> None:
     for i, value in enumerate(trace.objectives):
         tau = "" if i == 0 else repr(float(trace.step_sizes[i - 1]))
         lines.append(f"{i}\t{float(value)!r}\t{tau}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _atomic_output(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _print_json(payload: dict) -> None:
@@ -242,11 +264,11 @@ def cmd_relax(args: argparse.Namespace) -> int:
 def cmd_gen_sbm(args: argparse.Namespace) -> int:
     graph, planted = generate_sbm(args.blocks, args.size, args.p_in,
                                   args.p_out, args.seed)
-    write_edge_list(graph, args.out)
+    with _atomic_output(args.out) as handle:
+        write_edge_list(graph, handle)
     membership_path = str(args.out) + ".membership"
-    Path(membership_path).write_text(
-        "".join(f"{int(label)}\n" for label in planted.assign),
-        encoding="utf-8")
+    with _atomic_output(membership_path) as handle:
+        handle.write("".join(f"{int(label)}\n" for label in planted.assign))
     _print_json({"n": graph.node_count, "m": graph.edge_count,
                  "edges_path": str(args.out),
                  "membership_path": membership_path})

@@ -39,10 +39,49 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     return pts
 
 
+# Rows per block of _sq_dists: the difference tensor stays at
+# _DIST_BLOCK * k * d floats however many points there are.
+_DIST_BLOCK = 128
+
+
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (n, k)."""
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    """Pairwise squared Euclidean distances, (n, k), taken in row blocks;
+    each entry is the same d-term sum as the unblocked einsum."""
+    out = np.empty((len(points), len(centroids)))
+    for start in range(0, len(points), _DIST_BLOCK):
+        diff = (points[start:start + _DIST_BLOCK, None, :]
+                - centroids[None, :, :])
+        out[start:start + _DIST_BLOCK] = np.einsum("nkd,nkd->nk", diff, diff)
+    return out
+
+
+def _replay_batch(centroids: np.ndarray, counts: np.ndarray,
+                  batch: np.ndarray, nearest: np.ndarray) -> None:
+    """Sculley's streaming update of a batch, in per-rank rounds.
+
+    Round r applies the r-th hit of every cluster at once, so each centroid
+    sees its own samples in batch order with learning rate 1/(samples it
+    has absorbed so far): the same sequence of operations, and the same
+    bits, as replaying the batch one sample at a time.  Updates both arrays
+    in place.
+    """
+    # Position of each hit among its cluster's hits, in batch order.
+    order = np.argsort(nearest, kind="stable")
+    hits = np.bincount(nearest, minlength=len(centroids))
+    rank = np.arange(len(order)) - (np.cumsum(hits) - hits)[nearest[order]]
+    by_rank = np.argsort(rank, kind="stable")
+    order, rank = order[by_rank], rank[by_rank]
+    clusters = nearest[order]
+    samples = batch[order]
+    absorbed = (counts[clusters] + rank + 1)[:, None]
+    start = 0
+    for stop in np.cumsum(np.bincount(rank)):
+        cl = clusters[start:stop]
+        moved = centroids[cl]
+        moved += (samples[start:stop] - moved) / absorbed[start:stop]
+        centroids[cl] = moved
+        start = stop
+    counts += hits
 
 
 def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,8 +152,10 @@ def minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig | None = N
     """Cluster points into k groups with mini-batch updates.
 
     Each iteration draws a batch, assigns it to the nearest centroids, then
-    replays the batch one sample at a time, moving each hit centroid toward
-    the sample with learning rate 1/(samples it has absorbed so far).  A
+    moves each hit centroid toward each of its samples, in batch order,
+    with learning rate 1/(samples it has absorbed so far).  The replay runs
+    in per-rank rounds: round r updates every cluster's r-th hit at once,
+    which gives the same bits as a one-sample-at-a-time loop.  A
     final full pass defines the returned assignment; if the streamed
     centroids ended up worse than the kmeans++ seeding, the seeding wins.
 
@@ -135,9 +176,7 @@ def minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig | None = N
         batch_idx = rng.integers(0, n, size=config.batch_size)
         batch = pts[batch_idx]
         nearest = np.argmin(_sq_dists(batch, centroids), axis=1)
-        for sample, cluster in zip(batch, nearest):
-            counts[cluster] += 1
-            centroids[cluster] += (sample - centroids[cluster]) / counts[cluster]
+        _replay_batch(centroids, counts, batch, nearest)
 
     trained = _assign_with_repair(pts, centroids)
     seeded = _assign_with_repair(pts, initial)

@@ -90,13 +90,31 @@ def expected_triangles(summary: Summary) -> TriangleEstimate:
     return TriangleEstimate(expected=total, method="closed-form")
 
 
+# Oriented two-paths per row block of exact_triangles: the product holds at
+# most one sparse entry per two-path, so this bounds its memory (a single
+# row with more two-paths forms a block of its own).
+_TWO_PATH_BLOCK = 1 << 22
+
+
 def exact_triangles(graph: Graph) -> int:
     """Triangle count of the graph itself.
 
     With U the strict upper triangle of the adjacency (edges oriented from
     lower to higher id), (U @ U)[u, w] counts paths u < v < w, and masking
     by U keeps those closed by the edge (u, w), so each triangle is counted
-    once.  Counts are small integers, exact in float64.
+    once.  The product is taken in row blocks of at most _TWO_PATH_BLOCK
+    two-paths each.  Counts are small integers, exact in float64.
     """
     upper = sp.triu(graph._csr, k=1, format="csr")
-    return int((upper @ upper).multiply(upper).sum())
+    # Two-paths u < v < w starting at u: deg+(v) summed over u's out-neighbors.
+    two_paths = np.cumsum(upper @ np.diff(upper.indptr))
+    total = 0
+    start = 0
+    while start < graph.node_count:
+        base = two_paths[start - 1] if start else 0
+        stop = max(int(np.searchsorted(two_paths, base + _TWO_PATH_BLOCK,
+                                       side="right")), start + 1)
+        rows = upper[start:stop]
+        total += int((rows @ upper).multiply(rows).sum())
+        start = stop
+    return total

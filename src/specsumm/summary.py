@@ -189,36 +189,47 @@ class ReassignMove(NamedTuple):
     objective: float
 
 
-def _move_delta(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
-                a: int, b: int) -> float:
-    """Change in F when one node moves from group a to group b.
+def _move_deltas(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
+                 a: int) -> np.ndarray:
+    """Change in F when one node moves from group a to each group b.
 
     nbr[j] counts the node's neighbors currently in group j.  Only the rows
-    and columns of a and b change, so the delta is the difference of those
-    bands before and after.
+    and columns of a and b change, so each delta is the difference of those
+    bands before and after.  All k targets are evaluated at once: row b of
+    the (k, k) arrays holds target b's band, with the same elementwise
+    arithmetic and the same per-row sums as evaluating b alone.  Entry a
+    (staying put) is -inf.
     """
+    k = len(sizes)
+    diag = np.arange(k)
     fs = sizes.astype(np.float64)
-    row_a = counts[a].astype(np.float64)
-    row_b = counts[b].astype(np.float64)
+    rows = counts.astype(np.float64)
+    row_a = rows[a]
     old = (2.0 * np.sum(row_a**2 / fs) / fs[a]
-           + 2.0 * np.sum(row_b**2 / fs) / fs[b]
-           - (row_a[a]**2 / fs[a]**2 + row_b[b]**2 / fs[b]**2
-              + 2.0 * row_a[b]**2 / (fs[a] * fs[b])))
+           + 2.0 * np.sum(rows**2 / fs, axis=1) / fs
+           - (row_a[a]**2 / fs[a]**2 + rows[diag, diag]**2 / fs**2
+              + 2.0 * row_a**2 / (fs[a] * fs)))
 
-    new_a = row_a - nbr
-    new_b = row_b + nbr
-    new_a[a] = row_a[a] - 2.0 * nbr[a]
-    new_a[b] = row_a[b] - nbr[b] + nbr[a]
-    new_b[b] = row_b[b] + 2.0 * nbr[b]
-    new_b[a] = new_a[b]
-    ns = fs.copy()
-    ns[a] -= 1.0
-    ns[b] += 1.0
-    new = (2.0 * np.sum(new_a**2 / ns) / ns[a]
-           + 2.0 * np.sum(new_b**2 / ns) / ns[b]
-           - (new_a[a]**2 / ns[a]**2 + new_b[b]**2 / ns[b]**2
-              + 2.0 * new_a[b]**2 / (ns[a] * ns[b])))
-    return new - old
+    # Row b of new_a/new_b/ns: group a's row, target b's row and the sizes
+    # after the move to b.
+    new_a = np.broadcast_to(row_a - nbr, (k, k)).copy()
+    new_a[:, a] = row_a[a] - 2.0 * nbr[a]
+    new_a[diag, diag] = row_a - nbr + nbr[a]
+    new_b = rows + nbr
+    new_b[diag, diag] = rows[diag, diag] + 2.0 * nbr
+    new_b[:, a] = new_a[diag, diag]
+    ns_a = fs[a] - 1.0
+    ns_b = fs + 1.0
+    ns = np.broadcast_to(fs, (k, k)).copy()
+    ns[:, a] = ns_a
+    ns[diag, diag] = ns_b
+    new = (2.0 * np.sum(new_a**2 / ns, axis=1) / ns_a
+           + 2.0 * np.sum(new_b**2 / ns, axis=1) / ns_b
+           - (new_a[:, a]**2 / ns_a**2 + new_b[diag, diag]**2 / ns_b**2
+              + 2.0 * new_a[diag, diag]**2 / (ns_a * ns_b)))
+    deltas = new - old
+    deltas[a] = -np.inf
+    return deltas
 
 
 def reassignment(graph: Graph, membership: Membership, counts: np.ndarray,
@@ -227,9 +238,10 @@ def reassignment(graph: Graph, membership: Membership, counts: np.ndarray,
     """Greedy node moves that strictly increase the trace objective.
 
     Each round samples nodes without replacement and, for every sampled
-    node, evaluates moving it to each other supernode via an O(k) band
-    delta.  The best strictly improving move (ties to the lowest target
-    index) is applied by updating the integer count matrix in place; the
+    node, evaluates moving it to every other supernode at once: one (k, k)
+    array evaluation of the row/column band deltas, O(k^2) per node.  The
+    best strictly improving move (ties to the lowest target index) is
+    applied by updating the integer count matrix in place; the
     objective is then recomputed exactly from the counts.  Moves that would
     empty a supernode are skipped.
 
@@ -262,10 +274,7 @@ def reassignment(graph: Graph, membership: Membership, counts: np.ndarray,
             if sizes[a] == 1:
                 continue
             nbr = np.bincount(assign[graph.neighbors(node)], minlength=k)
-            deltas = np.full(k, -np.inf)
-            for b in range(k):
-                if b != a:
-                    deltas[b] = _move_delta(counts, sizes, nbr, a, b)
+            deltas = _move_deltas(counts, sizes, nbr, a)
             b = int(np.argmax(deltas))
             if deltas[b] <= 0.0:
                 continue

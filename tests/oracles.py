@@ -126,6 +126,50 @@ def best_single_move(graph: Graph, membership: Membership
     return best, move
 
 
+def move_delta(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
+               a: int, b: int) -> float:
+    """Change in F when one node moves from group a to group b, one target
+    at a time (the per-target form the all-targets array evaluation must
+    reproduce bit for bit).
+
+    nbr[j] counts the node's neighbors currently in group j.  Only the rows
+    and columns of a and b change, so the delta is the difference of those
+    bands before and after.
+    """
+    fs = sizes.astype(np.float64)
+    row_a = counts[a].astype(np.float64)
+    row_b = counts[b].astype(np.float64)
+    old = (2.0 * np.sum(row_a**2 / fs) / fs[a]
+           + 2.0 * np.sum(row_b**2 / fs) / fs[b]
+           - (row_a[a]**2 / fs[a]**2 + row_b[b]**2 / fs[b]**2
+              + 2.0 * row_a[b]**2 / (fs[a] * fs[b])))
+
+    new_a = row_a - nbr
+    new_b = row_b + nbr
+    new_a[a] = row_a[a] - 2.0 * nbr[a]
+    new_a[b] = row_a[b] - nbr[b] + nbr[a]
+    new_b[b] = row_b[b] + 2.0 * nbr[b]
+    new_b[a] = new_a[b]
+    ns = fs.copy()
+    ns[a] -= 1.0
+    ns[b] += 1.0
+    new = (2.0 * np.sum(new_a**2 / ns) / ns[a]
+           + 2.0 * np.sum(new_b**2 / ns) / ns[b]
+           - (new_a[a]**2 / ns[a]**2 + new_b[b]**2 / ns[b]**2
+              + 2.0 * new_a[b]**2 / (ns[a] * ns[b])))
+    return new - old
+
+
+def minibatch_replay(centroids: np.ndarray, counts: np.ndarray,
+                     batch: np.ndarray, nearest: np.ndarray) -> None:
+    """Sculley's streaming update, one sample at a time in batch order:
+    each hit centroid moves toward the sample with learning rate
+    1/(samples it has absorbed so far).  Updates both arrays in place."""
+    for sample, cluster in zip(batch, nearest):
+        counts[cluster] += 1
+        centroids[cluster] += (sample - centroids[cluster]) / counts[cluster]
+
+
 def triangle_triple_loop(summary: Summary) -> float:
     """Expected triangles by literally iterating node triples."""
     n = summary.membership.n

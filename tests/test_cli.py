@@ -9,6 +9,7 @@ import pytest
 
 import specsumm
 from specsumm import Membership, build_summary, generate_sbm, write_edge_list
+from specsumm import cli
 from specsumm.cli import SummaryFile, main, read_summary_file
 
 TWO_TRIANGLES = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
@@ -307,6 +308,64 @@ class TestTriangles:
         other = tmp_path / "bigger.txt"
         other.write_text(TWO_TRIANGLES)
         assert main(["triangles", str(other), summary_path]) == 2
+
+
+class TestAtomicWrites:
+    """Output files are written beside the target and renamed over it, so a
+    failure before the rename keeps the earlier file and leaves no
+    temporary file behind."""
+
+    COMMANDS = {
+        "summarize": (["summarize", "{graph}", "--k", "2", "--seed", "0",
+                       "--out", "{out}"], ["out"]),
+        "relax-trace": (["relax", "{graph}", "--k", "2", "--iters", "3",
+                         "--trace", "{out}"], ["out"]),
+        "gen-sbm": (["gen-sbm", "--blocks", "2", "--size", "3", "--p-in",
+                     "1.0", "--seed", "0", "--out", "{out}"],
+                    ["out", "out.membership"]),
+    }
+
+    def _argv(self, command, graph_file, tmp_path):
+        argv, names = self.COMMANDS[command]
+        out = tmp_path / "out"
+        argv = [a.format(graph=graph_file, out=out) for a in argv]
+        return argv, [tmp_path / name for name in names]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_failed_replace_keeps_earlier_file(self, tmp_path, graph_file,
+                                               monkeypatch, capsys, command):
+        argv, targets = self._argv(command, graph_file, tmp_path)
+        for target in targets:
+            target.write_text("earlier\n")
+        before = sorted(tmp_path.iterdir())
+
+        def fail(src, dst):
+            raise OSError("simulated failure before rename")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        assert main(argv) == 1
+        assert "simulated failure" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+        for target in targets:
+            assert target.read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_success_replaces_and_leaves_no_temp(self, tmp_path, graph_file,
+                                                 capsys, command):
+        argv, targets = self._argv(command, graph_file, tmp_path)
+        for target in targets:
+            target.write_text("earlier\n")
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 0
+        assert sorted(tmp_path.iterdir()) == before
+        for target in targets:
+            assert target.read_text() != "earlier\n"
+
+    def test_missing_directory_exits_1(self, tmp_path, graph_file):
+        out = tmp_path / "absent" / "s.json"
+        assert main(["summarize", graph_file, "--k", "2", "--seed", "0",
+                     "--out", str(out)]) == 1
+        assert not (tmp_path / "absent").exists()
 
 
 @pytest.mark.parametrize("method_args", [

@@ -3,8 +3,9 @@ import pytest
 
 from specsumm import (KmeansConfig, ParameterError, kmeans_cost, kmeanspp_init,
                       minibatch_kmeans)
+from specsumm.kmeans import _DIST_BLOCK, _replay_batch, _sq_dists
 
-from oracles import all_memberships
+from oracles import all_memberships, minibatch_replay
 
 
 def _brute_force_cost(points, k):
@@ -118,6 +119,49 @@ class TestMinibatchKmeans:
             KmeansConfig(batch_size=0)
         with pytest.raises(ParameterError):
             KmeansConfig(max_iterations=-1)
+
+
+class TestReplayBatch:
+    """Per-rank rounds against the one-sample-at-a-time loop, bit for bit."""
+
+    def _compare(self, centroids, counts, batch, nearest):
+        expected = (centroids.copy(), counts.copy())
+        minibatch_replay(*expected, batch, nearest)
+        _replay_batch(centroids, counts, batch, nearest)
+        assert np.array_equal(centroids, expected[0])
+        assert np.array_equal(counts, expected[1])
+
+    def test_matches_per_sample_loop(self, rng):
+        for _ in range(30):
+            k = int(rng.integers(1, 40))
+            d = int(rng.integers(1, 30))
+            size = int(rng.integers(1, 1200))
+            self._compare(rng.standard_normal((k, d)),
+                          rng.integers(0, 50, size=k),
+                          rng.standard_normal((size, d)),
+                          rng.integers(0, k, size=size))
+
+    def test_one_cluster_takes_every_sample(self, rng):
+        batch = rng.standard_normal((300, 4))
+        self._compare(rng.standard_normal((5, 4)), np.zeros(5, np.int64),
+                      batch, np.full(300, 2))
+
+    def test_skewed_hits_from_nearest_assignment(self, rng):
+        centroids = rng.standard_normal((8, 3))
+        batch = rng.standard_normal((1024, 3)) * 3.0 + 1.0
+        nearest = np.argmin(_sq_dists(batch, centroids), axis=1)
+        self._compare(centroids, np.zeros(8, np.int64), batch, nearest)
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("n", [1, 5, _DIST_BLOCK - 1, _DIST_BLOCK,
+                                   _DIST_BLOCK + 1, 3 * _DIST_BLOCK + 17])
+    def test_blocked_equals_unblocked_einsum(self, rng, n):
+        points = rng.standard_normal((n, 7))
+        centroids = rng.standard_normal((11, 7))
+        diff = points[:, None, :] - centroids[None, :, :]
+        expected = np.einsum("nkd,nkd->nk", diff, diff)
+        assert np.array_equal(_sq_dists(points, centroids), expected)
 
 
 class TestKmeansCost:

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from specsumm import (Graph, Membership, ParameterError, build_summary,
-                      exact_triangles, expected_triangles, pair_probability)
+                      exact_triangles, expected_triangles, pair_probability,
+                      queries)
 
 from conftest import complete_graph
 from oracles import (random_graph, random_membership, to_networkx,
@@ -147,3 +148,14 @@ class TestExactTriangles:
             count = exact_triangles(graph)
             assert type(count) is int
             assert count == sum(nx.triangles(to_networkx(graph)).values()) // 3
+
+    @pytest.mark.parametrize("block", [1, 7, 60])
+    def test_row_blocks_match_networkx(self, rng, monkeypatch, block):
+        # a small block bound splits the product into many row blocks (at
+        # 1, every row with a two-path exceeds it and stands alone)
+        monkeypatch.setattr(queries, "_TWO_PATH_BLOCK", block)
+        for _ in range(10):
+            graph = random_graph(rng, int(rng.integers(3, 120)),
+                                 p=float(rng.uniform(0.02, 0.5)))
+            expected = sum(nx.triangles(to_networkx(graph)).values()) // 3
+            assert exact_triangles(graph) == expected

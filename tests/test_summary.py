@@ -10,8 +10,10 @@ from specsumm import (Graph, Membership, ParameterError, ReassignConfig,
                       reassignment, specsumm, supernode_edge_counts,
                       trace_objective_relaxed)
 
+from specsumm.summary import _move_deltas
+
 from oracles import (best_single_move, dense_l2_loss, dense_lifted,
-                     random_graph, random_membership)
+                     move_delta, random_graph, random_membership)
 
 
 def _mem(labels, k):
@@ -290,6 +292,59 @@ class TestReassignment:
         out, _ = reassignment(graph, m, counts,
                               ReassignConfig(rounds=2, seed=3))
         assert out.sizes.min() >= 1
+
+
+class TestMoveDeltas:
+    """The all-targets array form against the per-target oracle, bit for
+    bit, off the staying-put entry."""
+
+    def _check(self, graph, m):
+        counts = supernode_edge_counts(graph, m)
+        checked = 0
+        for node in range(m.n):
+            a = int(m.assign[node])
+            if m.sizes[a] == 1:
+                continue
+            nbr = np.bincount(m.assign[graph.neighbors(node)], minlength=m.k)
+            deltas = _move_deltas(counts, m.sizes, nbr, a)
+            assert deltas[a] == -np.inf
+            for b in range(m.k):
+                if b != a:
+                    assert np.array_equal(
+                        deltas[b], move_delta(counts, m.sizes, nbr, a, b))
+            checked += 1
+        return checked
+
+    def test_matches_oracle_on_random_graphs(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(4, 60))
+            k = int(rng.integers(2, min(n - 1, 20) + 1))
+            graph = random_graph(rng, n, p=float(rng.uniform(0.05, 0.6)))
+            assert self._check(graph, random_membership(rng, n, k)) > 0
+
+    def test_matches_oracle_with_tiny_groups(self, rng):
+        # groups of one and two nodes, so moves out of (and into) the
+        # smallest bands are covered
+        for k in (2, 3, 6):
+            graph = random_graph(rng, 14, p=0.4)
+            labels = np.concatenate([np.arange(k), np.arange(k),
+                                     np.zeros(14 - 2 * k, np.int64)])
+            labels[k - 1] = 0  # group k-1 keeps a single node
+            assert self._check(graph, _mem(labels, k)) > 0
+
+    def test_matches_oracle_past_pairwise_block(self, rng):
+        # numpy's pairwise summation splits sums of more than 128 terms, so
+        # k = 131 checks that the row sums split the same way as 1-D sums
+        k = 131
+        counts = rng.integers(0, 400, size=(k, k))
+        counts = counts + counts.T
+        sizes = rng.integers(2, 60, size=k)
+        for a in (0, 64, 130):
+            nbr = rng.integers(0, 9, size=k)
+            deltas = _move_deltas(counts, sizes, nbr, a)
+            expected = [move_delta(counts, sizes, nbr, a, b) if b != a
+                        else -np.inf for b in range(k)]
+            assert np.array_equal(deltas, expected)
 
 
 class TestPipeline:
