@@ -127,10 +127,14 @@ def read_summary_file(path: str | Path) -> SummaryFile:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read summary file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"summary file is not UTF-8: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"summary file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("summary file nests JSON too deeply") from None
     if not isinstance(payload, dict):
         raise ParseError("summary file must hold a JSON object")
     if payload.get("format_version") != FORMAT_VERSION:
@@ -141,7 +145,7 @@ def read_summary_file(path: str | Path) -> SummaryFile:
                            membership=[int(x) for x in payload["membership"]],
                            densities=[float(x) for x in payload["densities"]],
                            meta=payload.get("meta", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed summary file: {exc}") from exc
 
 

@@ -62,8 +62,9 @@ def _replay_batch(centroids: np.ndarray, counts: np.ndarray,
     Round r applies the r-th hit of every cluster at once, so each centroid
     sees its own samples in batch order with learning rate 1/(samples it
     has absorbed so far): the same sequence of operations, and the same
-    bits, as replaying the batch one sample at a time.  Updates both arrays
-    in place.
+    bits, as replaying the batch one sample at a time.  Once only one
+    cluster has hits left, its remaining samples are applied row by row.
+    Updates both arrays in place.
     """
     # Position of each hit among its cluster's hits, in batch order.
     order = np.argsort(nearest, kind="stable")
@@ -74,13 +75,22 @@ def _replay_batch(centroids: np.ndarray, counts: np.ndarray,
     clusters = nearest[order]
     samples = batch[order]
     absorbed = (counts[clusters] + rank + 1)[:, None]
+    sizes = np.bincount(rank)
+    # Rounds shrink as clusters run out of hits; from the first round of
+    # size one on, every round updates the most-hit cluster alone, so that
+    # tail runs on one row view instead of one gather/scatter per round.
+    tail = int(np.searchsorted(-sizes, -1))
     start = 0
-    for stop in np.cumsum(np.bincount(rank)):
+    for stop in np.cumsum(sizes[:tail]):
         cl = clusters[start:stop]
         moved = centroids[cl]
         moved += (samples[start:stop] - moved) / absorbed[start:stop]
         centroids[cl] = moved
         start = stop
+    if start < len(order):
+        row = centroids[clusters[start]]
+        for sample, rate in zip(samples[start:], absorbed[start:]):
+            row += (sample - row) / rate
     counts += hits
 
 

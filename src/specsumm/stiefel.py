@@ -5,6 +5,11 @@ orthonormal columns.  Ascent stays feasible by moving along Cayley-transform
 curves of a skew-symmetric direction built from the gradient, with an
 Armijo backtracking search choosing the step size.  All heavy inverses are
 reduced to 2k×2k solves via the Sherman–Morrison–Woodbury identity.
+
+The 2k×2k system comes from the k×k Grams ZᵀZ, GᵀZ and GᵀG, built once
+per iteration and shared by the ascent direction, its slope and every
+trial step; the A·Z and ZᵀAZ behind an accepted step's objective give the
+next gradient without another sparse product.
 """
 
 from __future__ import annotations
@@ -103,9 +108,23 @@ class SkewDirection:
 
 
 class LineSearchResult(NamedTuple):
+    """An accepted step: τ, Z(τ), F(Z(τ)), and the A·Z(τ) and
+    Z(τ)ᵀA·Z(τ) its objective was computed from."""
+
     tau: float
     solution: np.ndarray
     objective: float
+    az: np.ndarray
+    zaz: np.ndarray
+
+
+def _objective_parts(graph: Graph, Z: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(A·Z, M = ZᵀAZ, F(Z) = ‖M‖²_F): one sparse product serves the
+    objective and, as 4·(A·Z)·M, the gradient at Z."""
+    AZ = graph.adjacency_matmat(Z)
+    M = Z.T @ AZ
+    return AZ, M, float(np.sum(M * M))
 
 
 def trace_objective_relaxed(graph: Graph, Z: np.ndarray) -> float:
@@ -117,9 +136,7 @@ def trace_objective_relaxed(graph: Graph, Z: np.ndarray) -> float:
     not here, so finite-difference probes at perturbed (infeasible) points
     remain legal.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    M = Z.T @ graph.adjacency_matmat(Z)
-    return float(np.sum(M * M))
+    return _objective_parts(graph, np.asarray(Z, dtype=np.float64))[2]
 
 
 def trace_objective_split(graph: Graph, Z: np.ndarray) -> tuple[float, float]:
@@ -137,9 +154,8 @@ def trace_objective_split(graph: Graph, Z: np.ndarray) -> tuple[float, float]:
 
 def gradient(graph: Graph, Z: np.ndarray) -> np.ndarray:
     """Euclidean gradient of F: G = 4·A·Z·(ZᵀAZ)."""
-    Z = np.asarray(Z, dtype=np.float64)
-    AZ = graph.adjacency_matmat(Z)
-    return 4.0 * (AZ @ (Z.T @ AZ))
+    AZ, M, _ = _objective_parts(graph, np.asarray(Z, dtype=np.float64))
+    return 4.0 * (AZ @ M)
 
 
 def skew_direction(Z: np.ndarray, G: np.ndarray) -> SkewDirection:
@@ -151,13 +167,65 @@ def skew_direction(Z: np.ndarray, G: np.ndarray) -> SkewDirection:
     return SkewDirection(left=Z, right=G)
 
 
+class _CurveSystem(NamedTuple):
+    """The Woodbury pieces of the Cayley curve of W = U·Vᵀ − V·Uᵀ through Z.
+
+    With B = [U V] and C = [V −U], W = B·Cᵀ; ``gram`` is the 2k×2k matrix
+    CᵀB = [[VᵀU, VᵀV], [−UᵀU, −UᵀV]] and ``rhs`` is CᵀZ = [VᵀZ; −UᵀZ].
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    gram: np.ndarray
+    rhs: np.ndarray
+
+    def lift(self, coeff: np.ndarray) -> np.ndarray:
+        """B·coeff = U·coeff_top + V·coeff_bottom, without stacking B."""
+        k = self.left.shape[1]
+        return self.left @ coeff[:k] + self.right @ coeff[k:]
+
+    def point(self, Z: np.ndarray, tau: float) -> np.ndarray:
+        """Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ."""
+        S = np.eye(len(self.gram)) + (tau / 2.0) * self.gram
+        try:
+            coeff = np.linalg.solve(S, self.rhs)
+        except np.linalg.LinAlgError as exc:
+            raise CayleyStepError(f"singular curve system at tau={tau}") from exc
+        out = Z - tau * self.lift(coeff)
+        if not np.all(np.isfinite(out)):
+            raise CayleyStepError(f"non-finite curve point at tau={tau}")
+        return out
+
+
+def _curve_system(Z: np.ndarray, W: SkewDirection) -> _CurveSystem:
+    """Build CᵀB and CᵀZ from three k×k Grams (four when W.left is not Z:
+    then CᵀZ needs VᵀZ and UᵀZ of its own; when it is, CᵀZ is CᵀB's left
+    block column)."""
+    U, V = W.left, W.right
+    k = U.shape[1]
+    VtU = V.T @ U
+    UtU = U.T @ U
+    gram = np.empty((2 * k, 2 * k))
+    gram[:k, :k] = VtU
+    gram[:k, k:] = V.T @ V
+    gram[k:, :k] = -UtU
+    gram[k:, k:] = -VtU.T
+    if U is Z:
+        rhs = gram[:, :k]
+    else:
+        rhs = np.vstack([V.T @ Z, -(U.T @ Z)])
+    return _CurveSystem(U, V, gram, rhs)
+
+
 def cayley_step(Z: np.ndarray, W: SkewDirection, tau: float) -> np.ndarray:
     """One point on the curve Z(τ) = (I + τ/2·W)⁻¹ (I − τ/2·W) Z.
 
     With W = B·Cᵀ for B = [U V], C = [V −U], the Woodbury identity
-    collapses the n×n inverse to Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ,
-    an O(nk² + k³) computation.  The transform is orthogonal for skew W,
-    so column orthonormality is preserved to rounding.
+    collapses the n×n inverse to Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ.
+    CᵀB and CᵀZ are assembled from the k×k Grams of U, V and Z, and B is
+    never stacked: Z(τ) = Z − τ·(U·c_top + V·c_bottom), an O(nk² + k³)
+    computation.  The transform is orthogonal for skew W, so column
+    orthonormality is preserved to rounding.
 
     Raises
     ------
@@ -166,18 +234,7 @@ def cayley_step(Z: np.ndarray, W: SkewDirection, tau: float) -> np.ndarray:
         large); callers shrink τ and retry.
     """
     Z = np.asarray(Z, dtype=np.float64)
-    B = np.hstack([W.left, W.right])
-    C = np.hstack([W.right, -W.left])
-    two_k = B.shape[1]
-    S = np.eye(two_k) + (tau / 2.0) * (C.T @ B)
-    try:
-        coeff = np.linalg.solve(S, C.T @ Z)
-    except np.linalg.LinAlgError as exc:
-        raise CayleyStepError(f"singular curve system at tau={tau}") from exc
-    out = Z - tau * (B @ coeff)
-    if not np.all(np.isfinite(out)):
-        raise CayleyStepError(f"non-finite curve point at tau={tau}")
-    return out
+    return _curve_system(Z, W).point(Z, tau)
 
 
 def line_search(graph: Graph, Z: np.ndarray, W: SkewDirection, tau0: float,
@@ -191,12 +248,20 @@ def line_search(graph: Graph, Z: np.ndarray, W: SkewDirection, tau0: float,
     derivative at τ = 0.  Returns None when the direction offers no ascent:
     g₀ ≤ 0, the direction is stationary relative to the gradient scale
     (‖W·Z‖ ≤ 1e-8·‖G‖), or every backtrack level fails the test.
+
+    The curve system is built once, from k×k Grams (for the ascent's
+    W = Z·Gᵀ − G·Zᵀ: ZᵀZ, GᵀZ and GᵀG), and serves the direction
+    −W·Z = −B·CᵀZ = G·ZᵀZ − Z·GᵀZ as well as every trial step, which then
+    costs one 2k×2k solve, two n×k·k×k products and one objective
+    evaluation.  The accepted result carries A·Z(τ) and Z(τ)ᵀA·Z(τ), so
+    the caller's next gradient needs no sparse product of its own.
     """
     Z = np.asarray(Z, dtype=np.float64)
     F0 = trace_objective_relaxed(graph, Z) if objective is None else objective
     G = gradient(graph, Z) if grad is None else grad
 
-    direction = -W.apply(Z)
+    system = _curve_system(Z, W)
+    direction = -system.lift(system.rhs)
     if np.linalg.norm(direction) <= _STATIONARY_REL * np.linalg.norm(G):
         return None
     g0 = float(np.vdot(G, direction))
@@ -206,13 +271,14 @@ def line_search(graph: Graph, Z: np.ndarray, W: SkewDirection, tau0: float,
     tau = tau0
     for _ in range(max_backtracks + 1):
         try:
-            candidate = cayley_step(Z, W, tau)
+            candidate = system.point(Z, tau)
         except CayleyStepError:
             tau *= contraction
             continue
-        value = trace_objective_relaxed(graph, candidate)
+        AZ, M, value = _objective_parts(graph, candidate)
         if value >= F0 + sufficient_increase * tau * g0:
-            return LineSearchResult(tau=tau, solution=candidate, objective=value)
+            return LineSearchResult(tau=tau, solution=candidate,
+                                    objective=value, az=AZ, zaz=M)
         tau *= contraction
     return None
 
@@ -251,6 +317,9 @@ def ocsa(graph: Graph, Z0: np.ndarray,
     until the relative objective gain drops to ``relative_tolerance``, the
     search finds no ascent step, or ``max_iterations`` is exhausted.  The
     objective history is non-decreasing and every iterate stays feasible.
+    Each gradient 4·(A·Z)·(ZᵀAZ) reuses the A·Z and ZᵀAZ of the step the
+    search accepted, so an iteration makes one sparse product per trial
+    step and no other.
 
     Raises
     ------
@@ -267,12 +336,12 @@ def ocsa(graph: Graph, Z0: np.ndarray,
     if orthonormality_defect(Z) > FEASIBILITY_TOL:
         raise ParameterError("Z0 is not column-orthonormal")
 
-    value = trace_objective_relaxed(graph, Z)
+    AZ, M, value = _objective_parts(graph, Z)
     objectives = [value]
     steps: list[float] = []
     reason = "max-iter"
     for _ in range(config.max_iterations):
-        G = gradient(graph, Z)
+        G = 4.0 * (AZ @ M)
         W = skew_direction(Z, G)
         found = line_search(graph, Z, W, config.initial_step, config.contraction,
                             config.sufficient_increase, config.max_backtracks,
@@ -280,7 +349,7 @@ def ocsa(graph: Graph, Z0: np.ndarray,
         if found is None:
             reason = "no-ascent-step"
             break
-        Z = found.solution
+        Z, AZ, M = found.solution, found.az, found.zaz
         objectives.append(found.objective)
         steps.append(found.tau)
         if value > 0:

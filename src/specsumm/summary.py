@@ -248,6 +248,15 @@ def reassignment(graph: Graph, membership: Membership, counts: np.ndarray,
     Returns the updated membership and a log of applied moves with the
     objective after each one.
     """
+    membership, moves, _ = _reassign(graph, membership, counts, config)
+    return membership, moves
+
+
+def _reassign(graph: Graph, membership: Membership, counts: np.ndarray,
+              config: ReassignConfig | None
+              ) -> tuple[Membership, list[ReassignMove], np.ndarray]:
+    """``reassignment``, also returning the edge counts of the final
+    membership, which the moves keep up to date."""
     config = config or ReassignConfig()
     if membership.n != graph.node_count:
         raise ParameterError("membership length must match graph order")
@@ -287,7 +296,7 @@ def reassignment(graph: Graph, membership: Membership, counts: np.ndarray,
             assign[node] = b
             moves.append(ReassignMove(int(node), a, b,
                                       _objective_from_counts(counts, sizes)))
-    return Membership(assign, k), moves
+    return Membership(assign, k), moves, counts
 
 
 @dataclass(frozen=True)
@@ -344,15 +353,18 @@ def specsumm(graph: Graph, k: int, d: int | None = None,
     seconds["cluster"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    counts = None
     moves: list[ReassignMove] = []
     if reassign is not None:
-        counts = supernode_edge_counts(graph, membership)
-        membership, moves = reassignment(
-            graph, membership, counts, replace(reassign, seed=reassign_seed))
+        # The moves keep the counts current, so they are taken only once.
+        membership, moves, counts = _reassign(
+            graph, membership, supernode_edge_counts(graph, membership),
+            replace(reassign, seed=reassign_seed))
     seconds["reassign"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    counts = supernode_edge_counts(graph, membership)
+    if counts is None:
+        counts = supernode_edge_counts(graph, membership)
     summary = _summary_from_counts(membership, counts)
     objective = _objective_from_counts(counts, membership.sizes)
     loss = adjacency_trace_sq(graph) - objective

@@ -12,10 +12,12 @@ import itertools
 import networkx as nx
 import numpy as np
 
-from specsumm import (EigenBasis, Graph, Membership, ParameterError, Summary,
-                      build_summary)
+from specsumm import (AscentTrace, EigenBasis, Graph, Membership, OcsaConfig,
+                      ParameterError, SkewDirection, Summary, build_summary,
+                      gradient, skew_direction, trace_objective_relaxed)
 from specsumm.queries import _pair_matrix
 from specsumm.spectral import _DENSE_LIMIT, _dense_basis
+from specsumm.stiefel import CayleyStepError
 
 _ORACLE_LIMIT = 1500
 
@@ -70,8 +72,6 @@ def dense_l2_loss(graph: Graph, summary: Summary) -> float:
 
 def fd_gradient(graph: Graph, z: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of the trace objective, entry by entry."""
-    from specsumm import trace_objective_relaxed
-
     out = np.zeros_like(z, dtype=np.float64)
     for i in range(z.shape[0]):
         for j in range(z.shape[1]):
@@ -217,3 +217,65 @@ def random_summary(rng: np.random.Generator, n: int, k: int
                    ) -> tuple[Graph, Summary]:
     graph = random_graph(rng, n)
     return graph, build_summary(graph, random_membership(rng, n, k))
+
+
+def cayley_step_reference(Z: np.ndarray, W: SkewDirection,
+                          tau: float) -> np.ndarray:
+    """Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ with B = [U V], C = [V −U] stacked
+    as n×2k copies and CᵀB, CᵀZ taken as n-long products at every τ."""
+    B = np.hstack([W.left, W.right])
+    C = np.hstack([W.right, -W.left])
+    S = np.eye(B.shape[1]) + (tau / 2.0) * (C.T @ B)
+    try:
+        coeff = np.linalg.solve(S, C.T @ Z)
+    except np.linalg.LinAlgError as exc:
+        raise CayleyStepError(f"singular curve system at tau={tau}") from exc
+    out = Z - tau * (B @ coeff)
+    if not np.all(np.isfinite(out)):
+        raise CayleyStepError(f"non-finite curve point at tau={tau}")
+    return out
+
+
+def ocsa_reference(graph: Graph, Z0: np.ndarray,
+                   config: OcsaConfig) -> tuple[np.ndarray, AscentTrace]:
+    """The ascent loop with a fresh gradient (its own A·Z) every iteration
+    and the curve system rebuilt from n-long products at every trial step:
+    the same Armijo rule, stop tests and trace as ``ocsa``."""
+    Z = np.array(Z0, dtype=np.float64)
+    value = trace_objective_relaxed(graph, Z)
+    objectives, steps, reason = [value], [], "max-iter"
+    for _ in range(config.max_iterations):
+        G = gradient(graph, Z)
+        W = skew_direction(Z, G)
+        direction = -W.apply(Z)
+        g0 = float(np.vdot(G, direction))
+        if (np.linalg.norm(direction) <= 1e-8 * np.linalg.norm(G)
+                or g0 <= 0):
+            reason = "no-ascent-step"
+            break
+        tau, accepted = config.initial_step, None
+        for _ in range(config.max_backtracks + 1):
+            try:
+                candidate = cayley_step_reference(Z, W, tau)
+            except CayleyStepError:
+                tau *= config.contraction
+                continue
+            trial = trace_objective_relaxed(graph, candidate)
+            if trial >= value + config.sufficient_increase * tau * g0:
+                accepted = candidate, trial
+                break
+            tau *= config.contraction
+        if accepted is None:
+            reason = "no-ascent-step"
+            break
+        Z, trial = accepted
+        objectives.append(trial)
+        steps.append(tau)
+        gain = (trial - value) / value if value > 0 else (
+            np.inf if trial > 0 else 0.0)
+        value = trial
+        if gain <= config.relative_tolerance:
+            reason = "tolerance"
+            break
+    return Z, AscentTrace(objectives=np.asarray(objectives),
+                          step_sizes=np.asarray(steps), reason=reason)

@@ -146,6 +146,20 @@ class TestReplayBatch:
         self._compare(rng.standard_normal((5, 4)), np.zeros(5, np.int64),
                       batch, np.full(300, 2))
 
+    def test_full_batch_on_one_cluster(self, rng):
+        # Every round holds the same single cluster: the row-by-row tail.
+        batch = rng.standard_normal((1024, 40))
+        self._compare(rng.standard_normal((40, 40)),
+                      rng.integers(0, 50, size=40), batch, np.full(1024, 17))
+
+    def test_tail_after_shared_rounds(self, rng):
+        # Two clusters share the first rounds, then one runs on alone.
+        nearest = np.concatenate([np.zeros(30, np.int64),
+                                  np.full(500, 3, np.int64)])
+        rng.shuffle(nearest)
+        self._compare(rng.standard_normal((5, 6)), np.zeros(5, np.int64),
+                      rng.standard_normal((530, 6)), nearest)
+
     def test_skewed_hits_from_nearest_assignment(self, rng):
         centroids = rng.standard_normal((8, 3))
         batch = rng.standard_normal((1024, 3)) * 3.0 + 1.0

@@ -3,12 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from specsumm import (OcsaConfig, ParameterError, cayley_step, gradient,
-                      line_search, lm_eigs, ocsa, orthonormality_defect,
-                      random_orthonormal_init, skew_direction,
-                      trace_objective_relaxed, trace_objective_split)
+from specsumm import (Graph, OcsaConfig, ParameterError, cayley_step,
+                      gradient, line_search, lm_eigs, ocsa,
+                      orthonormality_defect, random_orthonormal_init,
+                      skew_direction, trace_objective_relaxed,
+                      trace_objective_split)
+from specsumm.stiefel import CayleyStepError
 
-from oracles import dense_eig_oracle, fd_gradient, random_graph
+from oracles import (dense_eig_oracle, fd_gradient, ocsa_reference,
+                     random_graph)
 
 
 def _delta_columns(n, cols):
@@ -141,6 +144,29 @@ class TestCayleyStep:
             np.testing.assert_allclose(cayley_step(Z, W, tau), expected,
                                        atol=1e-9)
 
+    def test_general_direction_matches_dense_solve(self, rng):
+        # W.left is not Z, so CᵀZ needs its own Grams VᵀZ and UᵀZ.
+        for _ in range(8):
+            n = int(rng.integers(4, 64))
+            k = int(rng.integers(1, min(n, 6)))
+            Z = random_orthonormal_init(n, k, seed=int(rng.integers(2**31)))
+            W = skew_direction(rng.standard_normal((n, k)),
+                               rng.standard_normal((n, k)))
+            tau = float(rng.uniform(0.01, 0.5))
+            dense_w = W.dense()
+            expected = np.linalg.solve(np.eye(n) + (tau / 2.0) * dense_w,
+                                       (np.eye(n) - (tau / 2.0) * dense_w) @ Z)
+            out = cayley_step(Z, W, tau)
+            np.testing.assert_allclose(out, expected, atol=1e-9)
+            assert orthonormality_defect(out) <= 1e-10
+
+    def test_copy_of_z_takes_the_general_form(self, rng):
+        Z = random_orthonormal_init(30, 4, seed=2)
+        G = rng.standard_normal((30, 4))
+        shared = cayley_step(Z, skew_direction(Z, G), 0.2)
+        general = cayley_step(Z, skew_direction(Z.copy(), G), 0.2)
+        np.testing.assert_allclose(shared, general, rtol=0, atol=1e-13)
+
 
 class TestLineSearch:
     def test_zero_direction_returns_none(self, k3):
@@ -232,6 +258,27 @@ class TestOcsa:
         _, trace = ocsa(graph, Z0, OcsaConfig(relative_tolerance=10.0))
         assert trace.reason == "tolerance"
 
+    def test_one_matmat_per_trial_step(self, rng, monkeypatch):
+        graph = random_graph(rng, 40)
+        Z0 = random_orthonormal_init(40, 3, seed=4)
+        config = OcsaConfig(max_iterations=15, initial_step=1.0,
+                            relative_tolerance=0.0)
+        calls = []
+        matmat = Graph.adjacency_matmat
+
+        def counted(self, x):
+            calls.append(x.shape)
+            return matmat(self, x)
+
+        monkeypatch.setattr(Graph, "adjacency_matmat", counted)
+        _, trace = ocsa(graph, Z0, config)
+        assert trace.reason == "max-iter"
+        backtracks = np.rint(np.log2(config.initial_step / trace.step_sizes))
+        assert backtracks.sum() > 0
+        # One product for the start, then one per trial step: the gradient
+        # reuses the accepted step's A·Z.
+        assert len(calls) == 1 + int(np.sum(backtracks + 1))
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             OcsaConfig(max_iterations=-1)
@@ -239,6 +286,53 @@ class TestOcsa:
             OcsaConfig(initial_step=0.0)
         with pytest.raises(ParameterError):
             OcsaConfig(contraction=1.0)
+
+
+class TestOcsaMatchesReference:
+    """The Gram-form ascent against the loop that rebuilds its gradient and
+    curve system from n-long products (tests/oracles.py)."""
+
+    def _compare(self, graph, Z0, config):
+        Z, trace = ocsa(graph, Z0, config)
+        Z_ref, ref = ocsa_reference(graph, Z0, config)
+        assert trace.iterations == ref.iterations
+        assert trace.reason == ref.reason
+        assert np.array_equal(trace.step_sizes, ref.step_sizes)
+        np.testing.assert_allclose(trace.objectives, ref.objectives,
+                                   rtol=1e-10, atol=0)
+        assert np.linalg.norm(Z - Z_ref) <= 1e-10 * np.linalg.norm(Z_ref)
+        return trace
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_seeded_graphs(self, k):
+        rng = np.random.default_rng(1000 + k)
+        for _ in range(4):
+            n = int(rng.integers(k + 8, 60))
+            graph = random_graph(rng, n, p=0.2)
+            Z0 = random_orthonormal_init(n, k, seed=int(rng.integers(2**31)))
+            self._compare(graph, Z0, OcsaConfig(max_iterations=60))
+
+    def test_large_initial_step_backtracks(self):
+        rng = np.random.default_rng(77)
+        graph = random_graph(rng, 45, p=0.25)
+        Z0 = random_orthonormal_init(45, 4, seed=9)
+        config = OcsaConfig(max_iterations=30, initial_step=64.0,
+                            relative_tolerance=1e-6)
+        trace = self._compare(graph, Z0, config)
+        assert np.all(trace.step_sizes < config.initial_step)
+
+    def test_cayley_step_error_is_retried(self):
+        rng = np.random.default_rng(78)
+        graph = random_graph(rng, 30, p=0.3)
+        Z0 = random_orthonormal_init(30, 3, seed=5)
+        config = OcsaConfig(max_iterations=5, initial_step=1e307,
+                            contraction=0.01, max_backtracks=200)
+        W = skew_direction(Z0, gradient(graph, Z0))
+        with np.errstate(all="ignore"):
+            with pytest.raises(CayleyStepError):
+                cayley_step(Z0, W, config.initial_step)
+            trace = self._compare(graph, Z0, config)
+        assert trace.iterations > 0
 
 
 def test_random_feasible_points_stay_below_eigenvalue_energy(rng):

@@ -10,6 +10,7 @@ from specsumm import (Graph, Membership, ParameterError, ReassignConfig,
                       reassignment, specsumm, supernode_edge_counts,
                       trace_objective_relaxed)
 
+import specsumm.summary as summary_module
 from specsumm.summary import _move_deltas
 
 from oracles import (best_single_move, dense_l2_loss, dense_lifted,
@@ -382,6 +383,29 @@ class TestPipeline:
                                    seed=2)
         assert report.relax_method == "ocsa-random"
         assert summary.membership.k == 2
+
+    @pytest.mark.parametrize("rounds", [None, 3])
+    def test_edges_counted_once(self, monkeypatch, rounds):
+        graph, _ = generate_sbm(6, 25, 0.3, 0.15, seed=8)
+        calls = []
+        counter = summary_module.supernode_edge_counts
+
+        def counted(g, membership):
+            calls.append(membership.k)
+            return counter(g, membership)
+
+        monkeypatch.setattr(summary_module, "supernode_edge_counts", counted)
+        reassign = None if rounds is None else ReassignConfig(
+            rounds=rounds, samples_per_round=60)
+        summary, report = specsumm(graph, 6, reassign=reassign, seed=3)
+        monkeypatch.undo()
+        assert calls == [6]
+        if rounds is not None:
+            assert report.reassign_moves > 0
+        rebuilt = build_summary(graph, summary.membership)
+        assert np.array_equal(summary.density, rebuilt.density)
+        assert report.objective == objective_integer(graph,
+                                                     summary.membership)
 
     def test_parameter_validation(self, k3):
         with pytest.raises(ParameterError):
