@@ -88,7 +88,7 @@ class SummaryFile:
             raise ParseError("n and k must be positive")
         if len(self.membership) != self.n:
             raise ParseError("membership length does not match n")
-        if any(not 0 <= int(x) < self.k for x in self.membership):
+        if any(not 0 <= x < self.k for x in self.membership):
             raise ParseError("membership values must lie in [0, k)")
         if len(self.densities) != self.k * (self.k + 1) // 2:
             raise ParseError("densities length must be k(k+1)/2")
@@ -122,6 +122,10 @@ class SummaryFile:
                                     separators=(",", ":")) + "\n")
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_summary_file(path: str | Path) -> SummaryFile:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -141,11 +145,25 @@ def read_summary_file(path: str | Path) -> SummaryFile:
         raise ParseError(f"unsupported format_version "
                          f"{payload.get('format_version')!r}")
     try:
-        return SummaryFile(n=int(payload["n"]), k=int(payload["k"]),
-                           membership=[int(x) for x in payload["membership"]],
-                           densities=[float(x) for x in payload["densities"]],
+        n, k = payload["n"], payload["k"]
+        membership, densities = payload["membership"], payload["densities"]
+    except KeyError as exc:
+        raise ParseError(f"malformed summary file: missing {exc}") from None
+    # Exact JSON types, no coercion: "000" is not a membership list, 0.9 is
+    # not a supernode id and true is not a count.
+    if not (_is_json_int(n) and _is_json_int(k)):
+        raise ParseError("n and k must be JSON integers")
+    if not (isinstance(membership, list)
+            and all(map(_is_json_int, membership))):
+        raise ParseError("membership must be a list of JSON integers")
+    if not (isinstance(densities, list) and all(
+            _is_json_int(x) or isinstance(x, float) for x in densities)):
+        raise ParseError("densities must be a list of JSON numbers")
+    try:
+        return SummaryFile(n=n, k=k, membership=membership,
+                           densities=[float(x) for x in densities],
                            meta=payload.get("meta", {}))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ParseError(f"malformed summary file: {exc}") from exc
 
 

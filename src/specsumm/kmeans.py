@@ -3,6 +3,12 @@
 Sculley-style streaming updates with kmeans++ seeding.  The output never
 leaves a cluster empty (downstream summaries need every group inhabited)
 and never costs more than the seeding it started from.
+
+Nearest-centroid search is screened: one GEMM gives every squared
+distance as ‖x‖² − 2x·c + ‖c‖² with a rigorous forward-error bound, and
+only rows where the bound cannot name a single winner are recomputed with
+the exact blocked difference form, ``_sq_dists``.  The result is the
+argmin of ``_sq_dists`` bit for bit, whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -52,6 +58,75 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         diff = (points[start:start + _DIST_BLOCK, None, :]
                 - centroids[None, :, :])
         out[start:start + _DIST_BLOCK] = np.einsum("nkd,nkd->nk", diff, diff)
+    return out
+
+
+# Rows per screened block of _nearest: a multiple of _DIST_BLOCK, so the
+# exact recomputation of a row takes its whole _sq_dists block.
+_SCREEN_BLOCK = 8 * _DIST_BLOCK
+
+# The GEMM form and _sq_dists each lie within γ_{d+2}·(‖x‖ + ‖c‖)² of the
+# true squared distance for any summation order, FMA or not (Higham,
+# "Accuracy and Stability of Numerical Algorithms", §3.1), so their gap is
+# at most 2γ_{d+2}·(‖x‖ + ‖c‖)².  The slack 4γ_{d+4}·(‖x‖ + ‖c‖)² leaves
+# room for the rounding of the norms and of the screen itself; the
+# smallest normal float on top covers products that underflow.
+_SLACK_FACTOR = 4.0
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``np.argmin(_sq_dists(points, centroids), axis=1)``, bit for bit.
+
+    Each block of rows gets approximate distances from one GEMM,
+    ‖x‖² − 2x·cᵀ + ‖c‖², and a slack e_ij that bounds their gap to the
+    exact ones.  Column j stays a candidate while approx_ij − e_ij is at
+    most min_l (approx_il + e_il); a row with a single candidate is
+    settled, since every other column is provably farther.  Rows with
+    several candidates (exact or near ties, overflow) have their whole
+    _sq_dists block recomputed and argmin'd, so ties still go to the
+    lowest index.
+    """
+    m = (points.shape[1] + 4) * _UNIT_ROUNDOFF
+    scale = _SLACK_FACTOR * m / (1.0 - m)
+    tiny = np.finfo(np.float64).tiny
+    cent_sq = np.einsum("kd,kd->k", centroids, centroids)
+    cent_norm = np.sqrt(cent_sq)
+    nearest = np.empty(len(points), dtype=np.int64)
+    unsettled = []
+    for start in range(0, len(points), _SCREEN_BLOCK):
+        rows = points[start:start + _SCREEN_BLOCK]
+        row_sq = np.einsum("nd,nd->n", rows, rows)
+        # Overflow and inf - inf only ever widen or void the candidate
+        # test, which sends the row to the exact recomputation.
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx = row_sq[:, None] - 2.0 * (rows @ centroids.T) + cent_sq
+            slack = scale * (np.sqrt(row_sq)[:, None] + cent_norm) ** 2 + tiny
+            upper = np.min(approx + slack, axis=1, keepdims=True)
+            candidate = approx - slack <= upper
+        nearest[start:start + len(rows)] = np.argmax(candidate, axis=1)
+        ties = np.flatnonzero(np.count_nonzero(candidate, axis=1) != 1)
+        unsettled.append(start + ties)
+    for block in np.unique(np.concatenate(unsettled) // _DIST_BLOCK):
+        rows = slice(block * _DIST_BLOCK, (block + 1) * _DIST_BLOCK)
+        nearest[rows] = np.argmin(_sq_dists(points[rows], centroids), axis=1)
+    return nearest
+
+
+def _assigned_sq_dists(points: np.ndarray, centroids: np.ndarray,
+                       assign: np.ndarray) -> np.ndarray:
+    """Entry (i, assign[i]) of ``_sq_dists(points, centroids)``, bit for bit.
+
+    The difference rows are laid out in the memory order of the point rows
+    and taken over the same row blocks, because that order decides how
+    einsum sums the squares in ``_sq_dists``.
+    """
+    out = np.empty(len(points))
+    for start in range(0, len(points), _DIST_BLOCK):
+        rows = slice(start, start + _DIST_BLOCK)
+        diff = np.empty_like(points[rows])
+        np.subtract(points[rows], centroids[assign[rows]], out=diff)
+        out[rows] = np.einsum("nd,nd->n", diff, diff)
     return out
 
 
@@ -132,22 +207,22 @@ def _assign_with_repair(points: np.ndarray, centroids: np.ndarray
     point (largest distance to its own centroid, lowest index on ties) and
     pins that point there; pinning keeps the repaired cluster inhabited
     even when duplicate points make nearest-assignment ambiguous.  Repairs
-    never increase the clustering cost.
+    never increase the clustering cost.  Every pass is one screened
+    ``_nearest`` search; the cost and the fits are each point's exact
+    ``_sq_dists`` entry for its own centroid.
     """
     k = len(centroids)
     centroids = centroids.copy()
     pins: dict[int, int] = {}
     for _ in range(len(points) + k):
-        dists = _sq_dists(points, centroids)
-        assign = np.argmin(dists, axis=1)
+        assign = _nearest(points, centroids)
         for point, cluster in pins.items():
             assign[point] = cluster
+        fit = _assigned_sq_dists(points, centroids, assign)
         occupancy = np.bincount(assign, minlength=k)
         empties = np.flatnonzero(occupancy == 0)
         if len(empties) == 0:
-            cost = float(dists[np.arange(len(points)), assign].sum())
-            return assign.astype(np.int64), centroids, cost
-        fit = dists[np.arange(len(points)), assign].copy()
+            return assign, centroids, float(fit.sum())
         if pins:
             fit[list(pins)] = -1.0
         worst = int(np.argmax(fit))
@@ -165,9 +240,12 @@ def minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig | None = N
     moves each hit centroid toward each of its samples, in batch order,
     with learning rate 1/(samples it has absorbed so far).  The replay runs
     in per-rank rounds: round r updates every cluster's r-th hit at once,
-    which gives the same bits as a one-sample-at-a-time loop.  A
-    final full pass defines the returned assignment; if the streamed
-    centroids ended up worse than the kmeans++ seeding, the seeding wins.
+    which gives the same bits as a one-sample-at-a-time loop.  Every
+    nearest-centroid search, per batch and in the final passes, is the
+    GEMM screen of ``_nearest`` with its exact fallback, so it returns the
+    argmin of the exact distances.  A final full pass defines the returned
+    assignment; if the streamed centroids ended up worse than the kmeans++
+    seeding, the seeding wins.
 
     Returns (assignment, centroids, cost); equidistant ties go to the
     lowest centroid index, and no cluster is left empty.
@@ -185,8 +263,7 @@ def minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig | None = N
     for _ in range(config.max_iterations):
         batch_idx = rng.integers(0, n, size=config.batch_size)
         batch = pts[batch_idx]
-        nearest = np.argmin(_sq_dists(batch, centroids), axis=1)
-        _replay_batch(centroids, counts, batch, nearest)
+        _replay_batch(centroids, counts, batch, _nearest(batch, centroids))
 
     trained = _assign_with_repair(pts, centroids)
     seeded = _assign_with_repair(pts, initial)

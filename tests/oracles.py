@@ -12,10 +12,13 @@ import itertools
 import networkx as nx
 import numpy as np
 
-from specsumm import (AscentTrace, EigenBasis, Graph, Membership, OcsaConfig,
-                      ParameterError, SkewDirection, Summary, build_summary,
-                      gradient, skew_direction, trace_objective_relaxed)
+from specsumm import (AscentTrace, EigenBasis, Graph, KmeansConfig,
+                      Membership, OcsaConfig, ParameterError, SkewDirection,
+                      Summary, build_summary, gradient, skew_direction,
+                      trace_objective_relaxed)
+from specsumm.kmeans import _kmeanspp, _sq_dists
 from specsumm.queries import _pair_matrix
+from specsumm.rng import make_generator
 from specsumm.spectral import _DENSE_LIMIT, _dense_basis
 from specsumm.stiefel import CayleyStepError
 
@@ -168,6 +171,54 @@ def minibatch_replay(centroids: np.ndarray, counts: np.ndarray,
     for sample, cluster in zip(batch, nearest):
         counts[cluster] += 1
         centroids[cluster] += (sample - centroids[cluster]) / counts[cluster]
+
+
+def assign_with_repair_reference(points: np.ndarray, centroids: np.ndarray
+                                 ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nearest-centroid assignment with empty-cluster repair, each pass
+    built on the full exact distance matrix ``_sq_dists``: the lowest-index
+    empty centroid moves onto the worst-fit unpinned point, which is pinned
+    there."""
+    k = len(centroids)
+    centroids = centroids.copy()
+    pins: dict[int, int] = {}
+    for _ in range(len(points) + k):
+        dists = _sq_dists(points, centroids)
+        assign = np.argmin(dists, axis=1)
+        for point, cluster in pins.items():
+            assign[point] = cluster
+        occupancy = np.bincount(assign, minlength=k)
+        empties = np.flatnonzero(occupancy == 0)
+        if len(empties) == 0:
+            cost = float(dists[np.arange(len(points)), assign].sum())
+            return assign.astype(np.int64), centroids, cost
+        fit = dists[np.arange(len(points)), assign].copy()
+        if pins:
+            fit[list(pins)] = -1.0
+        worst = int(np.argmax(fit))
+        empty = int(empties[0])
+        centroids[empty] = points[worst]
+        pins[worst] = empty
+    raise RuntimeError("empty-cluster repair failed to terminate")
+
+
+def minibatch_kmeans_reference(
+        points: np.ndarray, k: int,
+        config: KmeansConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """Mini-batch k-means with every batch assigned by the argmin of the
+    full exact distance matrix and replayed one sample at a time, then
+    both final passes through ``assign_with_repair_reference``."""
+    rng = make_generator(config.seed)
+    initial = _kmeanspp(points, k, rng)
+    centroids = initial.copy()
+    counts = np.zeros(k, dtype=np.int64)
+    for _ in range(config.max_iterations):
+        batch = points[rng.integers(0, len(points), size=config.batch_size)]
+        nearest = np.argmin(_sq_dists(batch, centroids), axis=1)
+        minibatch_replay(centroids, counts, batch, nearest)
+    trained = assign_with_repair_reference(points, centroids)
+    seeded = assign_with_repair_reference(points, initial)
+    return trained if trained[2] <= seeded[2] else seeded
 
 
 def triangle_triple_loop(summary: Summary) -> float:

@@ -166,6 +166,38 @@ class TestEvaluate:
             assert captured.out == ""
             assert captured.err == "error: density entries must be finite\n"
 
+    @pytest.mark.parametrize("field, value", [
+        (None, None),
+        ("membership", "000"),
+        ("membership", [0, 0.9, 0]),
+        ("membership", [0, 0, False]),
+        ("n", 3.7),
+        ("n", 3.0),
+        ("k", True),
+        ("densities", ["0.5"]),
+        ("densities", [False]),
+        ("densities", {"0.5": 1})])
+    def test_summary_fields_are_not_coerced(self, tmp_path, capsys, field,
+                                            value):
+        graph = tmp_path / "k3.txt"
+        graph.write_text(K3)
+        doc = {"format_version": 1, "n": 3, "k": 1, "membership": [0, 0, 0],
+               "densities": [0.5]}
+        if field is not None:
+            doc[field] = value
+        summary = tmp_path / "typed.json"
+        summary.write_text(json.dumps(doc))
+        code = main(["evaluate", str(graph), str(summary)])
+        captured = capsys.readouterr()
+        if field is None:
+            assert code == 0
+            return
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        with pytest.raises(specsumm.ParseError):
+            read_summary_file(summary)
+
     def test_corrupt_summary_file(self, tmp_path, graph_file):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,11 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from specsumm import (KmeansConfig, ParameterError, kmeans_cost, kmeanspp_init,
-                      minibatch_kmeans)
-from specsumm.kmeans import _DIST_BLOCK, _replay_batch, _sq_dists
+                      minibatch_kmeans, random_orthonormal_init)
+from specsumm import kmeans
+from specsumm.kmeans import (_DIST_BLOCK, _assign_with_repair,
+                             _assigned_sq_dists, _nearest, _replay_batch,
+                             _sq_dists)
 
-from oracles import all_memberships, minibatch_replay
+from oracles import (all_memberships, assign_with_repair_reference,
+                     minibatch_kmeans_reference, minibatch_replay)
+
+
+def _layouts(points):
+    """Row-major, column-major (as the eigensolver hands them over) and a
+    strided view of the same points."""
+    wide = np.repeat(points, 2, axis=1)
+    return [np.ascontiguousarray(points), np.asfortranarray(points),
+            wide[:, ::2]]
 
 
 def _brute_force_cost(points, k):
@@ -176,6 +190,154 @@ class TestSqDists:
         diff = points[:, None, :] - centroids[None, :, :]
         expected = np.einsum("nkd,nkd->nk", diff, diff)
         assert np.array_equal(_sq_dists(points, centroids), expected)
+
+
+class TestNearest:
+    """The GEMM screen with its exact fallback against the argmin of the
+    full exact distance matrix."""
+
+    @staticmethod
+    def _exact(points, centroids):
+        return np.argmin(_sq_dists(points, centroids), axis=1)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 32, 40, 129])
+    def test_equals_exact_argmin(self, rng, d):
+        for k in (1, 2, 40):
+            for n in (1, 127, 128, 129, 1024):
+                centroids = rng.standard_normal((k, d))
+                for points in _layouts(rng.standard_normal((n, d))):
+                    assert np.array_equal(_nearest(points, centroids),
+                                          self._exact(points, centroids))
+
+    def test_duplicated_centroids_go_to_lowest_index(self, rng):
+        distinct = rng.standard_normal((3, 5))
+        centroids = np.vstack([distinct, distinct, distinct[::-1]])
+        points = rng.standard_normal((300, 5))
+        got = _nearest(points, centroids)
+        assert got.max() < 3
+        assert np.array_equal(got, self._exact(points, centroids))
+
+    def test_equidistant_points_go_to_lowest_index(self, rng):
+        # (1, t) is exactly as far from (0, 0) as from (2, 0); centroid 2 is
+        # farther from every such point.
+        centroids = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 50.0]])
+        points = np.column_stack([np.ones(200), rng.uniform(-3, 3, 200)])
+        assert np.array_equal(_nearest(points, centroids), np.zeros(200))
+        assert np.array_equal(_nearest(points, centroids[[1, 0, 2]]),
+                              np.zeros(200))
+
+    def test_large_common_offset(self, rng):
+        # Distances of order 1e-6 beside norms of order 1e4: the GEMM form
+        # keeps only a few correct bits of them and picks wrong centroids,
+        # so only the slack keeps these rows exact.
+        points = 1e4 + 1e-3 * rng.standard_normal((1000, 2))
+        centroids = 1e4 + 1e-3 * rng.standard_normal((20, 2))
+        assert np.array_equal(_nearest(points, centroids),
+                              self._exact(points, centroids))
+        # An exact tie in the GEMM form sends its whole _sq_dists block to
+        # the exact path, so give each block one near-tie (b closer than a
+        # by about 4e-10) among points that are clearly nearest a: the
+        # GEMM form misorders some of them without tying.
+        a, b = centroids[:2]
+        points = a + 1e-4 * rng.standard_normal((4096, 2))
+        across = np.array([a[1] - b[1], b[0] - a[0]])
+        hard = rng.standard_normal((4096 // _DIST_BLOCK, 1))
+        points[::_DIST_BLOCK] = (a + b) / 2 + 1e-4 * (b - a) + hard * across
+        assert np.array_equal(_nearest(points, centroids[:2]),
+                              self._exact(points, centroids[:2]))
+
+    def test_overflowing_gemm_form_falls_back(self, rng):
+        # ‖x‖² overflows near 1.3e154 while the differences stay finite:
+        # the GEMM form reads inf - inf and every row takes the exact path.
+        points = 1e155 + 1e150 * rng.standard_normal((300, 3))
+        centroids = 1e155 + 1e150 * rng.standard_normal((5, 3))
+        exact = self._exact(points, centroids)
+        assert np.all(np.isfinite(_sq_dists(points, centroids)))
+        assert len(set(exact.tolist())) > 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_nearest(points, centroids), exact)
+
+    def test_rounding_ties_follow_the_point_layout(self, rng):
+        # Centroid 1 swaps centroid 0's coordinate pairs and every point is
+        # equal within each pair, so both distances sum the same squares in
+        # another order: rounding alone separates them.  einsum's summation
+        # order follows the memory order of the points, so the recomputed
+        # rows must come from _sq_dists blocks of the same layout.
+        c0 = rng.standard_normal(40)
+        centroids = np.vstack([c0, c0.reshape(20, 2)[:, ::-1].ravel()])
+        pairs = np.repeat(rng.standard_normal((1000, 20)), 2, axis=1)
+        for points in _layouts(pairs):
+            assert np.array_equal(_nearest(points, centroids),
+                                  self._exact(points, centroids))
+
+    def test_orthonormal_embedding_needs_no_fallback(self, monkeypatch):
+        # The slack must stay tight enough that an embedding like the
+        # pipeline's settles every row from the GEMM alone.
+        points = random_orthonormal_init(4000, 40, seed=5)
+        centroids = points[np.random.default_rng(6).choice(4000, 40,
+                                                           replace=False)]
+        exact = self._exact(points, centroids)
+        rows = []
+
+        def counting(p, c):
+            rows.append(len(p))
+            return _sq_dists(p, c)
+
+        monkeypatch.setattr(kmeans, "_sq_dists", counting)
+        assert np.array_equal(_nearest(points, centroids), exact)
+        assert sum(rows) == 0
+
+
+class TestAssignWithRepair:
+    """The screened final pass against the full-matrix oracle: same
+    assignment, centroids and cost, bit for bit."""
+
+    @staticmethod
+    def _compare(points, centroids):
+        got = _assign_with_repair(points, centroids)
+        want = assign_with_repair_reference(points, centroids)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+        return want
+
+    def test_random_points(self, rng):
+        for n, d, k in ((5, 1, 3), (2 * _DIST_BLOCK + 1, 7, 9),
+                        (1500, 40, 40)):
+            centroids = rng.standard_normal((k, d))
+            for points in _layouts(rng.standard_normal((n, d))):
+                self._compare(points, centroids)
+
+    def test_duplicate_points_force_repairs(self, rng):
+        for seed in range(10):
+            local = np.random.default_rng(seed)
+            distinct = local.standard_normal((4, 3))
+            for points in _layouts(np.repeat(distinct, 70, axis=0)):
+                centroids = local.standard_normal((9, 3))
+                _, repaired, _ = self._compare(points, centroids)
+                assert not np.array_equal(repaired, centroids)
+
+    def test_assigned_distances_match_matrix_entries(self, rng):
+        for n in (1, _DIST_BLOCK, 2 * _DIST_BLOCK + 1, 3 * _DIST_BLOCK + 17):
+            centroids = rng.standard_normal((6, 33))
+            assign = rng.integers(0, 6, size=n)
+            for points in _layouts(rng.standard_normal((n, 33))):
+                full = _sq_dists(points, centroids)
+                assert np.array_equal(_assigned_sq_dists(points, centroids,
+                                                         assign),
+                                      full[np.arange(n), assign])
+
+
+def test_minibatch_kmeans_matches_reference(rng):
+    for n, d, k, seed in ((300, 4, 6, 1), (2000, 40, 40, 2), (700, 9, 3, 3)):
+        cfg = KmeansConfig(batch_size=256, max_iterations=20, seed=seed)
+        for points in _layouts(rng.standard_normal((n, d))):
+            got = minibatch_kmeans(points, k, cfg)
+            want = minibatch_kmeans_reference(points, k, cfg)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
 
 
 class TestKmeansCost:
