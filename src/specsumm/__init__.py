@@ -12,16 +12,14 @@ from .graph import (Graph, adjacency_trace_sq, generate_sbm,
                     largest_connected_component, load_edge_list,
                     write_edge_list)
 from .kmeans import KmeansConfig, kmeans_cost, kmeanspp_init, minibatch_kmeans
-from .queries import (TriangleEstimate, exact_triangles, expected_triangles,
-                      pair_probability)
+from .queries import TriangleEstimate, exact_triangles, expected_triangles
 from .spectral import EigenBasis, lm_eigs
 from .stiefel import (AscentTrace, OcsaConfig, SkewDirection, cayley_step,
                       gradient, line_search, ocsa, orthonormality_defect,
                       random_orthonormal_init, skew_direction,
-                      trace_objective_relaxed, trace_objective_split)
+                      trace_objective_relaxed)
 from .summary import (Membership, ReassignConfig, ReassignMove, Summary,
-                      SummaryReport, build_summary, l2_loss, lifted_entry,
-                      membership_to_normalized, objective_integer,
+                      SummaryReport, build_summary, l2_loss, objective_integer,
                       reassignment, specsumm, supernode_edge_counts)
 
 __version__ = "0.1.0"
@@ -32,15 +30,12 @@ __all__ = [
     "largest_connected_component", "load_edge_list", "write_edge_list",
     "KmeansConfig", "kmeans_cost", "kmeanspp_init", "minibatch_kmeans",
     "TriangleEstimate", "exact_triangles", "expected_triangles",
-    "pair_probability",
     "EigenBasis", "lm_eigs",
     "AscentTrace", "OcsaConfig", "SkewDirection", "cayley_step", "gradient",
     "line_search", "ocsa", "orthonormality_defect",
     "random_orthonormal_init", "skew_direction", "trace_objective_relaxed",
-    "trace_objective_split",
     "Membership", "ReassignConfig", "ReassignMove", "Summary",
-    "SummaryReport", "build_summary", "l2_loss", "lifted_entry",
-    "membership_to_normalized", "objective_integer", "reassignment",
-    "specsumm", "supernode_edge_counts",
+    "SummaryReport", "build_summary", "l2_loss", "objective_integer",
+    "reassignment", "specsumm", "supernode_edge_counts",
     "__version__",
 ]

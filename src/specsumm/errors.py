@@ -10,11 +10,10 @@ from __future__ import annotations
 class ParseError(ValueError):
     """Malformed input data (edge lists, summary files).
 
-    Carries the 1-based line number when the offending line is known.
+    The message names the 1-based line number when the line is known.
     """
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

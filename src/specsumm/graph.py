@@ -7,11 +7,10 @@ small linear-algebra kernels the optimizers are built on.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,11 +81,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor ids of node u (a read-only view)."""
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        pos = np.searchsorted(row, v)
-        return pos < len(row) and row[pos] == v
 
     @cached_property
     def _csr(self) -> sp.csr_matrix:
@@ -203,15 +197,10 @@ def load_edge_list(source: str | Path | IO) -> tuple[Graph, np.ndarray]:
     return _from_canonical_pairs(len(original_ids), dense), original_ids
 
 
-def write_edge_list(graph: Graph, target: str | Path | IO) -> None:
-    """Serialize as one "u v" line per undirected edge (u < v, sorted)."""
-    lines = "".join(f"{u} {v}\n" for u, v in graph.edge_pairs())
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(lines, encoding="utf-8")
-    elif isinstance(target, (io.RawIOBase, io.BufferedIOBase)):
-        target.write(lines.encode("utf-8"))
-    else:
-        target.write(lines)
+def write_edge_list(graph: Graph, target: TextIO) -> None:
+    """Write one "u v" line per undirected edge (u < v, sorted) to a text
+    handle."""
+    target.write("".join(f"{u} {v}\n" for u, v in graph.edge_pairs()))
 
 
 def largest_connected_component(graph: Graph) -> tuple[Graph, np.ndarray]:
@@ -239,6 +228,10 @@ def largest_connected_component(graph: Graph) -> tuple[Graph, np.ndarray]:
     return sub, kept
 
 
+# Node pairs per uniform draw of generate_sbm, rounded down to whole rows.
+_SBM_PAIR_BUDGET = 1 << 20
+
+
 def generate_sbm(blocks: int, block_size: int, p_in: float, p_out: float,
                  seed: int | None):
     """Sample a planted-partition random graph.
@@ -247,6 +240,10 @@ def generate_sbm(blocks: int, block_size: int, p_in: float, p_out: float,
     each unordered distinct pair is an edge independently with probability
     ``p_in`` inside a block and ``p_out`` across blocks.  Returns the graph
     together with the planted block membership.
+
+    Pairs draw one uniform each in ``np.triu_indices`` order, a chunk of
+    rows at a time, so memory holds one chunk plus the kept edges; the
+    Philox stream, and so the graph, is that of one draw for every pair.
     """
     from .summary import Membership  # deferred: summary imports this module
 
@@ -256,12 +253,17 @@ def generate_sbm(blocks: int, block_size: int, p_in: float, p_out: float,
         raise ParameterError("need 0 <= p_out <= p_in <= 1")
 
     n = blocks * block_size
-    iu, ju = np.triu_indices(n, k=1)
-    same = (iu // block_size) == (ju // block_size)
-    thresholds = np.where(same, p_in, p_out)
-    draws = make_generator(seed).random(len(iu))
-    keep = draws < thresholds
-    graph = _from_canonical_pairs(n, np.column_stack([iu[keep], ju[keep]]))
+    rng = make_generator(seed)
+    rows = max(1, _SBM_PAIR_BUDGET // n)
+    kept = []
+    for start in range(0, n, rows):
+        chunk = np.ones((min(rows, n - start), n), dtype=bool)
+        iu, ju = np.nonzero(np.triu(chunk, k=start + 1))
+        iu += start
+        same = (iu // block_size) == (ju // block_size)
+        keep = rng.random(len(iu)) < np.where(same, p_in, p_out)
+        kept.append(np.column_stack([iu[keep], ju[keep]]))
+    graph = _from_canonical_pairs(n, np.concatenate(kept))
     planted = Membership(np.arange(n, dtype=np.int64) // block_size, blocks)
     return graph, planted
 

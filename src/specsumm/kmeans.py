@@ -25,15 +25,14 @@ __all__ = ["KmeansConfig", "kmeanspp_init", "minibatch_kmeans", "kmeans_cost"]
 
 @dataclass(frozen=True)
 class KmeansConfig:
-    batch_size: int = 1024
-    max_iterations: int = 100
+    """Seed of the kmeans++ draws and of the _MAX_ITERATIONS batches of
+    _BATCH_SIZE points, drawn with replacement, that every run takes."""
+
     seed: int | None = None
 
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
-        if self.max_iterations < 0:
-            raise ParameterError("max_iterations must be >= 0")
+
+_BATCH_SIZE = 1024
+_MAX_ITERATIONS = 100
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -260,8 +259,8 @@ def minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig | None = N
     initial = _kmeanspp(pts, k, rng)
     centroids = initial.copy()
     counts = np.zeros(k, dtype=np.int64)
-    for _ in range(config.max_iterations):
-        batch_idx = rng.integers(0, n, size=config.batch_size)
+    for _ in range(_MAX_ITERATIONS):
+        batch_idx = rng.integers(0, n, size=_BATCH_SIZE)
         batch = pts[batch_idx]
         _replay_batch(centroids, counts, batch, _nearest(batch, centroids))
 
@@ -272,7 +271,8 @@ def minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig | None = N
 
 def kmeans_cost(points: np.ndarray, centroids: np.ndarray,
                 assignment: np.ndarray) -> float:
-    """Sum of squared distances from each point to its assigned centroid."""
+    """Sum of squared distances from each point to its assigned centroid,
+    taken as ``minibatch_kmeans`` takes the cost it returns, bit for bit."""
     pts = _as_points(points)
     cents = _as_points(centroids)
     assign = np.asarray(assignment, dtype=np.int64)
@@ -280,5 +280,4 @@ def kmeans_cost(points: np.ndarray, centroids: np.ndarray,
         raise ParameterError("assignment length must match point count")
     if assign.size and (assign.min() < 0 or assign.max() >= len(cents)):
         raise IndexError("assignment index out of range")
-    diff = pts - cents[assign]
-    return float(np.sum(diff * diff))
+    return float(_assigned_sq_dists(pts, cents, assign).sum())

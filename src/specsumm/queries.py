@@ -14,18 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParameterError
 from .graph import Graph
 from .summary import Summary
 
-__all__ = ["TriangleEstimate", "pair_probability", "expected_triangles",
-           "exact_triangles"]
+__all__ = ["TriangleEstimate", "expected_triangles", "exact_triangles"]
 
 
 @dataclass(frozen=True)
 class TriangleEstimate:
     expected: float
-    method: str
 
 
 def _pair_matrix(summary: Summary) -> np.ndarray:
@@ -38,18 +35,6 @@ def _pair_matrix(summary: Summary) -> np.ndarray:
                           0.0)
     np.fill_diagonal(pi, np.diag(summary.density) * correction)
     return np.clip(pi, 0.0, 1.0)
-
-
-def pair_probability(summary: Summary, u: int, v: int) -> float:
-    """Edge probability between two distinct nodes under the summary's
-    model."""
-    if u == v:
-        raise ParameterError("pair probability requires two distinct nodes")
-    n = summary.membership.n
-    if not (0 <= u < n and 0 <= v < n):
-        raise IndexError("node index out of range")
-    a = summary.membership.assign
-    return float(_pair_matrix(summary)[a[u], a[v]])
 
 
 def expected_triangles(summary: Summary) -> TriangleEstimate:
@@ -87,7 +72,7 @@ def expected_triangles(summary: Summary) -> TriangleEstimate:
     s_triple = float(np.sum(sizes**3 * diag**3))
     total += (s_all - 3.0 * s_pair + 2.0 * s_triple) / 6.0
 
-    return TriangleEstimate(expected=total, method="closed-form")
+    return TriangleEstimate(expected=total)
 
 
 # Oriented two-paths per row block of exact_triangles: the product holds at

@@ -110,10 +110,13 @@ def lm_eigs(graph: Graph, d: int, seed: int | None = None) -> EigenBasis:
     seed : int, optional
         Seeds the starting vector; fixed seeds give bit-identical output.
 
+    ARPACK runs when d ≤ n − 2.  One dense ``eigh`` route serves d > n − 2
+    (for n ≤ 2048) and an ARPACK failure or tolerance miss at n ≤ 512.
+
     Raises
     ------
     ParameterError
-        If d is out of range.
+        If d is out of range, or d > n − 2 on a graph with n > 2048.
     ConvergenceError
         If the iteration stalls and the graph is too large for the dense
         fallback; carries the best residual norms reached.
@@ -123,38 +126,32 @@ def lm_eigs(graph: Graph, d: int, seed: int | None = None) -> EigenBasis:
         raise ParameterError(f"d={d} out of range for n={n}")
 
     # ARPACK needs strictly fewer requested pairs than the matrix order
-    # (and a spare basis column); take the dense route when d crowds n.
-    if d > n - 2:
-        if n > 4 * _DENSE_LIMIT:
-            raise ParameterError(
-                f"d={d} too close to n={n} for the sparse solver at this scale")
-        basis = _dense_basis(graph)
-        return EigenBasis(values=basis.values[:d].copy(),
-                          vectors=basis.vectors[:, :d].copy())
-
-    v0 = make_generator(seed).standard_normal(n)
-    ncv = min(n, max(4 * d, d + 20))
-    failure: ConvergenceError | None = None
-    try:
-        values, vectors = eigsh(graph._csr, k=d, which="LM", v0=v0,
-                                ncv=ncv, tol=0)
-        basis = _canonicalize(values, vectors)
-        if not _invariants_hold(graph, basis):
+    # (and a spare basis column).
+    if d <= n - 2:
+        v0 = make_generator(seed).standard_normal(n)
+        ncv = min(n, max(4 * d, d + 20))
+        try:
+            values, vectors = eigsh(graph._csr, k=d, which="LM", v0=v0,
+                                    ncv=ncv, tol=0)
+            basis = _canonicalize(values, vectors)
+            if _invariants_hold(graph, basis):
+                return basis
             failure = ConvergenceError("Lanczos output failed residual check",
                                        residuals=basis.residual_norms(graph))
-    except ArpackNoConvergence as exc:
-        # Report the residuals of the pairs ARPACK converged before stopping.
-        partial = EigenBasis(np.asarray(exc.eigenvalues, dtype=np.float64),
-                             np.asarray(exc.eigenvectors, dtype=np.float64))
-        failure = ConvergenceError(str(exc), residuals=(
-            partial.residual_norms(graph) if partial.d else None))
-    except (ArpackError, np.linalg.LinAlgError) as exc:
-        failure = ConvergenceError(str(exc))
-
-    if failure is None:
-        return basis
-    if n <= _DENSE_LIMIT:
-        dense = _dense_basis(graph)
-        return EigenBasis(values=dense.values[:d].copy(),
-                          vectors=dense.vectors[:, :d].copy())
-    raise failure
+        except ArpackNoConvergence as exc:
+            # Report the residuals of the pairs converged before stopping.
+            partial = EigenBasis(
+                np.asarray(exc.eigenvalues, dtype=np.float64),
+                np.asarray(exc.eigenvectors, dtype=np.float64))
+            failure = ConvergenceError(str(exc), residuals=(
+                partial.residual_norms(graph) if partial.d else None))
+        except (ArpackError, np.linalg.LinAlgError) as exc:
+            failure = ConvergenceError(str(exc))
+        if n > _DENSE_LIMIT:
+            raise failure
+    elif n > 4 * _DENSE_LIMIT:
+        raise ParameterError(
+            f"d={d} too close to n={n} for the sparse solver at this scale")
+    dense = _dense_basis(graph)
+    return EigenBasis(values=dense.values[:d].copy(),
+                      vectors=dense.vectors[:, :d].copy())

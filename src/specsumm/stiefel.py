@@ -29,7 +29,6 @@ __all__ = [
     "SkewDirection",
     "CayleyStepError",
     "trace_objective_relaxed",
-    "trace_objective_split",
     "gradient",
     "skew_direction",
     "cayley_step",
@@ -41,6 +40,10 @@ __all__ = [
 
 FEASIBILITY_TOL = 1e-8
 _STATIONARY_REL = 1e-8
+# Armijo constant c of the line search, and the backtracks it makes after
+# the first trial step before it gives up.
+_SUFFICIENT_INCREASE = 1e-4
+_MAX_BACKTRACKS = 30
 
 
 class CayleyStepError(RuntimeError):
@@ -49,14 +52,13 @@ class CayleyStepError(RuntimeError):
 
 @dataclass(frozen=True)
 class OcsaConfig:
-    """Ascent-loop knobs: iteration budget, step seed, and stop tolerance."""
+    """Ascent-loop knobs: iteration budget, first trial step, stop
+    tolerance, and the backtracking contraction."""
 
     max_iterations: int = 100
     initial_step: float = 1e-3
     relative_tolerance: float = 1e-3
     contraction: float = 0.5
-    sufficient_increase: float = 1e-4
-    max_backtracks: int = 30
 
     def __post_init__(self):
         if self.max_iterations < 0:
@@ -67,8 +69,6 @@ class OcsaConfig:
             raise ParameterError("relative_tolerance must be >= 0")
         if not 0 < self.contraction < 1:
             raise ParameterError("contraction must lie in (0, 1)")
-        if self.sufficient_increase < 0 or self.max_backtracks < 0:
-            raise ParameterError("sufficient_increase and max_backtracks must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,20 +91,14 @@ class AscentTrace:
 
 @dataclass(frozen=True)
 class SkewDirection:
-    """Skew operator W = left·rightᵀ − right·leftᵀ kept in factored form.
+    """Skew operator W = left·rightᵀ − right·leftᵀ, kept in factored form.
 
-    Products W·x cost O(nk) instead of O(n²); ``dense()`` materializes the
-    full matrix for small-scale checks.
+    The n×n matrix is never formed: ``cayley_step`` and ``line_search``
+    work from the k×k Grams of the two n×k factors.
     """
 
     left: np.ndarray
     right: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.left @ (self.right.T @ x) - self.right @ (self.left.T @ x)
-
-    def dense(self) -> np.ndarray:
-        return self.left @ self.right.T - self.right @ self.left.T
 
 
 class LineSearchResult(NamedTuple):
@@ -137,19 +131,6 @@ def trace_objective_relaxed(graph: Graph, Z: np.ndarray) -> float:
     remain legal.
     """
     return _objective_parts(graph, np.asarray(Z, dtype=np.float64))[2]
-
-
-def trace_objective_split(graph: Graph, Z: np.ndarray) -> tuple[float, float]:
-    """Diagonal/off-diagonal split of F(Z).
-
-    Returns (t1, t2): t1 sums the squared diagonal of ZᵀAZ (per-column
-    self terms), t2 the squared off-diagonal cross terms; t1 + t2 = F(Z).
-    """
-    Z = np.asarray(Z, dtype=np.float64)
-    M = Z.T @ graph.adjacency_matmat(Z)
-    diag = np.diag(M)
-    t1 = float(np.sum(diag * diag))
-    return t1, float(np.sum(M * M) - np.sum(diag * diag))
 
 
 def gradient(graph: Graph, Z: np.ndarray) -> np.ndarray:
@@ -238,16 +219,17 @@ def cayley_step(Z: np.ndarray, W: SkewDirection, tau: float) -> np.ndarray:
 
 
 def line_search(graph: Graph, Z: np.ndarray, W: SkewDirection, tau0: float,
-                contraction: float = 0.5, sufficient_increase: float = 1e-4,
-                max_backtracks: int = 30, *, objective: float | None = None,
+                contraction: float = 0.5, *, objective: float | None = None,
                 grad: np.ndarray | None = None) -> LineSearchResult | None:
     """Armijo backtracking along the Cayley curve of W.
 
-    Tries τ₀, τ₀ρ, τ₀ρ², … and accepts the first (largest) step with
-    F(Z(τ)) ≥ F(Z) + c·τ·g₀, where g₀ = ⟨G, −W·Z⟩ is the analytic curve
-    derivative at τ = 0.  Returns None when the direction offers no ascent:
-    g₀ ≤ 0, the direction is stationary relative to the gradient scale
-    (‖W·Z‖ ≤ 1e-8·‖G‖), or every backtrack level fails the test.
+    Tries τ₀, τ₀ρ, τ₀ρ², …, τ₀ρ³⁰ (ρ = ``contraction``) and accepts the
+    first (largest) step with F(Z(τ)) ≥ F(Z) + 1e-4·τ·g₀, where
+    g₀ = ⟨G, −W·Z⟩ is the analytic curve derivative at τ = 0.  Returns
+    None when the direction offers no ascent: g₀ ≤ 0, the direction is
+    stationary relative to the gradient scale (‖W·Z‖ ≤ 1e-8·‖G‖), or every
+    backtrack level fails the test.  A step whose curve system is singular
+    counts as a failed level.
 
     The curve system is built once, from k×k Grams (for the ascent's
     W = Z·Gᵀ − G·Zᵀ: ZᵀZ, GᵀZ and GᵀG), and serves the direction
@@ -269,14 +251,14 @@ def line_search(graph: Graph, Z: np.ndarray, W: SkewDirection, tau0: float,
         return None
 
     tau = tau0
-    for _ in range(max_backtracks + 1):
+    for _ in range(_MAX_BACKTRACKS + 1):
         try:
             candidate = system.point(Z, tau)
         except CayleyStepError:
             tau *= contraction
             continue
         AZ, M, value = _objective_parts(graph, candidate)
-        if value >= F0 + sufficient_increase * tau * g0:
+        if value >= F0 + _SUFFICIENT_INCREASE * tau * g0:
             return LineSearchResult(tau=tau, solution=candidate,
                                     objective=value, az=AZ, zaz=M)
         tau *= contraction
@@ -344,7 +326,6 @@ def ocsa(graph: Graph, Z0: np.ndarray,
         G = 4.0 * (AZ @ M)
         W = skew_direction(Z, G)
         found = line_search(graph, Z, W, config.initial_step, config.contraction,
-                            config.sufficient_increase, config.max_backtracks,
                             objective=value, grad=G)
         if found is None:
             reason = "no-ascent-step"

@@ -23,8 +23,7 @@ from .stiefel import ocsa, random_orthonormal_init
 
 __all__ = ["Membership", "Summary", "ReassignConfig", "ReassignMove",
            "SummaryReport", "supernode_edge_counts", "objective_integer",
-           "membership_to_normalized", "build_summary", "lifted_entry",
-           "l2_loss", "reassignment", "specsumm"]
+           "build_summary", "l2_loss", "reassignment", "specsumm"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,18 +123,6 @@ def objective_integer(graph: Graph, membership: Membership) -> float:
     return _objective_from_counts(counts, membership.sizes)
 
 
-def membership_to_normalized(membership: Membership) -> np.ndarray:
-    """Column-orthonormal indicator matrix: entry (u, i) is 1/sqrt(n_i)
-    when node u belongs to group i, else 0."""
-    sizes = membership.sizes
-    if sizes.min() == 0:  # unreachable with a validated Membership
-        raise ParameterError("empty supernode")
-    z = np.zeros((membership.n, membership.k))
-    z[np.arange(membership.n), membership.assign] = 1.0 / np.sqrt(
-        sizes[membership.assign])
-    return z
-
-
 def _summary_from_counts(membership: Membership, counts: np.ndarray) -> Summary:
     sizes = membership.sizes.astype(np.float64)
     return Summary(membership, counts / (sizes[:, None] * sizes[None, :]))
@@ -145,16 +132,6 @@ def build_summary(graph: Graph, membership: Membership) -> Summary:
     """Summary whose densities are exact edge counts over size products."""
     return _summary_from_counts(membership,
                                 supernode_edge_counts(graph, membership))
-
-
-def lifted_entry(summary: Summary, u: int, v: int) -> float:
-    """Entry (u, v) of the reconstructed adjacency: the density between the
-    groups of u and v (self-pairs included)."""
-    n = summary.membership.n
-    if not (0 <= u < n and 0 <= v < n):
-        raise IndexError("node index out of range")
-    a = summary.membership.assign
-    return float(summary.density[a[u], a[v]])
 
 
 def l2_loss(graph: Graph, summary: Summary) -> float:

@@ -14,8 +14,9 @@ import numpy as np
 
 from specsumm import (AscentTrace, EigenBasis, Graph, KmeansConfig,
                       Membership, OcsaConfig, ParameterError, SkewDirection,
-                      Summary, build_summary, gradient, skew_direction,
-                      trace_objective_relaxed)
+                      Summary, build_summary, gradient, kmeans, skew_direction,
+                      stiefel, trace_objective_relaxed)
+from specsumm.graph import _from_canonical_pairs
 from specsumm.kmeans import _kmeanspp, _sq_dists
 from specsumm.queries import _pair_matrix
 from specsumm.rng import make_generator
@@ -58,6 +59,54 @@ def dense_objective(graph: Graph, z: np.ndarray) -> float:
     """tr((ZᵀAZ)²) straight from the dense adjacency."""
     m = z.T @ graph.to_dense() @ z
     return float(np.trace(m @ m))
+
+
+def trace_objective_split(graph: Graph, Z: np.ndarray) -> tuple[float, float]:
+    """Diagonal/off-diagonal split of F(Z).
+
+    Returns (t1, t2): t1 sums the squared diagonal of ZᵀAZ (per-column
+    self terms), t2 the squared off-diagonal cross terms; t1 + t2 = F(Z).
+    """
+    M = Z.T @ graph.adjacency_matmat(Z)
+    diag = np.diag(M)
+    t1 = float(np.sum(diag * diag))
+    return t1, float(np.sum(M * M) - t1)
+
+
+def membership_to_normalized(membership: Membership) -> np.ndarray:
+    """Column-orthonormal indicator matrix: entry (u, i) is 1/sqrt(n_i)
+    when node u belongs to group i, else 0.  F(Z) of this Z is the integer
+    objective of the membership."""
+    z = np.zeros((membership.n, membership.k))
+    z[np.arange(membership.n), membership.assign] = 1.0 / np.sqrt(
+        membership.sizes[membership.assign])
+    return z
+
+
+def skew_apply(W: SkewDirection, x: np.ndarray) -> np.ndarray:
+    """W·x = left·(rightᵀ·x) − right·(leftᵀ·x), without forming W."""
+    return W.left @ (W.right.T @ x) - W.right @ (W.left.T @ x)
+
+
+def skew_dense(W: SkewDirection) -> np.ndarray:
+    """The n×n matrix W = left·rightᵀ − right·leftᵀ."""
+    return W.left @ W.right.T - W.right @ W.left.T
+
+
+def generate_sbm_reference(blocks: int, block_size: int, p_in: float,
+                           p_out: float, seed: int | None
+                           ) -> tuple[Graph, Membership]:
+    """``generate_sbm`` with every pair of ``np.triu_indices`` and its
+    uniform draw made at once (O(n²) memory)."""
+    n = blocks * block_size
+    iu, ju = np.triu_indices(n, k=1)
+    same = (iu // block_size) == (ju // block_size)
+    thresholds = np.where(same, p_in, p_out)
+    draws = make_generator(seed).random(len(iu))
+    keep = draws < thresholds
+    graph = _from_canonical_pairs(n, np.column_stack([iu[keep], ju[keep]]))
+    planted = Membership(np.arange(n, dtype=np.int64) // block_size, blocks)
+    return graph, planted
 
 
 def dense_lifted(summary: Summary) -> np.ndarray:
@@ -207,13 +256,14 @@ def minibatch_kmeans_reference(
         config: KmeansConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """Mini-batch k-means with every batch assigned by the argmin of the
     full exact distance matrix and replayed one sample at a time, then
-    both final passes through ``assign_with_repair_reference``."""
+    both final passes through ``assign_with_repair_reference``.  The batch
+    count and size are the package's, read at call time."""
     rng = make_generator(config.seed)
     initial = _kmeanspp(points, k, rng)
     centroids = initial.copy()
     counts = np.zeros(k, dtype=np.int64)
-    for _ in range(config.max_iterations):
-        batch = points[rng.integers(0, len(points), size=config.batch_size)]
+    for _ in range(kmeans._MAX_ITERATIONS):
+        batch = points[rng.integers(0, len(points), size=kmeans._BATCH_SIZE)]
         nearest = np.argmin(_sq_dists(batch, centroids), axis=1)
         minibatch_replay(centroids, counts, batch, nearest)
     trained = assign_with_repair_reference(points, centroids)
@@ -291,28 +341,29 @@ def ocsa_reference(graph: Graph, Z0: np.ndarray,
                    config: OcsaConfig) -> tuple[np.ndarray, AscentTrace]:
     """The ascent loop with a fresh gradient (its own A·Z) every iteration
     and the curve system rebuilt from n-long products at every trial step:
-    the same Armijo rule, stop tests and trace as ``ocsa``."""
+    the same Armijo rule, stop tests and trace as ``ocsa``, with the
+    package's Armijo constant and backtrack limit read at call time."""
     Z = np.array(Z0, dtype=np.float64)
     value = trace_objective_relaxed(graph, Z)
     objectives, steps, reason = [value], [], "max-iter"
     for _ in range(config.max_iterations):
         G = gradient(graph, Z)
         W = skew_direction(Z, G)
-        direction = -W.apply(Z)
+        direction = -skew_apply(W, Z)
         g0 = float(np.vdot(G, direction))
         if (np.linalg.norm(direction) <= 1e-8 * np.linalg.norm(G)
                 or g0 <= 0):
             reason = "no-ascent-step"
             break
         tau, accepted = config.initial_step, None
-        for _ in range(config.max_backtracks + 1):
+        for _ in range(stiefel._MAX_BACKTRACKS + 1):
             try:
                 candidate = cayley_step_reference(Z, W, tau)
             except CayleyStepError:
                 tau *= config.contraction
                 continue
             trial = trace_objective_relaxed(graph, candidate)
-            if trial >= value + config.sufficient_increase * tau * g0:
+            if trial >= value + stiefel._SUFFICIENT_INCREASE * tau * g0:
                 accepted = candidate, trial
                 break
             tau *= config.contraction

@@ -407,7 +407,8 @@ class TestAtomicWrites:
 def test_summary_bytes_do_not_depend_on_blas_threads(tmp_path, method_args):
     graph, _ = generate_sbm(20, 50, 0.25, 0.05, seed=1)
     edges = tmp_path / "sbm.txt"
-    write_edge_list(graph, edges)
+    with open(edges, "w", encoding="utf-8") as handle:
+        write_edge_list(graph, handle)
     src = str(Path(specsumm.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsumm import (Graph, ParameterError, ParseError, adjacency_trace_sq,
-                      generate_sbm, largest_connected_component,
-                      load_edge_list, write_edge_list)
+                      generate_sbm, graph as graph_module,
+                      largest_connected_component, load_edge_list,
+                      write_edge_list)
 
-from oracles import random_graph, to_networkx
+from oracles import generate_sbm_reference, random_graph, to_networkx
 
 
 class TestLoadEdgeList:
@@ -18,8 +19,8 @@ class TestLoadEdgeList:
         graph, _ = load_edge_list(io.StringIO("0 1\n1 2\n"))
         assert graph.node_count == 3
         assert graph.edge_count == 2
-        assert graph.has_edge(0, 1) and graph.has_edge(1, 2)
-        assert not graph.has_edge(0, 2)
+        assert 1 in graph.neighbors(0) and 2 in graph.neighbors(1)
+        assert 2 not in graph.neighbors(0)
 
     def test_duplicate_and_self_loop_dropped(self):
         graph, _ = load_edge_list(io.StringIO("0 1\n1 0\n0 0\n"))
@@ -33,8 +34,8 @@ class TestLoadEdgeList:
         assert original.dtype == np.int64
         assert original.tolist() == [5, 7, 9]
         # 5-9 and 9-7 become 0-2 and 2-1
-        assert graph.has_edge(0, 2) and graph.has_edge(1, 2)
-        assert not graph.has_edge(0, 1)
+        assert 2 in graph.neighbors(0) and 2 in graph.neighbors(1)
+        assert 1 not in graph.neighbors(0)
 
     def test_comments_blanks_and_crlf(self):
         text = "# header\r\n% matrix-market style\r\n\r\n0 1\r\n1 2\r\n"
@@ -111,7 +112,7 @@ class TestGraphStructure:
             assert np.all(np.diff(nbrs) > 0)
             half_sum += len(nbrs)
             for v in nbrs:
-                assert graph.has_edge(v, u)
+                assert u in graph.neighbors(v)
         assert half_sum == 2 * graph.edge_count
 
     def test_degrees_and_edge_pairs(self, k3, p3):
@@ -199,6 +200,22 @@ class TestGenerateSbm:
         graph, _ = generate_sbm(20, 50, 0.25, 0.05, seed=1)
         assert graph.node_count == 1000
         assert abs(graph.edge_count - 29875) <= 500
+
+    @pytest.mark.parametrize("args", [(4, 25, 0.5, 0.02, 7),
+                                      (20, 50, 0.25, 0.05, 1)])
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    def test_row_chunks_match_one_shot_draw(self, monkeypatch, args, rows):
+        # Chunked draws continue one Philox stream, so any chunk size gives
+        # the graph of one uniform per pair drawn at once.
+        n = args[0] * args[1]
+        if rows is not None:
+            monkeypatch.setattr(graph_module, "_SBM_PAIR_BUDGET", rows * n)
+        *shape, seed = args
+        graph, planted = generate_sbm(*shape, seed=seed)
+        want, want_planted = generate_sbm_reference(*shape, seed=seed)
+        assert np.array_equal(graph.indptr, want.indptr)
+        assert np.array_equal(graph.indices, want.indices)
+        assert np.array_equal(planted.assign, want_planted.assign)
 
     def test_deterministic_per_seed(self):
         g1, _ = generate_sbm(3, 10, 0.4, 0.1, seed=11)

@@ -128,12 +128,6 @@ class TestMinibatchKmeans:
         with pytest.raises(ParameterError):
             minibatch_kmeans(np.zeros((2, 2)), 3, KmeansConfig(seed=0))
 
-    def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            KmeansConfig(batch_size=0)
-        with pytest.raises(ParameterError):
-            KmeansConfig(max_iterations=-1)
-
 
 class TestReplayBatch:
     """Per-rank rounds against the one-sample-at-a-time loop, bit for bit."""
@@ -329,9 +323,11 @@ class TestAssignWithRepair:
                                       full[np.arange(n), assign])
 
 
-def test_minibatch_kmeans_matches_reference(rng):
+def test_minibatch_kmeans_matches_reference(rng, monkeypatch):
+    monkeypatch.setattr(kmeans, "_BATCH_SIZE", 256)
+    monkeypatch.setattr(kmeans, "_MAX_ITERATIONS", 20)
     for n, d, k, seed in ((300, 4, 6, 1), (2000, 40, 40, 2), (700, 9, 3, 3)):
-        cfg = KmeansConfig(batch_size=256, max_iterations=20, seed=seed)
+        cfg = KmeansConfig(seed=seed)
         for points in _layouts(rng.standard_normal((n, d))):
             got = minibatch_kmeans(points, k, cfg)
             want = minibatch_kmeans_reference(points, k, cfg)
@@ -358,6 +354,15 @@ class TestKmeansCost:
     def test_rejects_bad_assignment(self):
         with pytest.raises(IndexError):
             kmeans_cost(np.zeros((2, 1)), np.zeros((1, 1)), np.array([0, 1]))
+
+    @pytest.mark.parametrize("n, d, k", [(5, 1, 2), (2 * _DIST_BLOCK + 1, 7, 9),
+                                         (700, 33, 12), (1500, 40, 40)])
+    def test_equals_minibatch_cost(self, rng, n, d, k):
+        # The cost minibatch_kmeans reports, bit for bit, in every layout.
+        for points in _layouts(rng.standard_normal((n, d))):
+            assign, centroids, cost = minibatch_kmeans(points, k,
+                                                       KmeansConfig(seed=n))
+            assert kmeans_cost(points, centroids, assign) == cost
 
 
 def test_tie_breaks_to_lowest_centroid_index():

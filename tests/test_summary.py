@@ -5,16 +5,16 @@ from hypothesis import strategies as st
 
 from specsumm import (Graph, Membership, ParameterError, ReassignConfig,
                       Summary, adjacency_trace_sq, build_summary,
-                      generate_sbm, l2_loss, lifted_entry,
-                      membership_to_normalized, objective_integer,
+                      generate_sbm, l2_loss, objective_integer,
                       reassignment, specsumm, supernode_edge_counts,
                       trace_objective_relaxed)
 
 import specsumm.summary as summary_module
 from specsumm.summary import _move_deltas
 
-from oracles import (best_single_move, dense_l2_loss, dense_lifted,
-                     move_delta, random_graph, random_membership)
+from oracles import (best_single_move, dense_l2_loss,
+                     membership_to_normalized, move_delta, random_graph,
+                     random_membership)
 
 
 def _mem(labels, k):
@@ -145,27 +145,6 @@ class TestBuildSummary:
             Summary(m, np.array([[0.0, 1.5], [1.5, 0.0]]))  # out of range
         with pytest.raises(ParameterError):
             Summary(m, np.array([[1.0, 0.0], [0.0, 0.0]]))  # diag too big
-
-
-class TestLiftedEntry:
-    def test_k3_examples(self, k3):
-        s = build_summary(k3, _mem([0, 0, 1], 2))
-        assert lifted_entry(s, 0, 1) == 0.5
-        assert lifted_entry(s, 0, 2) == 1.0
-        assert lifted_entry(s, 2, 2) == 0.0
-
-    def test_out_of_range(self, k3):
-        s = build_summary(k3, _mem([0, 0, 1], 2))
-        with pytest.raises(IndexError):
-            lifted_entry(s, 0, 3)
-
-    def test_matches_dense_form(self, rng):
-        graph = random_graph(rng, 12)
-        s = build_summary(graph, random_membership(rng, 12, 3))
-        lifted = dense_lifted(s)
-        for u in range(12):
-            for v in range(12):
-                assert lifted_entry(s, u, v) == lifted[u, v]
 
 
 class TestL2Loss:
