@@ -72,7 +72,7 @@ class Graph:
                 raise ParameterError("edge endpoint out of range")
             if np.any(pairs[:, 0] == pairs[:, 1]):
                 raise ParameterError("self-loops are not allowed")
-        return _from_canonical_pairs(node_count, _canonicalize(pairs))
+        return _from_pairs(node_count, *pairs.T)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -114,60 +114,92 @@ class Graph:
         return np.column_stack([src[keep], self.indices[keep]])
 
 
-def _canonicalize(pairs: np.ndarray) -> np.ndarray:
-    """Unique undirected pairs in (min, max) form, lexicographically sorted."""
-    if pairs.size == 0:
-        return pairs.reshape(0, 2)
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    return np.unique(np.column_stack([lo, hi]), axis=0)
+# Largest node count whose directed pair keys src·n + dst (at most n² − 1)
+# fit in int64.
+_MAX_NODES = 3_037_000_499
 
 
-def _from_canonical_pairs(n: int, pairs: np.ndarray) -> Graph:
-    """Assemble CSR from unique (u < v) pairs."""
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+def _from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """Graph on nodes [0, n) with an edge for each pair u[i]–v[i].
+
+    The pairs hold no self-loops; repeats, in either orientation, collapse
+    to one edge.  Each edge enters as its two directed keys src·n + dst, so
+    the sorted distinct keys are the CSR entries in row-major order.
+    """
+    if n > _MAX_NODES:
+        raise ParameterError(f"node_count must be <= {_MAX_NODES}")
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    # Not np.unique: without return_* flags it took 0.10 s on 320k wide int64
+    # keys under numpy 2.4 (a hash route), this sort and mask 0.003 s.
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    src, dst = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(src, minlength=n))
-    return Graph(node_count=n, edge_count=len(pairs),
-                 indptr=indptr, indices=dst.astype(np.int64))
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return Graph(node_count=n, edge_count=len(keys) // 2,
+                 indptr=indptr, indices=dst)
 
 
-def _decode_lines(source: str | Path | IO) -> list[str]:
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    else:
-        data = source.read()
+def _relabeled(ids: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """Graph of the flat id sequence u0 v0 u1 v1 ..., relabeled densely in
+    ascending id order, and its sorted original ids; self-loops are
+    dropped."""
+    u, v = ids[0::2], ids[1::2]
+    keep = u != v
+    if not keep.any():
+        raise ParseError("empty graph")
+    u, v = u[keep], v[keep]
+    original_ids, dense = np.unique(np.concatenate([u, v]),
+                                    return_inverse=True)
+    return _from_pairs(len(original_ids), dense[:len(u)],
+                       dense[len(u):]), original_ids
+
+
+# The bytes of a plain edge list: ASCII digits, blanks and line breaks.
+_PLAIN_BYTES = b"0123456789 \t\n\r"
+# Ids of at most this many digits are below 10**18 and fit in int64.
+_PLAIN_DIGITS = 18
+
+
+def _scan_ids(data: bytes) -> np.ndarray | None:
+    """The ids of a plain edge list in file order, or None if the file is
+    not plain.
+
+    Plain means every byte is in ``_PLAIN_BYTES``, every line (split at
+    '\\n' and at '\\r') holds 0 or 2 tokens, and no token is longer than
+    ``_PLAIN_DIGITS``.  On such a file the line loop would raise nothing and
+    read the same ids, so ``load_edge_list`` converts them all at once.
+    """
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # Digits are the only plain bytes >= b"0"; token j spans
+    # [bounds[2j], bounds[2j + 1]).
+    bounds = np.flatnonzero(np.diff(buf >= ord("0"), prepend=False,
+                                    append=False))
+    lengths = bounds[1::2] - bounds[0::2]
+    if len(lengths) % 2 or np.max(lengths, initial=0) > _PLAIN_DIGITS:
+        return None
+    if len(lengths):
+        # Per gap between consecutive tokens, whether it breaks the line:
+        # the gap inside a pair must not, the gap after a pair must.
+        is_break = (buf == ord("\n")) | (buf == ord("\r"))
+        breaks = np.logical_or.reduceat(is_break, bounds[1:-1])[0::2]
+        if breaks[0::2].any() or not breaks[1::2].all():
+            return None
+    return np.array(data.split(), dtype=np.int64)
+
+
+def _line_ids(data: str | bytes) -> np.ndarray:
+    """The ids of an edge list in file order, read line by line: the one
+    source of ``ParseError`` messages and line numbers."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError("invalid UTF-8 byte",
                              data.count(b"\n", 0, exc.start) + 1) from None
-    return data.splitlines()
-
-
-def load_edge_list(source: str | Path | IO) -> tuple[Graph, np.ndarray]:
-    """Parse a whitespace-separated "u v" edge list into a Graph.
-
-    Node ids are integers in [0, 2**63 - 1] and are relabeled densely to
-    [0, n) in ascending original-id order.  Returns the graph and the
-    sorted int64 array of original ids, so node i of the graph is original
-    id ``ids[i]``.  Lines starting with '#' or '%' are comments; blank
-    lines are ignored.  Repeated edges collapse to one and self-loops are
-    dropped.
-
-    Raises
-    ------
-    ParseError
-        On undecodable bytes or a malformed or out-of-range token (with its
-        line number), or when no edges remain ("empty graph").
-    """
-    us: list[int] = []
-    vs: list[int] = []
-    for lineno, raw in enumerate(_decode_lines(source), start=1):
+    ids: list[int] = []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("%"):
             continue
@@ -182,19 +214,39 @@ def load_edge_list(source: str | Path | IO) -> tuple[Graph, np.ndarray]:
             raise ParseError("node ids must be non-negative", lineno)
         if u > _MAX_NODE_ID or v > _MAX_NODE_ID:
             raise ParseError(f"node id exceeds {_MAX_NODE_ID}", lineno)
-        if u != v:
-            us.append(u)
-            vs.append(v)
+        ids += (u, v)
+    return np.array(ids, dtype=np.int64)
 
-    if not us:
-        raise ParseError("empty graph")
 
-    pairs = np.column_stack([np.asarray(us, dtype=np.int64),
-                             np.asarray(vs, dtype=np.int64)])
-    canonical = _canonicalize(pairs)
-    original_ids = np.unique(canonical)
-    dense = np.searchsorted(original_ids, canonical)
-    return _from_canonical_pairs(len(original_ids), dense), original_ids
+def load_edge_list(source: str | Path | IO) -> tuple[Graph, np.ndarray]:
+    """Parse a whitespace-separated "u v" edge list into a Graph.
+
+    Node ids are integers in [0, 2**63 - 1] and are relabeled densely to
+    [0, n) in ascending original-id order.  Returns the graph and the
+    sorted int64 array of original ids, so node i of the graph is original
+    id ``ids[i]``.  Lines starting with '#' or '%' are comments; blank
+    lines are ignored.  Repeated edges collapse to one and self-loops are
+    dropped.
+
+    A path or binary handle whose bytes are a plain edge list (see
+    ``_scan_ids``) is converted in one vectorized pass; any other input,
+    text handles included, goes through the line loop.  Both give the same
+    graph and ids.
+
+    Raises
+    ------
+    ParseError
+        On undecodable bytes or a malformed or out-of-range token (with its
+        line number), or when no edges remain ("empty graph").
+    """
+    if isinstance(source, (str, Path)):
+        data = Path(source).read_bytes()
+    else:
+        data = source.read()
+    ids = _scan_ids(data) if isinstance(data, bytes) else None
+    if ids is None:
+        ids = _line_ids(data)
+    return _relabeled(ids)
 
 
 def write_edge_list(graph: Graph, target: TextIO) -> None:
@@ -224,7 +276,7 @@ def largest_connected_component(graph: Graph) -> tuple[Graph, np.ndarray]:
     new_id[kept] = np.arange(len(kept))
     pairs = graph.edge_pairs()
     mask = (new_id[pairs[:, 0]] >= 0) & (new_id[pairs[:, 1]] >= 0)
-    sub = _from_canonical_pairs(len(kept), new_id[pairs[mask]])
+    sub = _from_pairs(len(kept), *new_id[pairs[mask]].T)
     return sub, kept
 
 
@@ -263,7 +315,7 @@ def generate_sbm(blocks: int, block_size: int, p_in: float, p_out: float,
         same = (iu // block_size) == (ju // block_size)
         keep = rng.random(len(iu)) < np.where(same, p_in, p_out)
         kept.append(np.column_stack([iu[keep], ju[keep]]))
-    graph = _from_canonical_pairs(n, np.concatenate(kept))
+    graph = _from_pairs(n, *np.concatenate(kept).T)
     planted = Membership(np.arange(n, dtype=np.int64) // block_size, blocks)
     return graph, planted
 

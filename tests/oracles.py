@@ -16,7 +16,6 @@ from specsumm import (AscentTrace, EigenBasis, Graph, KmeansConfig,
                       Membership, OcsaConfig, ParameterError, SkewDirection,
                       Summary, build_summary, gradient, kmeans, skew_direction,
                       stiefel, trace_objective_relaxed)
-from specsumm.graph import _from_canonical_pairs
 from specsumm.kmeans import _kmeanspp, _sq_dists
 from specsumm.queries import _pair_matrix
 from specsumm.rng import make_generator
@@ -93,6 +92,39 @@ def skew_dense(W: SkewDirection) -> np.ndarray:
     return W.left @ W.right.T - W.right @ W.left.T
 
 
+def canonicalize_reference(pairs: np.ndarray) -> np.ndarray:
+    """Unique undirected pairs in (min, max) form, lexicographically sorted,
+    by a row-wise ``np.unique``."""
+    if pairs.size == 0:
+        return pairs.reshape(0, 2)
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    return np.unique(np.column_stack([lo, hi]), axis=0)
+
+
+def graph_from_canonical_reference(n: int, pairs: np.ndarray) -> Graph:
+    """CSR from unique (u < v) pairs by a two-key ``lexsort`` of both
+    orientations."""
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(src, minlength=n))
+    return Graph(node_count=n, edge_count=len(pairs),
+                 indptr=indptr, indices=dst.astype(np.int64))
+
+
+def relabeled_graph_reference(pairs: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """``load_edge_list``'s graph and ids from its (u, v) pairs, self-loops
+    included: canonical pairs first, then ids by ``searchsorted``."""
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    canonical = canonicalize_reference(pairs)
+    ids = np.unique(canonical)
+    dense = np.searchsorted(ids, canonical)
+    return graph_from_canonical_reference(len(ids), dense), ids
+
+
 def generate_sbm_reference(blocks: int, block_size: int, p_in: float,
                            p_out: float, seed: int | None
                            ) -> tuple[Graph, Membership]:
@@ -104,7 +136,8 @@ def generate_sbm_reference(blocks: int, block_size: int, p_in: float,
     thresholds = np.where(same, p_in, p_out)
     draws = make_generator(seed).random(len(iu))
     keep = draws < thresholds
-    graph = _from_canonical_pairs(n, np.column_stack([iu[keep], ju[keep]]))
+    graph = graph_from_canonical_reference(
+        n, np.column_stack([iu[keep], ju[keep]]))
     planted = Membership(np.arange(n, dtype=np.int64) // block_size, blocks)
     return graph, planted
 

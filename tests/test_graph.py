@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -11,7 +12,10 @@ from specsumm import (Graph, ParameterError, ParseError, adjacency_trace_sq,
                       largest_connected_component, load_edge_list,
                       write_edge_list)
 
-from oracles import generate_sbm_reference, random_graph, to_networkx
+from oracles import (canonicalize_reference, generate_sbm_reference,
+                     graph_from_canonical_reference, random_graph,
+                     relabeled_graph_reference, to_networkx)
+from test_fuzz import edge_bytes
 
 
 class TestLoadEdgeList:
@@ -93,6 +97,140 @@ class TestLoadEdgeList:
         pairs = {tuple(e) for e in graph.edge_pairs().tolist()}
         for u, v in reloaded.edge_pairs().tolist():
             assert (back[u], back[v]) in pairs or (back[v], back[u]) in pairs
+
+
+def _outcome(data: bytes):
+    """What ``load_edge_list`` makes of ``data``: CSR arrays and ids as
+    lists, or the ParseError text."""
+    try:
+        graph, ids = load_edge_list(io.BytesIO(data))
+    except ParseError as exc:
+        return str(exc)
+    return graph.indptr.tolist(), graph.indices.tolist(), ids.tolist()
+
+
+def _line_loop_outcome(data: bytes):
+    """``_outcome`` with the vectorized route switched off."""
+    with mock.patch.object(graph_module, "_scan_ids", return_value=None):
+        return _outcome(data)
+
+
+def _count_line_loops(source) -> int:
+    with mock.patch.object(graph_module, "_line_ids",
+                           wraps=graph_module._line_ids) as line_ids:
+        load_edge_list(source)
+    return line_ids.call_count
+
+
+_BLANKS = st.text(alphabet=" \t", max_size=3)
+# Ids from 18 to 20 digits: the vectorized route's limit, int64's, and past it.
+_EDGE_IDS = (10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**63, 2**63 + 9)
+
+
+@st.composite
+def _well_formed_edge_lists(draw) -> tuple[bytes, list[tuple[int, int]]]:
+    """Edge lists without comments or bad token counts: runs of blanks,
+    mixed line ends, blank lines, leading zeros, ids up to 2**63 + 9 and
+    self-loops; returns the bytes and the pairs written."""
+    top = draw(st.sampled_from([9, 10**6, 10**18 - 1, 2**63 + 9]))
+    edge_ids = [x for x in (top, *_EDGE_IDS) if x <= top]
+    ids = st.one_of(st.integers(0, top), st.sampled_from(edge_ids))
+    zeros = st.integers(0, draw(st.integers(0, 2)))
+    only_self_loops = draw(st.booleans())
+    pairs, lines = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_BLANKS))
+            continue
+        u = draw(ids)
+        v = u if only_self_loops else draw(st.one_of(st.just(u), ids))
+        pairs.append((u, v))
+        u_text, v_text = ("0" * draw(zeros) + str(x) for x in (u, v))
+        sep = draw(st.text(alphabet=" \t", min_size=1, max_size=3))
+        lines.append(draw(_BLANKS) + u_text + sep + v_text + draw(_BLANKS))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[:-len(ends[-1])]  # no final line end
+    return text.encode("ascii"), pairs
+
+
+class TestIngestRoutes:
+    """The vectorized route and the line loop read every input alike."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_well_formed_edge_lists())
+    def test_well_formed_lists_agree(self, case):
+        data, pairs = case
+        outcome = _outcome(data)
+        assert outcome == _line_loop_outcome(data)
+        # Both also match the row-wise unique and lexsort references.
+        if any(max(pair) > 2**63 - 1 for pair in pairs):
+            assert "exceeds" in outcome
+        elif all(u == v for u, v in pairs):
+            assert outcome == "empty graph"
+        else:
+            graph, ids = relabeled_graph_reference(
+                np.array(pairs, dtype=np.int64))
+            assert outcome == (graph.indptr.tolist(), graph.indices.tolist(),
+                               ids.tolist())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(edge_bytes)
+    def test_fuzz_corpus_agrees(self, data):
+        assert _outcome(data) == _line_loop_outcome(data)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.text(alphabet="0123 \t\r\n", max_size=40).map(str.encode))
+    def test_plain_bytes_agree(self, data):
+        # Only plain bytes, in any order: lines of any token count.
+        assert _outcome(data) == _line_loop_outcome(data)
+
+    def test_sbm_file_takes_vectorized_route(self):
+        # refine-mid's shape: 40 blocks of 100, 12 neighbours inside the
+        # block and 3 across.
+        graph, _ = generate_sbm(40, 100, 12 / 99, 3 / 3900, seed=1)
+        text = io.StringIO()
+        write_edge_list(graph, text)
+        data = text.getvalue().encode()
+        assert _count_line_loops(io.BytesIO(data)) == 0
+        outcome = _outcome(data)
+        assert outcome == _line_loop_outcome(data)
+        want, ids = relabeled_graph_reference(graph.edge_pairs())
+        assert outcome == (want.indptr.tolist(), want.indices.tolist(),
+                           ids.tolist())
+
+    def test_crlf_file_with_header_takes_line_loop(self):
+        plain = b"0 1\n1 2\n2 0\n2 3\n"
+        crlf = b"# header\r\n" + plain.replace(b"\n", b"\r\n")
+        assert _count_line_loops(io.BytesIO(crlf)) == 1
+        assert _count_line_loops(io.BytesIO(plain)) == 0
+        assert _outcome(crlf) == _outcome(plain)
+
+    def test_text_handles_take_line_loop(self):
+        assert _count_line_loops(io.StringIO("0 1\n1 2\n")) == 1
+
+
+class TestFromPairs:
+    def test_single_key_csr_matches_lexsort_reference(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(2, 60))
+            pairs = rng.integers(0, n, size=(int(rng.integers(0, 300)), 2))
+            pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+            graph = Graph.from_edges(n, pairs)
+            want = graph_from_canonical_reference(
+                n, canonicalize_reference(pairs))
+            assert graph.edge_count == want.edge_count
+            assert np.array_equal(graph.indptr, want.indptr)
+            assert np.array_equal(graph.indices, want.indices)
+            assert graph.indices.dtype == np.int64
+
+    def test_pair_key_cannot_overflow(self):
+        # The largest key is (n - 1)·n + (n - 1) = n² − 1.
+        most = graph_module._MAX_NODES
+        assert most**2 - 1 <= np.iinfo(np.int64).max < (most + 1)**2 - 1
+        with pytest.raises(ParameterError, match="node_count"):
+            Graph.from_edges(most + 1, [(0, most)])
 
 
 class TestGraphStructure:
