@@ -37,8 +37,9 @@ from .graph import (Graph, adjacency_trace_sq, generate_sbm,
 from .queries import exact_triangles, expected_triangles
 from .spectral import lm_eigs
 from .stiefel import AscentTrace, OcsaConfig, ocsa, random_orthonormal_init
-from .summary import (Membership, ReassignConfig, Summary, build_summary,
-                      objective_integer, specsumm)
+from .summary import (Membership, ReassignConfig, Summary,
+                      _objective_from_counts, _summary_from_counts, specsumm,
+                      supernode_edge_counts)
 
 __all__ = ["SummaryFile", "read_summary_file", "write_trace", "main"]
 
@@ -242,19 +243,22 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     graph, _ = _load_graph(args.graph)
+    load_seconds = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     stored = read_summary_file(args.summary)
     if stored.n != graph.node_count:
         raise ParameterError(f"summary is for n={stored.n}, "
                              f"graph has n={graph.node_count}")
-    load_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     summary = stored.to_summary()
-    recomputed = build_summary(graph, summary.membership)
+    membership = summary.membership
+    # One count of the supernode edges gives both the densities and F.
+    counts = supernode_edge_counts(graph, membership)
+    recomputed = _summary_from_counts(membership, counts)
     drift = float(np.max(np.abs(summary.density - recomputed.density),
                          initial=0.0))
     payload = _metrics(graph, recomputed,
-                       objective_integer(graph, summary.membership))
+                       _objective_from_counts(counts, membership.sizes))
     payload["density_drift_max"] = drift
     payload["density_drift"] = drift > 1e-9
     payload["seconds"] = {"load": load_seconds,

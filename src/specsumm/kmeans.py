@@ -1,14 +1,17 @@
 """Mini-batch k-means over embedding rows.
 
-Sculley-style streaming updates with kmeans++ seeding.  The output never
-leaves a cluster empty (downstream summaries need every group inhabited)
-and never costs more than the seeding it started from.
+Sculley-style running-mean updates with kmeans++ seeding.  The output
+never leaves a cluster empty (downstream summaries need every group
+inhabited) and never costs more than the seeding it started from.
 
-Nearest-centroid search is screened: one GEMM gives every squared
-distance as ‖x‖² − 2x·c + ‖c‖² with a rigorous forward-error bound, and
-only rows where the bound cannot name a single winner are recomputed with
-the exact blocked difference form, ``_sq_dists``.  The result is the
-argmin of ``_sq_dists`` bit for bit, whatever the BLAS thread count.
+Points are taken as one row-major float64 array whatever layout the
+caller passes, so every distance sums its d squares in one order and the
+results do not depend on the input's memory order.  Nearest-centroid
+search is screened: one GEMM gives every squared distance as
+‖x‖² − 2x·c + ‖c‖² with a rigorous forward-error bound, and only rows
+where the bound cannot name a single winner are recomputed with the exact
+blocked difference form, ``_sq_dists``.  The result is the argmin of
+``_sq_dists`` bit for bit, whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def _as_points(points: np.ndarray) -> np.ndarray:
         pts = pts[:, None]
     if not np.all(np.isfinite(pts)):
         raise ParameterError("points must be finite")
-    return pts
+    return np.ascontiguousarray(pts)
 
 
 # Rows per block of _sq_dists: the difference tensor stays at
@@ -60,8 +63,9 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-# Rows per screened block of _nearest: a multiple of _DIST_BLOCK, so the
-# exact recomputation of a row takes its whole _sq_dists block.
+# Rows per screened block of _nearest, and per block of
+# _assigned_sq_dists: a multiple of _DIST_BLOCK, so the exact
+# recomputation of a row takes its whole _sq_dists block.
 _SCREEN_BLOCK = 8 * _DIST_BLOCK
 
 # The GEMM form and _sq_dists each lie within γ_{d+2}·(‖x‖ + ‖c‖)² of the
@@ -114,65 +118,45 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def _assigned_sq_dists(points: np.ndarray, centroids: np.ndarray,
                        assign: np.ndarray) -> np.ndarray:
-    """Entry (i, assign[i]) of ``_sq_dists(points, centroids)``, bit for bit.
-
-    The difference rows are laid out in the memory order of the point rows
-    and taken over the same row blocks, because that order decides how
-    einsum sums the squares in ``_sq_dists``.
-    """
+    """Entry (i, assign[i]) of ``_sq_dists(points, centroids)``, bit for bit,
+    taken in row blocks so the differences stay at _SCREEN_BLOCK rows."""
     out = np.empty(len(points))
-    for start in range(0, len(points), _DIST_BLOCK):
-        rows = slice(start, start + _DIST_BLOCK)
-        diff = np.empty_like(points[rows])
-        np.subtract(points[rows], centroids[assign[rows]], out=diff)
+    for start in range(0, len(points), _SCREEN_BLOCK):
+        rows = slice(start, start + _SCREEN_BLOCK)
+        diff = points[rows] - centroids[assign[rows]]
         out[rows] = np.einsum("nd,nd->n", diff, diff)
     return out
 
 
-def _replay_batch(centroids: np.ndarray, counts: np.ndarray,
+def _update_batch(centroids: np.ndarray, counts: np.ndarray,
                   batch: np.ndarray, nearest: np.ndarray) -> None:
-    """Sculley's streaming update of a batch, in per-rank rounds.
+    """Sculley's update of a batch, in closed form.
 
-    Round r applies the r-th hit of every cluster at once, so each centroid
-    sees its own samples in batch order with learning rate 1/(samples it
-    has absorbed so far): the same sequence of operations, and the same
-    bits, as replaying the batch one sample at a time.  Once only one
-    cluster has hits left, its remaining samples are applied row by row.
-    Updates both arrays in place.
+    A centroid c that has absorbed ``count`` samples and is nearest to h
+    batch rows moves to c + (Σ rows − h·c)/(count + h): in exact
+    arithmetic, the running mean that h one-sample steps of rate
+    1/(samples absorbed so far) reach.  One flat ``bincount`` sums each
+    cluster's rows in batch order, without BLAS, so the bits do not depend
+    on the thread count.  Updates both arrays in place.
     """
-    # Position of each hit among its cluster's hits, in batch order.
-    order = np.argsort(nearest, kind="stable")
-    hits = np.bincount(nearest, minlength=len(centroids))
-    rank = np.arange(len(order)) - (np.cumsum(hits) - hits)[nearest[order]]
-    by_rank = np.argsort(rank, kind="stable")
-    order, rank = order[by_rank], rank[by_rank]
-    clusters = nearest[order]
-    samples = batch[order]
-    absorbed = (counts[clusters] + rank + 1)[:, None]
-    sizes = np.bincount(rank)
-    # Rounds shrink as clusters run out of hits; from the first round of
-    # size one on, every round updates the most-hit cluster alone, so that
-    # tail runs on one row view instead of one gather/scatter per round.
-    tail = int(np.searchsorted(-sizes, -1))
-    start = 0
-    for stop in np.cumsum(sizes[:tail]):
-        cl = clusters[start:stop]
-        moved = centroids[cl]
-        moved += (samples[start:stop] - moved) / absorbed[start:stop]
-        centroids[cl] = moved
-        start = stop
-    if start < len(order):
-        row = centroids[clusters[start]]
-        for sample, rate in zip(samples[start:], absorbed[start:]):
-            row += (sample - row) / rate
+    k, d = centroids.shape
+    hits = np.bincount(nearest, minlength=k)
+    slots = (nearest * d)[:, None] + np.arange(d)
+    sums = np.bincount(slots.ravel(), weights=batch.ravel(),
+                       minlength=k * d).reshape(k, d)
     counts += hits
+    hit = np.flatnonzero(hits)
+    centroids[hit] += ((sums[hit] - hits[hit, None] * centroids[hit])
+                       / counts[hit, None])
 
 
 def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(points)
+    # Every point against the one newest centroid.
+    to_newest = np.zeros(n, dtype=np.int64)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    best = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    best = _assigned_sq_dists(points, points[chosen[:1]], to_newest)
     for j in range(1, k):
         total = best.sum()
         if total > 0:
@@ -182,7 +166,8 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             # fall back to a uniform draw.
             idx = rng.integers(n)
         chosen[j] = idx
-        best = np.minimum(best, np.sum((points - points[idx]) ** 2, axis=1))
+        np.minimum(best, _assigned_sq_dists(points, points[[idx]], to_newest),
+                   out=best)
     return points[chosen].copy()
 
 
@@ -236,10 +221,8 @@ def minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig | None = N
     """Cluster points into k groups with mini-batch updates.
 
     Each iteration draws a batch, assigns it to the nearest centroids, then
-    moves each hit centroid toward each of its samples, in batch order,
-    with learning rate 1/(samples it has absorbed so far).  The replay runs
-    in per-rank rounds: round r updates every cluster's r-th hit at once,
-    which gives the same bits as a one-sample-at-a-time loop.  Every
+    moves each hit centroid to the running mean of every sample it has
+    absorbed, the batch's in one closed-form step (``_update_batch``).  Every
     nearest-centroid search, per batch and in the final passes, is the
     GEMM screen of ``_nearest`` with its exact fallback, so it returns the
     argmin of the exact distances.  A final full pass defines the returned
@@ -262,7 +245,7 @@ def minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig | None = N
     for _ in range(_MAX_ITERATIONS):
         batch_idx = rng.integers(0, n, size=_BATCH_SIZE)
         batch = pts[batch_idx]
-        _replay_batch(centroids, counts, batch, _nearest(batch, centroids))
+        _update_batch(centroids, counts, batch, _nearest(batch, centroids))
 
     trained = _assign_with_repair(pts, centroids)
     seeded = _assign_with_repair(pts, initial)

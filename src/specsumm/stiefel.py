@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .graph import Graph
+from .rng import make_generator
 
 __all__ = [
     "OcsaConfig",
@@ -271,8 +272,6 @@ def random_orthonormal_init(n: int, k: int, seed: int | None) -> np.ndarray:
     The QR sign ambiguity is fixed (positive R diagonal) so a seed pins
     the result bit-for-bit.
     """
-    from .rng import make_generator
-
     if k > n:
         raise ParameterError(f"k={k} exceeds n={n}")
     if k < 1:

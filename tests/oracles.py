@@ -16,7 +16,7 @@ from specsumm import (AscentTrace, EigenBasis, Graph, KmeansConfig,
                       Membership, OcsaConfig, ParameterError, SkewDirection,
                       Summary, build_summary, gradient, kmeans, skew_direction,
                       stiefel, trace_objective_relaxed)
-from specsumm.kmeans import _kmeanspp, _sq_dists
+from specsumm.kmeans import _sq_dists
 from specsumm.queries import _pair_matrix
 from specsumm.rng import make_generator
 from specsumm.spectral import _DENSE_LIMIT, _dense_basis
@@ -255,6 +255,37 @@ def minibatch_replay(centroids: np.ndarray, counts: np.ndarray,
         centroids[cluster] += (sample - centroids[cluster]) / counts[cluster]
 
 
+def minibatch_running_mean(centroids: np.ndarray, counts: np.ndarray,
+                           batch: np.ndarray, nearest: np.ndarray) -> None:
+    """The batch's running-mean update, one cluster at a time: each hit
+    cluster's members are summed row by row in batch order, and its
+    centroid c with h hits moves to c + (sum − h·c)/(count + h).  Updates
+    both arrays in place."""
+    for cluster in np.unique(nearest):
+        members = batch[nearest == cluster]
+        total = np.zeros(batch.shape[1])
+        for row in members:
+            total += row
+        hits = len(members)
+        counts[cluster] += hits
+        centroids[cluster] += ((total - hits * centroids[cluster])
+                               / counts[cluster])
+
+
+def kmeanspp_reference(points: np.ndarray, k: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """kmeans++ draws with each point's D² read off the full exact distance
+    matrix ``_sq_dists`` to every centroid chosen so far."""
+    n = len(points)
+    chosen = [rng.integers(n)]
+    for _ in range(1, k):
+        best = np.min(_sq_dists(points, points[chosen]), axis=1)
+        total = best.sum()
+        chosen.append(rng.choice(n, p=best / total) if total > 0
+                      else rng.integers(n))
+    return points[chosen].copy()
+
+
 def assign_with_repair_reference(points: np.ndarray, centroids: np.ndarray
                                  ) -> tuple[np.ndarray, np.ndarray, float]:
     """Nearest-centroid assignment with empty-cluster repair, each pass
@@ -287,18 +318,20 @@ def assign_with_repair_reference(points: np.ndarray, centroids: np.ndarray
 def minibatch_kmeans_reference(
         points: np.ndarray, k: int,
         config: KmeansConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Mini-batch k-means with every batch assigned by the argmin of the
-    full exact distance matrix and replayed one sample at a time, then
-    both final passes through ``assign_with_repair_reference``.  The batch
-    count and size are the package's, read at call time."""
+    """Mini-batch k-means on the row-major copy of the points, seeded by
+    ``kmeanspp_reference``, with every batch assigned by the argmin of the
+    full exact distance matrix and updated by ``minibatch_running_mean``,
+    then both final passes through ``assign_with_repair_reference``.  The
+    batch count and size are the package's, read at call time."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
     rng = make_generator(config.seed)
-    initial = _kmeanspp(points, k, rng)
+    initial = kmeanspp_reference(points, k, rng)
     centroids = initial.copy()
     counts = np.zeros(k, dtype=np.int64)
     for _ in range(kmeans._MAX_ITERATIONS):
         batch = points[rng.integers(0, len(points), size=kmeans._BATCH_SIZE)]
         nearest = np.argmin(_sq_dists(batch, centroids), axis=1)
-        minibatch_replay(centroids, counts, batch, nearest)
+        minibatch_running_mean(centroids, counts, batch, nearest)
     trained = assign_with_repair_reference(points, centroids)
     seeded = assign_with_repair_reference(points, initial)
     return trained if trained[2] <= seeded[2] else seeded

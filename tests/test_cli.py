@@ -3,14 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import specsumm
-from specsumm import Membership, build_summary, generate_sbm, write_edge_list
+from specsumm import (Membership, build_summary, generate_sbm, objective_integer,
+                      write_edge_list)
 from specsumm import cli
+from specsumm import summary as summary_module
 from specsumm.cli import SummaryFile, main, read_summary_file
 
 TWO_TRIANGLES = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
@@ -150,6 +153,52 @@ class TestEvaluate:
         assert evaluated["L"] == made["L"]
         assert evaluated["density_drift"] is False
         assert evaluated["density_drift_max"] == 0.0
+
+    def test_edges_counted_once(self, tmp_path, capsys, monkeypatch):
+        graph, _ = generate_sbm(6, 25, 0.3, 0.15, seed=8)
+        graph_path = tmp_path / "sbm.txt"
+        with open(graph_path, "w") as handle:
+            write_edge_list(graph, handle)
+        out = tmp_path / "s.json"
+        _run(capsys, ["summarize", str(graph_path), "--k", "6", "--seed", "2",
+                      "--out", str(out)])
+        calls = []
+        counter = summary_module.supernode_edge_counts
+
+        def counted(g, membership):
+            calls.append(membership.k)
+            return counter(g, membership)
+
+        monkeypatch.setattr(summary_module, "supernode_edge_counts", counted)
+        monkeypatch.setattr(cli, "supernode_edge_counts", counted)
+        code, report = _run(capsys, ["evaluate", str(graph_path), str(out)])
+        monkeypatch.undo()
+        assert code == 0
+        assert calls == [6]
+        stored = read_summary_file(out).to_summary()
+        rebuilt = build_summary(graph, stored.membership)
+        assert report["F"] == objective_integer(graph, stored.membership)
+        assert report["triangles_estimate"] == cli.expected_triangles(
+            rebuilt).expected
+        assert report["density_drift_max"] == float(
+            np.max(np.abs(stored.density - rebuilt.density)))
+
+    def test_load_seconds_time_the_graph_alone(self, tmp_path, graph_file,
+                                              capsys, monkeypatch):
+        out = str(tmp_path / "s.json")
+        _run(capsys, ["summarize", graph_file, "--k", "2", "--seed", "0",
+                      "--out", out])
+        reader = cli.read_summary_file
+
+        def slow_read(path):
+            time.sleep(0.3)
+            return reader(path)
+
+        monkeypatch.setattr(cli, "read_summary_file", slow_read)
+        code, report = _run(capsys, ["evaluate", graph_file, out])
+        assert code == 0
+        assert report["seconds"]["load"] < 0.3
+        assert report["seconds"]["evaluate"] >= 0.3
 
     def test_wrong_graph_size(self, tmp_path, graph_file, capsys):
         out = str(tmp_path / "s.json")

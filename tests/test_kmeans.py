@@ -3,15 +3,20 @@ import warnings
 import numpy as np
 import pytest
 
-from specsumm import (KmeansConfig, ParameterError, kmeans_cost, kmeanspp_init,
-                      minibatch_kmeans, random_orthonormal_init)
+from specsumm import (KmeansConfig, ParameterError, generate_sbm, kmeans_cost,
+                      kmeanspp_init, lm_eigs, minibatch_kmeans,
+                      random_orthonormal_init)
 from specsumm import kmeans
 from specsumm.kmeans import (_DIST_BLOCK, _assign_with_repair,
-                             _assigned_sq_dists, _nearest, _replay_batch,
-                             _sq_dists)
+                             _assigned_sq_dists, _nearest, _sq_dists,
+                             _update_batch)
 
 from oracles import (all_memberships, assign_with_repair_reference,
-                     minibatch_kmeans_reference, minibatch_replay)
+                     minibatch_kmeans_reference, minibatch_replay,
+                     minibatch_running_mean)
+
+# The private helpers take the row-major points that _as_points hands
+# them; the public functions take any layout.
 
 
 def _layouts(points):
@@ -130,14 +135,23 @@ class TestMinibatchKmeans:
 
 
 class TestReplayBatch:
-    """Per-rank rounds against the one-sample-at-a-time loop, bit for bit."""
+    """The closed-form batch update against the per-cluster oracle, bit for
+    bit, and against the one-sample-at-a-time loop, within rounding."""
 
     def _compare(self, centroids, counts, batch, nearest):
-        expected = (centroids.copy(), counts.copy())
-        minibatch_replay(*expected, batch, nearest)
-        _replay_batch(centroids, counts, batch, nearest)
-        assert np.array_equal(centroids, expected[0])
-        assert np.array_equal(counts, expected[1])
+        oracle = (centroids.copy(), counts.copy())
+        minibatch_running_mean(*oracle, batch, nearest)
+        loop = (centroids.copy(), counts.copy())
+        minibatch_replay(*loop, batch, nearest)
+        scale = max(np.max(np.abs(centroids)), np.max(np.abs(batch)))
+        _update_batch(centroids, counts, batch, nearest)
+        assert np.array_equal(centroids, oracle[0])
+        assert np.array_equal(counts, oracle[1])
+        assert np.array_equal(counts, loop[1])
+        # The loop rounds at every sample; both stay within a few units of
+        # rounding of the largest magnitude involved (3 at most seen).
+        np.testing.assert_allclose(centroids, loop[0], rtol=0,
+                                   atol=64 * 2.0 ** -53 * scale)
 
     def test_matches_per_sample_loop(self, rng):
         for _ in range(30):
@@ -155,13 +169,12 @@ class TestReplayBatch:
                       batch, np.full(300, 2))
 
     def test_full_batch_on_one_cluster(self, rng):
-        # Every round holds the same single cluster: the row-by-row tail.
         batch = rng.standard_normal((1024, 40))
         self._compare(rng.standard_normal((40, 40)),
                       rng.integers(0, 50, size=40), batch, np.full(1024, 17))
 
     def test_tail_after_shared_rounds(self, rng):
-        # Two clusters share the first rounds, then one runs on alone.
+        # Two clusters with very unequal hit counts.
         nearest = np.concatenate([np.zeros(30, np.int64),
                                   np.full(500, 3, np.int64)])
         rng.shuffle(nearest)
@@ -199,9 +212,9 @@ class TestNearest:
         for k in (1, 2, 40):
             for n in (1, 127, 128, 129, 1024):
                 centroids = rng.standard_normal((k, d))
-                for points in _layouts(rng.standard_normal((n, d))):
-                    assert np.array_equal(_nearest(points, centroids),
-                                          self._exact(points, centroids))
+                points = rng.standard_normal((n, d))
+                assert np.array_equal(_nearest(points, centroids),
+                                      self._exact(points, centroids))
 
     def test_duplicated_centroids_go_to_lowest_index(self, rng):
         distinct = rng.standard_normal((3, 5))
@@ -252,18 +265,16 @@ class TestNearest:
             warnings.simplefilter("error")
             assert np.array_equal(_nearest(points, centroids), exact)
 
-    def test_rounding_ties_follow_the_point_layout(self, rng):
+    def test_rounding_ties_take_the_exact_path(self, rng):
         # Centroid 1 swaps centroid 0's coordinate pairs and every point is
         # equal within each pair, so both distances sum the same squares in
-        # another order: rounding alone separates them.  einsum's summation
-        # order follows the memory order of the points, so the recomputed
-        # rows must come from _sq_dists blocks of the same layout.
+        # another order: rounding alone separates them, and only the
+        # recomputed _sq_dists rows can order them as _sq_dists does.
         c0 = rng.standard_normal(40)
         centroids = np.vstack([c0, c0.reshape(20, 2)[:, ::-1].ravel()])
-        pairs = np.repeat(rng.standard_normal((1000, 20)), 2, axis=1)
-        for points in _layouts(pairs):
-            assert np.array_equal(_nearest(points, centroids),
-                                  self._exact(points, centroids))
+        points = np.repeat(rng.standard_normal((1000, 20)), 2, axis=1)
+        assert np.array_equal(_nearest(points, centroids),
+                              self._exact(points, centroids))
 
     def test_orthonormal_embedding_needs_no_fallback(self, monkeypatch):
         # The slack must stay tight enough that an embedding like the
@@ -299,28 +310,26 @@ class TestAssignWithRepair:
     def test_random_points(self, rng):
         for n, d, k in ((5, 1, 3), (2 * _DIST_BLOCK + 1, 7, 9),
                         (1500, 40, 40)):
-            centroids = rng.standard_normal((k, d))
-            for points in _layouts(rng.standard_normal((n, d))):
-                self._compare(points, centroids)
+            self._compare(rng.standard_normal((n, d)),
+                          rng.standard_normal((k, d)))
 
     def test_duplicate_points_force_repairs(self, rng):
         for seed in range(10):
             local = np.random.default_rng(seed)
-            distinct = local.standard_normal((4, 3))
-            for points in _layouts(np.repeat(distinct, 70, axis=0)):
-                centroids = local.standard_normal((9, 3))
-                _, repaired, _ = self._compare(points, centroids)
-                assert not np.array_equal(repaired, centroids)
+            points = np.repeat(local.standard_normal((4, 3)), 70, axis=0)
+            centroids = local.standard_normal((9, 3))
+            _, repaired, _ = self._compare(points, centroids)
+            assert not np.array_equal(repaired, centroids)
 
     def test_assigned_distances_match_matrix_entries(self, rng):
-        for n in (1, _DIST_BLOCK, 2 * _DIST_BLOCK + 1, 3 * _DIST_BLOCK + 17):
+        for n in (1, _DIST_BLOCK, 2 * _DIST_BLOCK + 1, 3 * _DIST_BLOCK + 17,
+                  kmeans._SCREEN_BLOCK + 1):
             centroids = rng.standard_normal((6, 33))
             assign = rng.integers(0, 6, size=n)
-            for points in _layouts(rng.standard_normal((n, 33))):
-                full = _sq_dists(points, centroids)
-                assert np.array_equal(_assigned_sq_dists(points, centroids,
-                                                         assign),
-                                      full[np.arange(n), assign])
+            points = rng.standard_normal((n, 33))
+            full = _sq_dists(points, centroids)
+            assert np.array_equal(_assigned_sq_dists(points, centroids, assign),
+                                  full[np.arange(n), assign])
 
 
 def test_minibatch_kmeans_matches_reference(rng, monkeypatch):
@@ -334,6 +343,27 @@ def test_minibatch_kmeans_matches_reference(rng, monkeypatch):
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             assert got[2] == want[2]
+
+
+def test_public_functions_ignore_point_layout():
+    # An lm embedding arrives column-major.  Among seeds 1-10, seed 4's
+    # cost rounds differently when the d squares of each distance are
+    # summed in column-major order, so every layout must be summed as one.
+    graph, _ = generate_sbm(40, 100, 0.3, 0.01, 1)
+    embedding = lm_eigs(graph, 40, seed=1).vectors
+    layouts = _layouts(embedding)
+    for seed in range(1, 11):
+        runs = [minibatch_kmeans(p, 40, KmeansConfig(seed=seed))
+                for p in layouts]
+        assign, centroids, cost = runs[0]
+        seeding = kmeanspp_init(layouts[0], 40, seed)
+        for points, (got_assign, got_centroids, got_cost) in zip(layouts,
+                                                                 runs):
+            assert np.array_equal(got_assign, assign)
+            assert np.array_equal(got_centroids, centroids)
+            assert got_cost == cost
+            assert kmeans_cost(points, centroids, assign) == cost
+            assert np.array_equal(kmeanspp_init(points, 40, seed), seeding)
 
 
 class TestKmeansCost:
