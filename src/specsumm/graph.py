@@ -7,6 +7,7 @@ small linear-algebra kernels the optimizers are built on.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -189,6 +190,13 @@ def _scan_ids(data: bytes) -> np.ndarray | None:
     return np.array(data.split(), dtype=np.int64)
 
 
+# Leading comment lines the vectorized route skips: '#' or '%' first, then
+# printable ASCII or tabs only, ended by '\n' or '\r\n'.  No such line holds
+# a line break of the line loop's own (str.splitlines), so the loop would
+# read the same lines after them and no ids from them.
+_COMMENT_HEADER = re.compile(rb"(?:[#%][\t\x20-\x7e]*\r?\n)*")
+
+
 def _line_ids(data: str | bytes) -> np.ndarray:
     """The ids of an edge list in file order, read line by line: the one
     source of ``ParseError`` messages and line numbers."""
@@ -229,9 +237,10 @@ def load_edge_list(source: str | Path | IO) -> tuple[Graph, np.ndarray]:
     dropped.
 
     A path or binary handle whose bytes are a plain edge list (see
-    ``_scan_ids``) is converted in one vectorized pass; any other input,
-    text handles included, goes through the line loop.  Both give the same
-    graph and ids.
+    ``_scan_ids``), possibly after a header of comment lines (see
+    ``_COMMENT_HEADER``), is converted in one vectorized pass; any other
+    input, text handles included, goes through the line loop.  Both give
+    the same graph and ids.
 
     Raises
     ------
@@ -243,7 +252,9 @@ def load_edge_list(source: str | Path | IO) -> tuple[Graph, np.ndarray]:
         data = Path(source).read_bytes()
     else:
         data = source.read()
-    ids = _scan_ids(data) if isinstance(data, bytes) else None
+    ids = None
+    if isinstance(data, bytes):
+        ids = _scan_ids(data[_COMMENT_HEADER.match(data).end():])
     if ids is None:
         ids = _line_ids(data)
     return _relabeled(ids)

@@ -117,13 +117,16 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _assigned_sq_dists(points: np.ndarray, centroids: np.ndarray,
-                       assign: np.ndarray) -> np.ndarray:
+                       assign: np.ndarray | None = None) -> np.ndarray:
     """Entry (i, assign[i]) of ``_sq_dists(points, centroids)``, bit for bit,
-    taken in row blocks so the differences stay at _SCREEN_BLOCK rows."""
+    taken in row blocks so the differences stay at _SCREEN_BLOCK rows.
+    Without ``assign``, centroids is one row that every point is measured
+    against by broadcasting, with the same bits as an all-zero assignment."""
     out = np.empty(len(points))
     for start in range(0, len(points), _SCREEN_BLOCK):
         rows = slice(start, start + _SCREEN_BLOCK)
-        diff = points[rows] - centroids[assign[rows]]
+        diff = points[rows] - (centroids if assign is None
+                               else centroids[assign[rows]])
         out[rows] = np.einsum("nd,nd->n", diff, diff)
     return out
 
@@ -152,11 +155,9 @@ def _update_batch(centroids: np.ndarray, counts: np.ndarray,
 
 def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(points)
-    # Every point against the one newest centroid.
-    to_newest = np.zeros(n, dtype=np.int64)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    best = _assigned_sq_dists(points, points[chosen[:1]], to_newest)
+    best = _assigned_sq_dists(points, points[chosen[:1]])
     for j in range(1, k):
         total = best.sum()
         if total > 0:
@@ -166,7 +167,7 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             # fall back to a uniform draw.
             idx = rng.integers(n)
         chosen[j] = idx
-        np.minimum(best, _assigned_sq_dists(points, points[[idx]], to_newest),
+        np.minimum(best, _assigned_sq_dists(points, points[[idx]]),
                    out=best)
     return points[chosen].copy()
 

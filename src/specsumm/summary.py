@@ -166,46 +166,74 @@ class ReassignMove(NamedTuple):
     objective: float
 
 
-def _move_deltas(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
-                 a: int) -> np.ndarray:
-    """Change in F when one node moves from group a to each group b.
+# Sampled nodes evaluated per pass of _reassign, capped so each (B, k, k)
+# temporary of _block_move_deltas stays within _BLOCK_FLOATS floats (one
+# node per pass once k² alone exceeds it).
+_BLOCK_NODES = 64
+_BLOCK_FLOATS = 2 ** 18
 
-    nbr[j] counts the node's neighbors currently in group j.  Only the rows
-    and columns of a and b change, so each delta is the difference of those
-    bands before and after.  All k targets are evaluated at once: row b of
-    the (k, k) arrays holds target b's band, with the same elementwise
-    arithmetic and the same per-row sums as evaluating b alone.  Entry a
-    (staying put) is -inf.
+
+def _neighbor_counts(graph: Graph, assign: np.ndarray, nodes: np.ndarray,
+                     k: int) -> np.ndarray:
+    """(B, k) int64: entry (r, j) counts the neighbors of nodes[r] in group
+    j, from one flat bincount over the nodes' CSR rows."""
+    starts = graph.indptr[nodes]
+    degrees = graph.indptr[nodes + 1] - starts
+    ends = np.cumsum(degrees)
+    slots = np.arange(degrees.sum()) + np.repeat(starts - (ends - degrees),
+                                                 degrees)
+    keys = np.repeat(np.arange(len(nodes)) * k, degrees)
+    keys += assign[graph.indices[slots]]
+    return np.bincount(keys, minlength=len(nodes) * k).reshape(-1, k)
+
+
+def _block_move_deltas(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
+                       a: np.ndarray) -> np.ndarray:
+    """Change in F when node r of a block moves from group a[r] to each
+    group b, every node against the same counts and sizes.
+
+    nbr[r, j] counts node r's neighbors currently in group j.  Only the
+    rows and columns of a[r] and b change, so each delta is the difference
+    of those bands before and after.  All B nodes and k targets are
+    evaluated at once: entry (r, b) of the (B, k, k) arrays holds target
+    b's band for node r, with the same elementwise arithmetic as evaluating
+    that node and target alone, and every band sum reduces the contiguous
+    last axis, k terms long, as a 1-d sum does.  Entry (r, a[r]) (staying
+    put) is -inf.
     """
-    k = len(sizes)
+    nodes, k = nbr.shape
+    r = np.arange(nodes)
+    col = r[:, None]
     diag = np.arange(k)
     fs = sizes.astype(np.float64)
     rows = counts.astype(np.float64)
     row_a = rows[a]
-    old = (2.0 * np.sum(row_a**2 / fs) / fs[a]
+    fs_a = fs[a][:, None]
+    nbr_a = nbr[r, a][:, None]
+    old = (2.0 * np.sum(row_a**2 / fs, axis=1, keepdims=True) / fs_a
            + 2.0 * np.sum(rows**2 / fs, axis=1) / fs
-           - (row_a[a]**2 / fs[a]**2 + rows[diag, diag]**2 / fs**2
-              + 2.0 * row_a**2 / (fs[a] * fs)))
+           - (row_a[r, a][:, None]**2 / fs_a**2 + rows[diag, diag]**2 / fs**2
+              + 2.0 * row_a**2 / (fs_a * fs)))
 
-    # Row b of new_a/new_b/ns: group a's row, target b's row and the sizes
-    # after the move to b.
-    new_a = np.broadcast_to(row_a - nbr, (k, k)).copy()
-    new_a[:, a] = row_a[a] - 2.0 * nbr[a]
-    new_a[diag, diag] = row_a - nbr + nbr[a]
-    new_b = rows + nbr
-    new_b[diag, diag] = rows[diag, diag] + 2.0 * nbr
-    new_b[:, a] = new_a[diag, diag]
-    ns_a = fs[a] - 1.0
+    # Row b of new_a[r]/new_b[r]/ns[r]: group a[r]'s row, target b's row
+    # and the sizes after node r moves to b.
+    new_a = np.repeat((row_a - nbr)[:, None, :], k, axis=1)
+    new_a[r, :, a] = row_a[r, a][:, None] - 2.0 * nbr_a
+    new_a[col, diag, diag] = row_a - nbr + nbr_a
+    new_b = rows + nbr[:, None, :]
+    new_b[col, diag, diag] = rows[diag, diag] + 2.0 * nbr
+    new_b[r, :, a] = new_a[col, diag, diag]
+    ns_a = fs_a - 1.0
     ns_b = fs + 1.0
-    ns = np.broadcast_to(fs, (k, k)).copy()
-    ns[:, a] = ns_a
-    ns[diag, diag] = ns_b
-    new = (2.0 * np.sum(new_a**2 / ns, axis=1) / ns_a
-           + 2.0 * np.sum(new_b**2 / ns, axis=1) / ns_b
-           - (new_a[:, a]**2 / ns_a**2 + new_b[diag, diag]**2 / ns_b**2
-              + 2.0 * new_a[diag, diag]**2 / (ns_a * ns_b)))
+    ns = np.broadcast_to(fs, (nodes, k, k)).copy()
+    ns[r, :, a] = ns_a
+    ns[:, diag, diag] = ns_b
+    new = (2.0 * np.sum(new_a**2 / ns, axis=2) / ns_a
+           + 2.0 * np.sum(new_b**2 / ns, axis=2) / ns_b
+           - (new_a[r, :, a]**2 / ns_a**2 + new_b[col, diag, diag]**2 / ns_b**2
+              + 2.0 * new_a[col, diag, diag]**2 / (ns_a * ns_b)))
     deltas = new - old
-    deltas[a] = -np.inf
+    deltas[r, a] = -np.inf
     return deltas
 
 
@@ -214,13 +242,21 @@ def reassignment(graph: Graph, membership: Membership, counts: np.ndarray,
                  ) -> tuple[Membership, list[ReassignMove]]:
     """Greedy node moves that strictly increase the trace objective.
 
-    Each round samples nodes without replacement and, for every sampled
-    node, evaluates moving it to every other supernode at once: one (k, k)
-    array evaluation of the row/column band deltas, O(k^2) per node.  The
-    best strictly improving move (ties to the lowest target index) is
-    applied by updating the integer count matrix in place; the
-    objective is then recomputed exactly from the counts.  Moves that would
-    empty a supernode are skipped.
+    Each round samples nodes without replacement and visits them in
+    sample order; a visited node moves to the supernode that most
+    increases the objective (ties to the lowest target index), if any move
+    strictly increases it.  The move updates the integer count matrix in
+    place, and the objective is then recomputed exactly from the counts.
+    Moves that would empty a supernode are skipped.
+
+    The visits are evaluated in blocks: the next 64 sampled nodes (fewer
+    when k is large) against the current counts, every move of every node
+    in one (B, k, k) array evaluation of the row/column band deltas.  The
+    first node in sample order with an improving move is applied and the
+    next block starts at the node after it, so every node is evaluated
+    against exactly the counts a one-node-at-a-time loop would show it:
+    the moves, the objectives logged and the result are that loop's, bit
+    for bit.
 
     Returns the updated membership and a log of applied moves with the
     objective after each one.
@@ -251,27 +287,37 @@ def _reassign(graph: Graph, membership: Membership, counts: np.ndarray,
     rng = make_generator(config.seed)
     n = graph.node_count
     moves: list[ReassignMove] = []
+    block = max(1, min(_BLOCK_NODES, _BLOCK_FLOATS // (k * k)))
 
     for _ in range(config.rounds):
         sampled = rng.choice(n, size=min(config.samples_per_round, n),
                              replace=False)
-        for node in sampled:
-            a = int(assign[node])
-            if sizes[a] == 1:
+        pos = 0
+        while pos < len(sampled):
+            window = sampled[pos:pos + block]
+            # Nodes alone in their group stay put.
+            live = np.flatnonzero(sizes[assign[window]] > 1)
+            nodes = window[live]
+            nbr = _neighbor_counts(graph, assign, nodes, k)
+            deltas = _block_move_deltas(counts, sizes, nbr, assign[nodes])
+            improving = np.flatnonzero(deltas.max(axis=1) > 0.0)
+            if len(improving) == 0:
+                pos += len(window)
                 continue
-            nbr = np.bincount(assign[graph.neighbors(node)], minlength=k)
-            deltas = _move_deltas(counts, sizes, nbr, a)
-            b = int(np.argmax(deltas))
-            if deltas[b] <= 0.0:
-                continue
-            counts[a, :] -= nbr
-            counts[:, a] -= nbr
-            counts[b, :] += nbr
-            counts[:, b] += nbr
+            # The first improving node saw the counts the one-node-at-a-time
+            # loop would show it; the nodes after it are evaluated again.
+            first = int(improving[0])
+            pos += int(live[first]) + 1
+            node, row = int(nodes[first]), nbr[first]
+            a, b = int(assign[node]), int(np.argmax(deltas[first]))
+            counts[a, :] -= row
+            counts[:, a] -= row
+            counts[b, :] += row
+            counts[:, b] += row
             sizes[a] -= 1
             sizes[b] += 1
             assign[node] = b
-            moves.append(ReassignMove(int(node), a, b,
+            moves.append(ReassignMove(node, a, b,
                                       _objective_from_counts(counts, sizes)))
     return Membership(assign, k), moves, counts
 

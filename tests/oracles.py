@@ -13,14 +13,16 @@ import networkx as nx
 import numpy as np
 
 from specsumm import (AscentTrace, EigenBasis, Graph, KmeansConfig,
-                      Membership, OcsaConfig, ParameterError, SkewDirection,
-                      Summary, build_summary, gradient, kmeans, skew_direction,
-                      stiefel, trace_objective_relaxed)
+                      Membership, OcsaConfig, ParameterError, ReassignConfig,
+                      ReassignMove, SkewDirection, Summary, build_summary,
+                      gradient, kmeans, skew_direction, stiefel,
+                      trace_objective_relaxed)
 from specsumm.kmeans import _sq_dists
 from specsumm.queries import _pair_matrix
 from specsumm.rng import make_generator
 from specsumm.spectral import _DENSE_LIMIT, _dense_basis
 from specsumm.stiefel import CayleyStepError
+from specsumm.summary import _objective_from_counts
 
 _ORACLE_LIMIT = 1500
 
@@ -243,6 +245,82 @@ def move_delta(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
            - (new_a[a]**2 / ns[a]**2 + new_b[b]**2 / ns[b]**2
               + 2.0 * new_a[b]**2 / (ns[a] * ns[b])))
     return new - old
+
+
+def move_deltas_reference(counts: np.ndarray, sizes: np.ndarray,
+                          nbr: np.ndarray, a: int) -> np.ndarray:
+    """Change in F when one node moves from group a to each group b: the
+    one-node (k, k) form of ``summary._block_move_deltas``, the form the
+    block evaluation must reproduce row by row, bit for bit.
+
+    Row b of the (k, k) arrays holds target b's band, with the same
+    elementwise arithmetic and the same per-row sums as ``move_delta``.
+    Entry a (staying put) is -inf.
+    """
+    k = len(sizes)
+    diag = np.arange(k)
+    fs = sizes.astype(np.float64)
+    rows = counts.astype(np.float64)
+    row_a = rows[a]
+    old = (2.0 * np.sum(row_a**2 / fs) / fs[a]
+           + 2.0 * np.sum(rows**2 / fs, axis=1) / fs
+           - (row_a[a]**2 / fs[a]**2 + rows[diag, diag]**2 / fs**2
+              + 2.0 * row_a**2 / (fs[a] * fs)))
+
+    new_a = np.broadcast_to(row_a - nbr, (k, k)).copy()
+    new_a[:, a] = row_a[a] - 2.0 * nbr[a]
+    new_a[diag, diag] = row_a - nbr + nbr[a]
+    new_b = rows + nbr
+    new_b[diag, diag] = rows[diag, diag] + 2.0 * nbr
+    new_b[:, a] = new_a[diag, diag]
+    ns_a = fs[a] - 1.0
+    ns_b = fs + 1.0
+    ns = np.broadcast_to(fs, (k, k)).copy()
+    ns[:, a] = ns_a
+    ns[diag, diag] = ns_b
+    new = (2.0 * np.sum(new_a**2 / ns, axis=1) / ns_a
+           + 2.0 * np.sum(new_b**2 / ns, axis=1) / ns_b
+           - (new_a[:, a]**2 / ns_a**2 + new_b[diag, diag]**2 / ns_b**2
+              + 2.0 * new_a[diag, diag]**2 / (ns_a * ns_b)))
+    deltas = new - old
+    deltas[a] = -np.inf
+    return deltas
+
+
+def reassign_reference(graph: Graph, membership: Membership,
+                       counts: np.ndarray, config: ReassignConfig):
+    """``summary._reassign`` one sampled node at a time: each node's
+    neighbor counts from its own bincount and its deltas from
+    ``move_deltas_reference``.  Returns (assign, moves, counts, sizes)."""
+    counts = np.array(counts, dtype=np.int64)
+    assign = membership.assign.copy()
+    sizes = membership.sizes.copy()
+    k = membership.k
+    rng = make_generator(config.seed)
+    n = graph.node_count
+    moves = []
+    for _ in range(config.rounds):
+        sampled = rng.choice(n, size=min(config.samples_per_round, n),
+                             replace=False)
+        for node in sampled:
+            a = int(assign[node])
+            if sizes[a] == 1:
+                continue
+            nbr = np.bincount(assign[graph.neighbors(node)], minlength=k)
+            deltas = move_deltas_reference(counts, sizes, nbr, a)
+            b = int(np.argmax(deltas))
+            if deltas[b] <= 0.0:
+                continue
+            counts[a, :] -= nbr
+            counts[:, a] -= nbr
+            counts[b, :] += nbr
+            counts[:, b] += nbr
+            sizes[a] -= 1
+            sizes[b] += 1
+            assign[node] = b
+            moves.append(ReassignMove(int(node), a, b,
+                                      _objective_from_counts(counts, sizes)))
+    return assign, moves, counts, sizes
 
 
 def minibatch_replay(centroids: np.ndarray, counts: np.ndarray,

@@ -70,6 +70,23 @@ class TestKmeansppInit:
         with pytest.raises(ParameterError):
             kmeanspp_init(np.zeros((3, 2)), 4, seed=0)
 
+    def test_one_row_distances_match_gathered_form(self, rng):
+        # kmeans++ measures every point against the newest centroid by
+        # broadcasting one row; 2500 rows cross _SCREEN_BLOCK boundaries
+        n = 2500
+        assert n > 2 * kmeans._SCREEN_BLOCK
+        for d in (1, 3, 40):
+            points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(
+                -3, 4, size=(n, 1))
+            for idx in (0, 1023, 1024, n - 1):
+                newest = points[[idx]]
+                broadcast = _assigned_sq_dists(points, newest)
+                gathered = _assigned_sq_dists(points, newest,
+                                              np.zeros(n, dtype=np.int64))
+                assert np.array_equal(broadcast, gathered)
+                assert np.array_equal(broadcast,
+                                      _sq_dists(points, newest)[:, 0])
+
 
 class TestMinibatchKmeans:
     def test_separable_repeats(self):

@@ -8,13 +8,15 @@ from specsumm import (Graph, Membership, ParameterError, ReassignConfig,
                       generate_sbm, l2_loss, objective_integer,
                       reassignment, specsumm, supernode_edge_counts,
                       trace_objective_relaxed)
+from specsumm.rng import make_generator
 
 import specsumm.summary as summary_module
-from specsumm.summary import _move_deltas
+from specsumm.summary import _block_move_deltas, _neighbor_counts, _reassign
 
 from oracles import (best_single_move, dense_l2_loss,
-                     membership_to_normalized, move_delta, random_graph,
-                     random_membership)
+                     membership_to_normalized, move_delta,
+                     move_deltas_reference, random_graph, random_membership,
+                     reassign_reference)
 
 
 def _mem(labels, k):
@@ -275,8 +277,8 @@ class TestReassignment:
 
 
 class TestMoveDeltas:
-    """The all-targets array form against the per-target oracle, bit for
-    bit, off the staying-put entry."""
+    """The one-node all-targets reference against the per-target oracle,
+    bit for bit, off the staying-put entry."""
 
     def _check(self, graph, m):
         counts = supernode_edge_counts(graph, m)
@@ -286,7 +288,7 @@ class TestMoveDeltas:
             if m.sizes[a] == 1:
                 continue
             nbr = np.bincount(m.assign[graph.neighbors(node)], minlength=m.k)
-            deltas = _move_deltas(counts, m.sizes, nbr, a)
+            deltas = move_deltas_reference(counts, m.sizes, nbr, a)
             assert deltas[a] == -np.inf
             for b in range(m.k):
                 if b != a:
@@ -321,10 +323,183 @@ class TestMoveDeltas:
         sizes = rng.integers(2, 60, size=k)
         for a in (0, 64, 130):
             nbr = rng.integers(0, 9, size=k)
-            deltas = _move_deltas(counts, sizes, nbr, a)
+            deltas = move_deltas_reference(counts, sizes, nbr, a)
             expected = [move_delta(counts, sizes, nbr, a, b) if b != a
                         else -np.inf for b in range(k)]
             assert np.array_equal(deltas, expected)
+
+
+def _block_rows_match_reference(counts, sizes, nbr, a):
+    """Row r of the block deltas is the one-node reference's deltas for
+    node r, bit for bit."""
+    deltas = _block_move_deltas(counts, sizes, nbr, a)
+    assert deltas.shape == nbr.shape
+    for r in range(len(a)):
+        want = move_deltas_reference(counts, sizes, nbr[r], int(a[r]))
+        assert np.array_equal(deltas[r], want), r
+
+
+class TestBlockMoveDeltas:
+    """The (B, k, k) evaluation of a block of nodes against the one-node
+    (k, k) reference, row by row and bit for bit."""
+
+    def _check_graph(self, rng, graph, m):
+        counts = supernode_edge_counts(graph, m)
+        movable = np.flatnonzero(m.sizes[m.assign] > 1)
+        for _ in range(3):
+            nodes = rng.permutation(movable)[:int(rng.integers(1, 70))]
+            nbr = _neighbor_counts(graph, m.assign, nodes, m.k)
+            for r, node in enumerate(nodes):
+                assert np.array_equal(nbr[r], np.bincount(
+                    m.assign[graph.neighbors(node)], minlength=m.k))
+            _block_rows_match_reference(counts, m.sizes, nbr,
+                                        m.assign[nodes])
+
+    def test_matches_reference_on_random_graphs(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(4, 90))
+            k = int(rng.integers(2, min(n - 1, 20) + 1))
+            graph = random_graph(rng, n, p=float(rng.uniform(0.05, 0.6)))
+            self._check_graph(rng, graph, random_membership(rng, n, k))
+
+    def test_blocks_mixing_singleton_groups(self, rng):
+        # Groups 1..k-1 hold one node each: every block moves nodes of
+        # group 0 next to, and into, singleton groups.
+        for k in (2, 5, 12):
+            graph = random_graph(rng, 40, p=0.3)
+            labels = np.zeros(40, dtype=np.int64)
+            labels[rng.choice(40, size=k - 1, replace=False)] = np.arange(1, k)
+            self._check_graph(rng, graph, _mem(labels, k))
+
+    def test_rows_sharing_one_source_group(self, rng):
+        graph = random_graph(rng, 60, p=0.2)
+        m = random_membership(rng, 60, 6)
+        counts = supernode_edge_counts(graph, m)
+        nodes = np.flatnonzero(m.assign == 2)
+        nbr = _neighbor_counts(graph, m.assign, nodes, 6)
+        _block_rows_match_reference(counts, m.sizes, nbr, m.assign[nodes])
+
+    def test_matches_reference_past_pairwise_block(self, rng):
+        # numpy's pairwise summation splits sums of more than 128 terms, so
+        # k = 131 checks that the band sums over the last axis of the
+        # (B, k, k) arrays split as the one-node form's do
+        k = 131
+        counts = rng.integers(0, 400, size=(k, k))
+        counts = counts + counts.T
+        sizes = rng.integers(2, 60, size=k)
+        a = np.array([0, 64, 130, 64, 7, 130])
+        nbr = rng.integers(0, 9, size=(len(a), k))
+        _block_rows_match_reference(counts, sizes, nbr, a)
+
+    def test_empty_block(self):
+        counts = np.array([[2, 1], [1, 0]])
+        deltas = _block_move_deltas(counts, np.array([2, 1]),
+                                    np.zeros((0, 2), dtype=np.int64),
+                                    np.zeros(0, dtype=np.int64))
+        assert deltas.shape == (0, 2)
+
+
+def _move_bits(moves):
+    return [(mv.node, mv.source, mv.target, mv.objective.hex())
+            for mv in moves]
+
+
+class TestBlockedReassign:
+    """``_reassign`` evaluates sampled nodes in blocks and resumes after
+    each accepted move; its move log, membership and counts are those of
+    the one-node-at-a-time reference, bit for bit."""
+
+    @staticmethod
+    def _compare(graph, m, config):
+        counts = supernode_edge_counts(graph, m)
+        out, moves, got_counts = _reassign(graph, m, counts, config)
+        assign, want_moves, want_counts, sizes = reassign_reference(
+            graph, m, counts, config)
+        assert _move_bits(moves) == _move_bits(want_moves)
+        assert np.array_equal(out.assign, assign)
+        assert np.array_equal(out.sizes, sizes)
+        assert np.array_equal(got_counts, want_counts)
+        return want_moves
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_matches_reference_on_random_graphs(self, rng, monkeypatch,
+                                                block):
+        monkeypatch.setattr(summary_module, "_BLOCK_NODES", block)
+        moved = 0
+        for _ in range(12):
+            n = int(rng.integers(5, 90))
+            k = int(rng.integers(1, min(n, 12) + 1))
+            graph = random_graph(rng, n, p=float(rng.uniform(0.05, 0.6)))
+            config = ReassignConfig(
+                rounds=3, samples_per_round=int(rng.integers(1, 100)),
+                seed=int(rng.integers(2**31)))
+            moved += len(self._compare(graph, random_membership(rng, n, k),
+                                       config))
+        assert moved > 0
+
+    def test_singleton_groups_in_blocks(self, rng):
+        # Two large groups and k - 2 singletons: nodes skipped as the only
+        # members of their groups sit between the ones evaluated, so a
+        # resume point off by the skipped count re-evaluates nodes against
+        # counts the reference never showed them.
+        moved = 0
+        for _ in range(60):
+            n = int(rng.integers(20, 60))
+            k = int(rng.integers(3, 12))
+            graph = random_graph(rng, n, p=float(rng.uniform(0.1, 0.5)))
+            labels = rng.integers(0, 2, size=n)
+            labels[rng.choice(n, size=k - 2, replace=False)] = np.arange(2, k)
+            moved += len(self._compare(
+                graph, _mem(labels, k),
+                ReassignConfig(rounds=2, samples_per_round=n,
+                               seed=int(rng.integers(2**31)))))
+        assert moved > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_reference_on_sbm(self, seed):
+        # 40 groups of 100 with a tenth of the nodes relabeled at random:
+        # hundreds of moves over 4 x 500 samples
+        graph, planted = generate_sbm(40, 100, 0.3, 0.01, seed)
+        local = np.random.default_rng(seed)
+        labels = planted.assign.copy()
+        scrambled = local.choice(graph.node_count, size=400, replace=False)
+        labels[scrambled] = local.integers(0, 40, size=400)
+        moves = self._compare(graph, _mem(labels, 40),
+                              ReassignConfig(rounds=4, samples_per_round=500,
+                                             seed=seed))
+        assert len(moves) > 100
+
+    def test_moves_at_consecutive_positions_and_block_end(self):
+        # Sample positions 5 and 6 hold misplaced nodes, and so does the
+        # last slot of the block that starts after them.
+        block = summary_module._BLOCK_NODES
+        positions = [5, 6, 7 + block - 1]
+        graph, planted = generate_sbm(4, 30, 0.9, 0.02, seed=0)
+        config = ReassignConfig(rounds=1, samples_per_round=120, seed=11)
+        sampled = make_generator(config.seed).choice(
+            graph.node_count, size=config.samples_per_round, replace=False)
+        labels = planted.assign.copy()
+        labels[sampled[positions]] = (labels[sampled[positions]] + 1) % 4
+        moves = self._compare(graph, _mem(labels, 4), config)
+        at = [int(np.flatnonzero(sampled == mv.node)[0]) for mv in moves]
+        assert at == positions
+
+    def test_block_size_bounds_the_temporaries(self, monkeypatch):
+        shapes = []
+        evaluate = summary_module._block_move_deltas
+
+        def recorded(counts, sizes, nbr, a):
+            shapes.append(nbr.shape)
+            return evaluate(counts, sizes, nbr, a)
+
+        monkeypatch.setattr(summary_module, "_block_move_deltas", recorded)
+        for k, cap in ((40, 64), (100, 26), (600, 1)):
+            shapes.clear()
+            graph, planted = generate_sbm(k, 2, 0.9, 0.01, seed=k)
+            self._compare(graph, planted,
+                          ReassignConfig(rounds=1, samples_per_round=70,
+                                         seed=1))
+            assert max(rows for rows, _ in shapes) == cap
 
 
 class TestPipeline:
