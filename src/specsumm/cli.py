@@ -90,7 +90,8 @@ class SummaryFile:
             raise ParseError("n and k must be positive")
         if len(self.membership) != self.n:
             raise ParseError("membership length does not match n")
-        if any(not 0 <= x < self.k for x in self.membership):
+        # Built-in min and max: ids beyond int64 still compare exactly.
+        if not 0 <= min(self.membership) <= max(self.membership) < self.k:
             raise ParseError("membership values must lie in [0, k)")
         if len(self.densities) != self.k * (self.k + 1) // 2:
             raise ParseError("densities length must be k(k+1)/2")
@@ -100,8 +101,8 @@ class SummaryFile:
         k = summary.k
         packed = summary.density[np.triu_indices(k)]
         return cls(n=summary.membership.n, k=k,
-                   membership=[int(x) for x in summary.membership.assign],
-                   densities=[float(x) for x in packed], meta=meta)
+                   membership=summary.membership.assign.tolist(),
+                   densities=packed.tolist(), meta=meta)
 
     def density_matrix(self) -> np.ndarray:
         full = np.zeros((self.k, self.k))
@@ -122,10 +123,6 @@ class SummaryFile:
         with _atomic_output(path) as handle:
             handle.write(json.dumps(payload, sort_keys=True,
                                     separators=(",", ":")) + "\n")
-
-
-def _is_json_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def read_summary_file(path: str | Path) -> SummaryFile:
@@ -152,18 +149,19 @@ def read_summary_file(path: str | Path) -> SummaryFile:
     except KeyError as exc:
         raise ParseError(f"malformed summary file: missing {exc}") from None
     # Exact JSON types, no coercion: "000" is not a membership list, 0.9 is
-    # not a supernode id and true is not a count.
-    if not (_is_json_int(n) and _is_json_int(k)):
+    # not a supernode id and true is not a count.  json.loads gives JSON
+    # integers the exact type int and booleans bool.
+    if not type(n) is type(k) is int:
         raise ParseError("n and k must be JSON integers")
     if not (isinstance(membership, list)
-            and all(map(_is_json_int, membership))):
+            and set(map(type, membership)) <= {int}):
         raise ParseError("membership must be a list of JSON integers")
-    if not (isinstance(densities, list) and all(
-            _is_json_int(x) or isinstance(x, float) for x in densities)):
+    if not (isinstance(densities, list)
+            and set(map(type, densities)) <= {int, float}):
         raise ParseError("densities must be a list of JSON numbers")
     try:
         return SummaryFile(n=n, k=k, membership=membership,
-                           densities=[float(x) for x in densities],
+                           densities=list(map(float, densities)),
                            meta=payload.get("meta", {}))
     except OverflowError as exc:
         raise ParseError(f"malformed summary file: {exc}") from exc

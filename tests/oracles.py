@@ -17,6 +17,7 @@ from specsumm import (AscentTrace, EigenBasis, Graph, KmeansConfig,
                       ReassignMove, SkewDirection, Summary, build_summary,
                       gradient, kmeans, skew_direction, stiefel,
                       trace_objective_relaxed)
+from specsumm.graph import _PLAIN_BYTES, _PLAIN_DIGITS, _from_pairs
 from specsumm.kmeans import _sq_dists
 from specsumm.queries import _pair_matrix
 from specsumm.rng import make_generator
@@ -125,6 +126,39 @@ def relabeled_graph_reference(pairs: np.ndarray) -> tuple[Graph, np.ndarray]:
     ids = np.unique(canonical)
     dense = np.searchsorted(ids, canonical)
     return graph_from_canonical_reference(len(ids), dense), ids
+
+
+def scan_ids_reference(data: bytes) -> np.ndarray | None:
+    """``graph._scan_ids`` by one ``reduceat`` per gap for the line check
+    and one Python ``bytes`` object per token for the conversion."""
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # Token j spans [bounds[2j], bounds[2j + 1]).
+    bounds = np.flatnonzero(np.diff(buf >= ord("0"), prepend=False,
+                                    append=False))
+    lengths = bounds[1::2] - bounds[0::2]
+    if len(lengths) % 2 or np.max(lengths, initial=0) > _PLAIN_DIGITS:
+        return None
+    if len(lengths):
+        # Per gap between consecutive tokens, whether it breaks the line:
+        # the gap inside a pair must not, the gap after a pair must.
+        is_break = (buf == ord("\n")) | (buf == ord("\r"))
+        breaks = np.logical_or.reduceat(is_break, bounds[1:-1])[0::2]
+        if breaks[0::2].any() or not breaks[1::2].all():
+            return None
+    return np.array(data.split(), dtype=np.int64)
+
+
+def relabeled_unique_reference(ids: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """``graph._relabeled`` with every relabel by ``np.unique``."""
+    u, v = ids[0::2], ids[1::2]
+    keep = u != v
+    u, v = u[keep], v[keep]
+    original_ids, dense = np.unique(np.concatenate([u, v]),
+                                    return_inverse=True)
+    return _from_pairs(len(original_ids), dense[:len(u)],
+                       dense[len(u):]), original_ids
 
 
 def generate_sbm_reference(blocks: int, block_size: int, p_in: float,

@@ -14,7 +14,8 @@ from specsumm import (Graph, ParameterError, ParseError, adjacency_trace_sq,
 
 from oracles import (canonicalize_reference, generate_sbm_reference,
                      graph_from_canonical_reference, random_graph,
-                     relabeled_graph_reference, to_networkx)
+                     relabeled_graph_reference, relabeled_unique_reference,
+                     scan_ids_reference, to_networkx)
 from test_fuzz import edge_bytes
 
 
@@ -263,6 +264,110 @@ class TestIngestRoutes:
 
     def test_text_handles_take_line_loop(self):
         assert _count_line_loops(io.StringIO("0 1\n1 2\n")) == 1
+
+
+def _same_scan(data: bytes) -> np.ndarray | None:
+    """``_scan_ids(data)``, checked against the ``bytes.split`` reference:
+    None on both sides or equal int64 arrays."""
+    got, want = graph_module._scan_ids(data), scan_ids_reference(data)
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    return got
+
+
+class TestPlainScan:
+    """The array-pass scan of plain edge lists against its reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_well_formed_edge_lists())
+    def test_well_formed_lists_match_reference(self, case):
+        _same_scan(case[0])
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.text(alphabet="0123 \t\r\n", max_size=60).map(str.encode))
+    def test_plain_bytes_match_reference(self, data):
+        _same_scan(data)
+
+    @pytest.mark.parametrize("width", range(1, 19))
+    def test_every_token_length(self, width):
+        # A different digit in each place, all nines, one digit, a one and
+        # zeros, then 7 and 0 zero-padded to the width.  The first token
+        # starts the file; the last ends it, with no line break after it.
+        ids = [int("123456789987654321"[:width]), 10**width - 1, 7,
+               10**(width - 1)]
+        texts = [str(x) for x in ids] + [f"{7:0{width}d}", "0" * width]
+        data = "\n".join(f"{a} {b}" for a, b in zip(texts, texts[1:]))
+        want = [int(t) for pair in zip(texts, texts[1:]) for t in pair]
+        assert _same_scan(data.encode()).tolist() == want
+        assert _outcome(data.encode()) == _line_loop_outcome(data.encode())
+
+    @pytest.mark.parametrize("data, want", [
+        (b"999999999999999999 000000000000000042", [10**18 - 1, 42]),
+        (b"1 2", [1, 2]),
+        (b"1 2\n", [1, 2]),
+        (b"\n\t 1 2 \n", [1, 2]),
+        (b"123456789 1234567890123\r\n5 6", [123456789, 1234567890123, 5, 6]),
+        (b"1 2\r3 4\r", [1, 2, 3, 4]),
+        (b"1 2\r\r\r3 4", [1, 2, 3, 4]),
+        (b"", []),
+        (b" \r\n\t", []),
+    ])
+    def test_token_positions_and_line_ends(self, data, want):
+        assert _same_scan(data).tolist() == want
+        assert _outcome(data) == _line_loop_outcome(data)
+
+    @pytest.mark.parametrize("data", [
+        b"1\n2\n",                 # a break inside a pair
+        b"1 \r 2\n",
+        b"1 2 3 4\n",               # no break after a pair
+        b"1 2\t3 4",
+        b"1 2\n3",                  # an odd token count
+        b"1234567890123456789 0\n",  # 19 digits
+        b"1 -2\n", b"1 2 # c\n",
+    ])
+    def test_non_plain_files_are_refused(self, data):
+        assert _same_scan(data) is None
+        assert _count_line_loops(io.BytesIO(data)) == 1
+
+
+class TestRelabel:
+    """Both relabel branches against the ``np.unique`` reference."""
+
+    @staticmethod
+    def _relabel(ids: list[int]) -> bool:
+        """Check ``_relabeled`` against the reference; returns whether it
+        took the ``np.unique`` branch."""
+        ids = np.array(ids, dtype=np.int64)
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            graph, original = graph_module._relabeled(ids)
+        want, want_ids = relabeled_unique_reference(ids)
+        assert original.dtype == np.int64
+        assert np.array_equal(original, want_ids)
+        assert np.array_equal(graph.indptr, want.indptr)
+        assert np.array_equal(graph.indices, want.indices)
+        return unique.called
+
+    @pytest.mark.parametrize("ids, by_unique", [
+        # The table serves ids below twice the count of endpoints left
+        # once self-loops are dropped.
+        ([0, 3], False), ([0, 4], True), ([1, 3], False), ([3, 1], False),
+        ([0, 3, 9, 9], False), ([0, 4, 1, 1], True),
+        ([0, 11, 11, 1, 2, 3], False), ([0, 12, 12, 1, 2, 3], True),
+        ([1, 2, 2, 3, 3, 1], False), ([10**18 - 1, 0], True),
+    ])
+    def test_guard_picks_branch(self, ids, by_unique):
+        assert self._relabel(ids) is by_unique
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                    min_size=1, max_size=30),
+           st.sampled_from([0, 1, 10, 10**6]))
+    def test_both_branches_match_reference(self, pairs, offset):
+        if all(u == v for u, v in pairs):
+            return
+        self._relabel([x + offset for pair in pairs for x in pair])
 
 
 class TestFromPairs:
