@@ -11,14 +11,15 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, TextIO
+from typing import IO, TYPE_CHECKING, Iterable, TextIO
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ParameterError, ParseError
 from .rng import make_generator
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Graph",
@@ -87,7 +88,10 @@ class Graph:
     def _csr(self) -> sp.csr_matrix:
         # Single shared float64 CSR backing for all matrix products; scipy's
         # kernel sums each row in index order, so results are thread-count
-        # independent.
+        # independent.  scipy is imported here, once per graph, so that the
+        # commands which never multiply by A start without it.
+        import scipy.sparse as sp
+
         n = self.node_count
         data = np.ones(len(self.indices), dtype=np.float64)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
@@ -349,6 +353,8 @@ def largest_connected_component(graph: Graph) -> tuple[Graph, np.ndarray]:
     Ties between equal-size components go to the one containing the
     smallest node id.
     """
+    from scipy.sparse.csgraph import connected_components
+
     ncomp, labels = connected_components(graph._csr, directed=False)
     if ncomp == 1:
         return graph, np.arange(graph.node_count, dtype=np.int64)

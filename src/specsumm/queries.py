@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import Graph
 from .summary import Summary
@@ -90,6 +89,8 @@ def exact_triangles(graph: Graph) -> int:
     once.  The product is taken in row blocks of at most _TWO_PATH_BLOCK
     two-paths each.  Counts are small integers, exact in float64.
     """
+    import scipy.sparse as sp
+
     upper = sp.triu(graph._csr, k=1, format="csr")
     # Two-paths u < v < w starting at u: deg+(v) summed over u's out-neighbors.
     two_paths = np.cumsum(upper @ np.diff(upper.indptr))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .errors import ConvergenceError, ParameterError
 from .graph import Graph
@@ -128,6 +127,11 @@ def lm_eigs(graph: Graph, d: int, seed: int | None = None) -> EigenBasis:
     # ARPACK needs strictly fewer requested pairs than the matrix order
     # (and a spare basis column).
     if d <= n - 2:
+        # Imported on the one route that calls ARPACK, so that importing
+        # the package loads no scipy (see Graph._csr).
+        from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
+                                         eigsh)
+
         v0 = make_generator(seed).standard_normal(n)
         ncv = min(n, max(4 * d, d + 20))
         try:

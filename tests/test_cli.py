@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import specsumm
-from specsumm import (Membership, build_summary, generate_sbm, objective_integer,
-                      write_edge_list)
+from specsumm import (Graph, Membership, build_summary, generate_sbm,
+                      objective_integer, write_edge_list)
 from specsumm import cli
 from specsumm import summary as summary_module
 from specsumm.cli import SummaryFile, main, read_summary_file
@@ -470,6 +470,15 @@ class TestAtomicWrites:
         assert not (tmp_path / "absent").exists()
 
 
+def _fresh_env(**extra: str) -> dict:
+    """Environment for a fresh interpreter that imports this checkout's
+    specsumm."""
+    src = str(Path(specsumm.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
+
+
 @pytest.mark.parametrize("method_args", [
     ["--method", "lm", "--reassign-rounds", "2"],
     ["--method", "ocsa"],
@@ -479,17 +488,75 @@ def test_summary_bytes_do_not_depend_on_blas_threads(tmp_path, method_args):
     edges = tmp_path / "sbm.txt"
     with open(edges, "w", encoding="utf-8") as handle:
         write_edge_list(graph, handle)
-    src = str(Path(specsumm.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))
     written = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.json"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": pythonpath}
+        env = _fresh_env(OPENBLAS_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-m", "specsumm.cli", "summarize",
                         str(edges), "--k", "20", "--seed", "0", *method_args,
                         "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)
         written.append(out.read_bytes())
     assert written[0] == written[1]
+
+
+# Runs the CLI on its arguments, if any, in a fresh interpreter, then prints
+# the scipy modules loaded as the last line of standard output.
+_SCIPY_PROBE = """
+import json, sys
+import specsumm, specsumm.cli
+code = specsumm.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.split(".")[0] == "scipy")))
+sys.exit(code)
+"""
+
+
+class TestScipyLoadedOnlyWhenCalled:
+    """Importing scipy is most of a cold start, so only the commands that
+    call it load it: the relaxation (summarize, relax) and the exact
+    triangle count.  Each case runs in a fresh interpreter, because this
+    one has scipy loaded already."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """Graphs and one-group summaries on either side of the exact
+        triangle count's limit."""
+        root = tmp_path_factory.mktemp("scipy")
+        paths = {"root": root}
+        large = cli._EXACT_TRIANGLE_LIMIT + 2
+        for name, n in (("small", 6), ("large", large)):
+            graph = Graph.from_edges(n, [(u, u + 1) for u in range(n - 1)])
+            paths[name] = root / f"{name}.txt"
+            with open(paths[name], "w", encoding="utf-8") as handle:
+                write_edge_list(graph, handle)
+            paths[f"{name}_summary"] = root / f"{name}.summary.json"
+            SummaryFile.from_summary(
+                build_summary(graph, Membership(np.zeros(n, np.int64), 1)),
+                {}).write(paths[f"{name}_summary"])
+        return paths
+
+    CASES = {
+        "import": ([], False),
+        "gen-sbm": (["gen-sbm", "--blocks", "4", "--size", "25", "--p-in",
+                     "0.2", "--seed", "1", "--out", "{root}/sbm.txt"], False),
+        "evaluate": (["evaluate", "{large}", "{large_summary}"], False),
+        "triangles-estimate": (["triangles", "{large}", "{large_summary}"],
+                               False),
+        "triangles-exact": (["triangles", "{small}", "{small_summary}"], True),
+        "summarize": (["summarize", "{small}", "--k", "2", "--seed", "0",
+                       "--out", "{root}/s.json"], True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_scipy_modules_loaded(self, files, case):
+        argv, loads_scipy = self.CASES[case]
+        argv = [a.format_map(files) for a in argv]
+        done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
+                              env=_fresh_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        *reports, loaded = done.stdout.splitlines()
+        assert bool(json.loads(loaded)) == loads_scipy, loaded
+        if case == "triangles-estimate":
+            assert json.loads(reports[0])["exact"] is None

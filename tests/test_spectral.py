@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from specsumm import (ConvergenceError, Graph, ParameterError,
-                      adjacency_trace_sq, generate_sbm, lm_eigs, spectral,
+                      adjacency_trace_sq, generate_sbm, lm_eigs,
                       trace_objective_relaxed)
 
 from conftest import complete_graph
@@ -114,7 +115,8 @@ class TestLmEigsNoConvergence:
     def _stall(self, monkeypatch, values, vectors):
         def stalled(*args, **kwargs):
             raise ArpackNoConvergence("ARPACK stalled", values, vectors)
-        monkeypatch.setattr(spectral, "eigsh", stalled)
+        # lm_eigs imports eigsh from scipy.sparse.linalg when it runs.
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
 
     def test_reports_residuals_of_partial_pairs(self, big, monkeypatch, rng):
         vectors = np.linalg.qr(rng.standard_normal((big.node_count, 2)))[0]
