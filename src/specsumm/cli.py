@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,15 +30,13 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, ParseError
-from .graph import (Graph, adjacency_trace_sq, generate_sbm,
-                    largest_connected_component, load_edge_list,
-                    write_edge_list)
+from .graph import (Graph, generate_sbm, largest_connected_component,
+                    load_edge_list, write_edge_list)
 from .queries import exact_triangles, expected_triangles
 from .spectral import lm_eigs
 from .stiefel import AscentTrace, OcsaConfig, ocsa, random_orthonormal_init
 from .summary import (Membership, ReassignConfig, Summary,
-                      _objective_from_counts, _summary_from_counts, specsumm,
-                      supernode_edge_counts)
+                      _summarize_counts, _timed, specsumm)
 
 __all__ = ["SummaryFile", "read_summary_file", "write_trace", "main"]
 
@@ -194,8 +191,17 @@ def _load_graph(path: str | Path) -> tuple[Graph, bytes]:
     return graph, data
 
 
-def _metrics(graph: Graph, summary: Summary, objective: float) -> dict:
-    loss = adjacency_trace_sq(graph) - objective
+def _stored_summary(graph: Graph, path: str | Path) -> Summary:
+    """The summary stored at ``path``, which must cover the graph's nodes."""
+    stored = read_summary_file(path)
+    if stored.n != graph.node_count:
+        raise ParameterError(f"summary is for n={stored.n}, "
+                             f"graph has n={graph.node_count}")
+    return stored.to_summary()
+
+
+def _metrics(graph: Graph, summary: Summary, objective: float,
+             loss: float) -> dict:
     return {"F": objective, "L": loss,
             "sqrt_L": math.sqrt(max(loss, 0.0)),
             "triangles_estimate": expected_triangles(summary).expected,
@@ -203,33 +209,30 @@ def _metrics(graph: Graph, summary: Summary, objective: float) -> dict:
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    graph, data = _load_graph(args.graph)
-    t1 = time.perf_counter()
-    if args.lcc:
-        graph, _ = largest_connected_component(graph)
-    load_seconds, lcc_seconds = t1 - t0, time.perf_counter() - t1
+    reassign = ReassignConfig(rounds=args.reassign_rounds,
+                              samples_per_round=args.reassign_samples)
+    seconds: dict[str, float] = {}
+    with _timed(seconds, "load"):
+        graph, data = _load_graph(args.graph)
+    with _timed(seconds, "lcc"):
+        if args.lcc:
+            graph, _ = largest_connected_component(graph)
     source_hash = "sha256:" + hashlib.sha256(data).hexdigest()
     del data  # the hash is all that is kept of the file's bytes
 
     method = {"lm": "lm-eigvecs", "ocsa": "ocsa-random"}[args.method]
-    d = args.eigvecs if args.eigvecs is not None else args.k
-    reassign = None
-    if args.reassign_rounds > 0:
-        reassign = ReassignConfig(rounds=args.reassign_rounds,
-                                  samples_per_round=args.reassign_samples)
-    summary, report = specsumm(graph, args.k, d=d, relax_method=method,
-                               reassign=reassign, seed=args.seed)
+    summary, report = specsumm(graph, args.k, d=args.eigvecs,
+                               relax_method=method, reassign=reassign,
+                               seed=args.seed)
+    seconds.update(report.seconds)
 
-    t0 = time.perf_counter()
-    payload = _metrics(graph, summary, report.objective)
-    payload["seconds"] = {"load": load_seconds, "lcc": lcc_seconds,
-                          **report.seconds,
-                          "triangles": time.perf_counter() - t0}
+    with _timed(seconds, "triangles"):
+        payload = _metrics(graph, summary, report.objective, report.loss)
+    payload["seconds"] = seconds
     payload["reassign_moves"] = report.reassign_moves
 
-    meta = {"source_hash": source_hash, "d": d,
-            "relax_method": method, "seeds": report.seeds,
+    meta = {"source_hash": source_hash, "d": report.d,
+            "relax_method": report.relax_method, "seeds": report.seeds,
             "params": {"k": args.k, "lcc": bool(args.lcc),
                        "reassign_rounds": args.reassign_rounds,
                        "reassign_samples": args.reassign_samples}}
@@ -239,28 +242,19 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    graph, _ = _load_graph(args.graph)
-    load_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    stored = read_summary_file(args.summary)
-    if stored.n != graph.node_count:
-        raise ParameterError(f"summary is for n={stored.n}, "
-                             f"graph has n={graph.node_count}")
-    summary = stored.to_summary()
-    membership = summary.membership
-    # One count of the supernode edges gives both the densities and F.
-    counts = supernode_edge_counts(graph, membership)
-    recomputed = _summary_from_counts(membership, counts)
-    drift = float(np.max(np.abs(summary.density - recomputed.density),
-                         initial=0.0))
-    payload = _metrics(graph, recomputed,
-                       _objective_from_counts(counts, membership.sizes))
+    seconds: dict[str, float] = {}
+    with _timed(seconds, "load"):
+        graph, _ = _load_graph(args.graph)
+    with _timed(seconds, "evaluate"):
+        summary = _stored_summary(graph, args.summary)
+        recomputed, objective, loss = _summarize_counts(graph,
+                                                        summary.membership)
+        drift = float(np.max(np.abs(summary.density - recomputed.density),
+                             initial=0.0))
+        payload = _metrics(graph, recomputed, objective, loss)
     payload["density_drift_max"] = drift
     payload["density_drift"] = drift > 1e-9
-    payload["seconds"] = {"load": load_seconds,
-                          "evaluate": time.perf_counter() - t0}
+    payload["seconds"] = seconds
     _print_json(payload)
     return 0
 
@@ -276,16 +270,16 @@ def cmd_relax(args: argparse.Namespace) -> int:
         start = random_orthonormal_init(n, args.k, args.seed)
     config = OcsaConfig(max_iterations=args.iters, initial_step=args.tau,
                         relative_tolerance=args.tol)
-    t0 = time.perf_counter()
-    _, trace = ocsa(graph, start, config)
-    seconds = time.perf_counter() - t0
+    seconds: dict[str, float] = {}
+    with _timed(seconds, "ascent"):
+        _, trace = ocsa(graph, start, config)
     if args.trace:
         write_trace(args.trace, trace)
     _print_json({"F": float(trace.objectives[-1]),
                  "initial_F": float(trace.objectives[0]),
                  "iterations": trace.iterations, "reason": trace.reason,
                  "n": n, "k": args.k, "init": args.init,
-                 "seconds": seconds})
+                 "seconds": seconds["ascent"]})
     return 0
 
 
@@ -305,11 +299,7 @@ def cmd_gen_sbm(args: argparse.Namespace) -> int:
 
 def cmd_triangles(args: argparse.Namespace) -> int:
     graph, _ = _load_graph(args.graph)
-    stored = read_summary_file(args.summary)
-    if stored.n != graph.node_count:
-        raise ParameterError(f"summary is for n={stored.n}, "
-                             f"graph has n={graph.node_count}")
-    summary = stored.to_summary()
+    summary = _stored_summary(graph, args.summary)
     exact = (exact_triangles(graph)
              if graph.node_count <= _EXACT_TRIANGLE_LIMIT else None)
     _print_json({"estimate": expected_triangles(summary).expected,

@@ -284,8 +284,12 @@ def _line_ids(data: str | bytes) -> np.ndarray:
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
+            # Numbered by str.splitlines, as the loop below numbers lines:
+            # "x" stands in for the bad byte, which starts a new line only
+            # when a line break ends the valid prefix.
+            prefix = data[:exc.start].decode("utf-8")
             raise ParseError("invalid UTF-8 byte",
-                             data.count(b"\n", 0, exc.start) + 1) from None
+                             len((prefix + "x").splitlines())) from None
     ids: list[int] = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
         line = raw.strip()

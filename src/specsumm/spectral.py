@@ -2,9 +2,9 @@
 
 The relaxed optimizer's reference solution is the span of the d
 largest-|λ| eigenvectors; this module computes them with an implicitly
-restarted Lanczos iteration (ARPACK) plus a dense fallback, and fixes a
-deterministic ordering and sign convention so downstream results are
-reproducible.
+restarted Lanczos iteration (ARPACK), whose failures are raised and never
+hidden behind another solver, and fixes a deterministic ordering and sign
+convention so downstream results are reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ __all__ = ["EigenBasis", "lm_eigs"]
 _SIGN_EPS = 1e-10
 _RESIDUAL_TOL = 1e-8
 _ORTHO_TOL = 1e-8
-_DENSE_LIMIT = 512
+# Largest order the dense route serves when d > n - 2 leaves ARPACK out.
+_DENSE_ROUTE_LIMIT = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,53 +110,47 @@ def lm_eigs(graph: Graph, d: int, seed: int | None = None) -> EigenBasis:
     seed : int, optional
         Seeds the starting vector; fixed seeds give bit-identical output.
 
-    ARPACK runs when d ≤ n − 2.  One dense ``eigh`` route serves d > n − 2
-    (for n ≤ 2048) and an ARPACK failure or tolerance miss at n ≤ 512.
+    ARPACK, which needs a spare basis column, runs when d ≤ n − 2; a dense
+    ``eigh`` route serves d > n − 2, for n ≤ 2048.
 
     Raises
     ------
     ParameterError
         If d is out of range, or d > n − 2 on a graph with n > 2048.
     ConvergenceError
-        If the iteration stalls and the graph is too large for the dense
-        fallback; carries the best residual norms reached.
+        If ARPACK stalls, fails or misses the tolerance, at any n; carries
+        the best residual norms reached.
     """
     n = graph.node_count
     if not 1 <= d <= n:
         raise ParameterError(f"d={d} out of range for n={n}")
+    if d > n - 2:
+        if n > _DENSE_ROUTE_LIMIT:
+            raise ParameterError(
+                f"d={d} too close to n={n} for the sparse solver at this scale")
+        dense = _dense_basis(graph)
+        return EigenBasis(values=dense.values[:d].copy(),
+                          vectors=dense.vectors[:, :d].copy())
 
-    # ARPACK needs strictly fewer requested pairs than the matrix order
-    # (and a spare basis column).
-    if d <= n - 2:
-        # Imported on the one route that calls ARPACK, so that importing
-        # the package loads no scipy (see Graph._csr).
-        from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
-                                         eigsh)
+    # Imported on the one route that calls ARPACK, so that importing the
+    # package loads no scipy (see Graph._csr).
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
-        v0 = make_generator(seed).standard_normal(n)
-        ncv = min(n, max(4 * d, d + 20))
-        try:
-            values, vectors = eigsh(graph._csr, k=d, which="LM", v0=v0,
-                                    ncv=ncv, tol=0)
-            basis = _canonicalize(values, vectors)
-            if _invariants_hold(graph, basis):
-                return basis
-            failure = ConvergenceError("Lanczos output failed residual check",
-                                       residuals=basis.residual_norms(graph))
-        except ArpackNoConvergence as exc:
-            # Report the residuals of the pairs converged before stopping.
-            partial = EigenBasis(
-                np.asarray(exc.eigenvalues, dtype=np.float64),
-                np.asarray(exc.eigenvectors, dtype=np.float64))
-            failure = ConvergenceError(str(exc), residuals=(
-                partial.residual_norms(graph) if partial.d else None))
-        except (ArpackError, np.linalg.LinAlgError) as exc:
-            failure = ConvergenceError(str(exc))
-        if n > _DENSE_LIMIT:
-            raise failure
-    elif n > 4 * _DENSE_LIMIT:
-        raise ParameterError(
-            f"d={d} too close to n={n} for the sparse solver at this scale")
-    dense = _dense_basis(graph)
-    return EigenBasis(values=dense.values[:d].copy(),
-                      vectors=dense.vectors[:, :d].copy())
+    v0 = make_generator(seed).standard_normal(n)
+    ncv = min(n, max(4 * d, d + 20))
+    try:
+        values, vectors = eigsh(graph._csr, k=d, which="LM", v0=v0, ncv=ncv,
+                                tol=0)
+    except ArpackNoConvergence as exc:
+        # Report the residuals of the pairs converged before stopping.
+        partial = EigenBasis(np.asarray(exc.eigenvalues, dtype=np.float64),
+                             np.asarray(exc.eigenvectors, dtype=np.float64))
+        raise ConvergenceError(str(exc), residuals=(
+            partial.residual_norms(graph) if partial.d else None)) from None
+    except (ArpackError, np.linalg.LinAlgError) as exc:
+        raise ConvergenceError(str(exc)) from exc
+    basis = _canonicalize(values, vectors)
+    if not _invariants_hold(graph, basis):
+        raise ConvergenceError("Lanczos output failed residual check",
+                               residuals=basis.residual_norms(graph))
+    return basis

@@ -9,8 +9,9 @@ products); the squared reconstruction error of the lifted adjacency equals
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -117,21 +118,30 @@ def _objective_from_counts(counts: np.ndarray, sizes: np.ndarray) -> float:
     return float(np.sum(sq / outer))
 
 
+def _summarize_counts(graph: Graph, membership: Membership,
+                      counts: np.ndarray | None = None
+                      ) -> tuple[Summary, float, float]:
+    """The summary of a membership with its objective F and loss L = 2m - F.
+
+    All three come from one matrix of supernode edge counts: ``counts``
+    when the caller already holds them, else one count taken here.
+    """
+    if counts is None:
+        counts = supernode_edge_counts(graph, membership)
+    sizes = membership.sizes.astype(np.float64)
+    summary = Summary(membership, counts / (sizes[:, None] * sizes[None, :]))
+    objective = _objective_from_counts(counts, membership.sizes)
+    return summary, objective, adjacency_trace_sq(graph) - objective
+
+
 def objective_integer(graph: Graph, membership: Membership) -> float:
     """Trace objective F = sum_ij E_ij^2 / (n_i n_j), from exact counts."""
-    counts = supernode_edge_counts(graph, membership)
-    return _objective_from_counts(counts, membership.sizes)
-
-
-def _summary_from_counts(membership: Membership, counts: np.ndarray) -> Summary:
-    sizes = membership.sizes.astype(np.float64)
-    return Summary(membership, counts / (sizes[:, None] * sizes[None, :]))
+    return _summarize_counts(graph, membership)[1]
 
 
 def build_summary(graph: Graph, membership: Membership) -> Summary:
     """Summary whose densities are exact edge counts over size products."""
-    return _summary_from_counts(membership,
-                                supernode_edge_counts(graph, membership))
+    return _summarize_counts(graph, membership)[0]
 
 
 def l2_loss(graph: Graph, summary: Summary) -> float:
@@ -142,8 +152,7 @@ def l2_loss(graph: Graph, summary: Summary) -> float:
     """
     if summary.membership.n != graph.node_count:
         raise ParameterError("summary does not match graph order")
-    return adjacency_trace_sq(graph) - objective_integer(graph,
-                                                         summary.membership)
+    return _summarize_counts(graph, summary.membership)[2]
 
 
 @dataclass(frozen=True)
@@ -322,6 +331,15 @@ def _reassign(graph: Graph, membership: Membership, counts: np.ndarray,
     return Membership(assign, k), moves, counts
 
 
+@contextmanager
+def _timed(seconds: dict[str, float], phase: str) -> Iterator[None]:
+    """Record the wall time of the ``with`` block as ``seconds[phase]``:
+    the one definition of every phase time a run reports."""
+    start = time.perf_counter()
+    yield
+    seconds[phase] = time.perf_counter() - start
+
+
 @dataclass(frozen=True)
 class SummaryReport:
     objective: float
@@ -361,37 +379,29 @@ def specsumm(graph: Graph, k: int, d: int | None = None,
     relax_seed, cluster_seed, reassign_seed = derive_seeds(seed, 3)
     seconds: dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    if relax_method == "lm-eigvecs":
-        embedding = lm_eigs(graph, d, seed=relax_seed).vectors
-    else:
-        start = random_orthonormal_init(n, d, relax_seed)
-        embedding, _ = ocsa(graph, start)
-    seconds["relax"] = time.perf_counter() - t0
+    with _timed(seconds, "relax"):
+        if relax_method == "lm-eigvecs":
+            embedding = lm_eigs(graph, d, seed=relax_seed).vectors
+        else:
+            start = random_orthonormal_init(n, d, relax_seed)
+            embedding, _ = ocsa(graph, start)
 
-    t0 = time.perf_counter()
-    assign, _, _ = minibatch_kmeans(embedding, k,
-                                    KmeansConfig(seed=cluster_seed))
-    membership = Membership(assign, k)
-    seconds["cluster"] = time.perf_counter() - t0
+    with _timed(seconds, "cluster"):
+        assign, _, _ = minibatch_kmeans(embedding, k,
+                                        KmeansConfig(seed=cluster_seed))
+        membership = Membership(assign, k)
 
-    t0 = time.perf_counter()
-    counts = None
-    moves: list[ReassignMove] = []
-    if reassign is not None:
-        # The moves keep the counts current, so they are taken only once.
-        membership, moves, counts = _reassign(
-            graph, membership, supernode_edge_counts(graph, membership),
-            replace(reassign, seed=reassign_seed))
-    seconds["reassign"] = time.perf_counter() - t0
+    with _timed(seconds, "reassign"):
+        counts = None
+        moves: list[ReassignMove] = []
+        if reassign is not None:
+            # The moves keep the counts current, so they are taken only once.
+            membership, moves, counts = _reassign(
+                graph, membership, supernode_edge_counts(graph, membership),
+                replace(reassign, seed=reassign_seed))
 
-    t0 = time.perf_counter()
-    if counts is None:
-        counts = supernode_edge_counts(graph, membership)
-    summary = _summary_from_counts(membership, counts)
-    objective = _objective_from_counts(counts, membership.sizes)
-    loss = adjacency_trace_sq(graph) - objective
-    seconds["summary"] = time.perf_counter() - t0
+    with _timed(seconds, "summary"):
+        summary, objective, loss = _summarize_counts(graph, membership, counts)
 
     report = SummaryReport(objective=objective, loss=loss, k=k, d=d,
                            relax_method=relax_method,

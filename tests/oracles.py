@@ -21,11 +21,12 @@ from specsumm.graph import _PLAIN_BYTES, _PLAIN_DIGITS, _from_pairs
 from specsumm.kmeans import _sq_dists
 from specsumm.queries import _pair_matrix
 from specsumm.rng import make_generator
-from specsumm.spectral import _DENSE_LIMIT, _dense_basis
+from specsumm.spectral import _dense_basis
 from specsumm.stiefel import CayleyStepError
 from specsumm.summary import _objective_from_counts
 
 _ORACLE_LIMIT = 1500
+_DENSE_ORACLE_LIMIT = 512
 
 
 def dense_eig_oracle(graph: Graph) -> EigenBasis:
@@ -33,9 +34,9 @@ def dense_eig_oracle(graph: Graph) -> EigenBasis:
 
     Refuses graphs with more than 512 nodes.
     """
-    if graph.node_count > _DENSE_LIMIT:
-        raise ParameterError(
-            f"dense oracle refused: n={graph.node_count} exceeds {_DENSE_LIMIT}")
+    if graph.node_count > _DENSE_ORACLE_LIMIT:
+        raise ParameterError(f"dense oracle refused: n={graph.node_count} "
+                             f"exceeds {_DENSE_ORACLE_LIMIT}")
     return _dense_basis(graph)
 
 

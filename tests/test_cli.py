@@ -100,6 +100,17 @@ class TestSummarize:
                      "--out", str(tmp_path / "s.json")])
         assert code == 2
 
+    def test_negative_reassign_rounds_is_parameter_error(self, tmp_path,
+                                                         graph_file, capsys):
+        out = tmp_path / "s.json"
+        code = main(["summarize", graph_file, "--k", "2",
+                     "--reassign-rounds", "-3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: rounds must be >= 0\n"
+        assert not out.exists()
+
     def test_missing_graph_file(self, tmp_path):
         code = main(["summarize", str(tmp_path / "no_such.txt"), "--k", "2",
                      "--out", str(tmp_path / "s.json")])
@@ -144,15 +155,24 @@ class TestSummarize:
 
 class TestEvaluate:
     def test_round_trip_matches_summarize(self, tmp_path, graph_file, capsys):
-        out = str(tmp_path / "s.json")
-        _, made = _run(capsys, ["summarize", graph_file, "--k", "2",
-                                "--seed", "0", "--out", out])
-        code, evaluated = _run(capsys, ["evaluate", graph_file, out])
-        assert code == 0
-        assert evaluated["F"] == made["F"]
-        assert evaluated["L"] == made["L"]
-        assert evaluated["density_drift"] is False
-        assert evaluated["density_drift_max"] == 0.0
+        graph, _ = generate_sbm(6, 25, 0.3, 0.15, seed=8)
+        sbm_file = str(tmp_path / "sbm.txt")
+        with open(sbm_file, "w") as handle:
+            write_edge_list(graph, handle)
+        for path, args in ((graph_file, ["--k", "2"]),
+                           (sbm_file, ["--k", "6", "--reassign-rounds", "2"]),
+                           (sbm_file, ["--k", "6", "--method", "ocsa"])):
+            out = str(tmp_path / "s.json")
+            _, made = _run(capsys, ["summarize", path, *args, "--seed", "0",
+                                    "--out", out])
+            if "--reassign-rounds" in args:
+                assert made["reassign_moves"] > 0
+            code, evaluated = _run(capsys, ["evaluate", path, out])
+            assert code == 0
+            assert evaluated["F"] == made["F"]
+            assert evaluated["L"] == made["L"]
+            assert evaluated["density_drift"] is False
+            assert evaluated["density_drift_max"] == 0.0
 
     def test_edges_counted_once(self, tmp_path, capsys, monkeypatch):
         graph, _ = generate_sbm(6, 25, 0.3, 0.15, seed=8)
@@ -170,7 +190,6 @@ class TestEvaluate:
             return counter(g, membership)
 
         monkeypatch.setattr(summary_module, "supernode_edge_counts", counted)
-        monkeypatch.setattr(cli, "supernode_edge_counts", counted)
         code, report = _run(capsys, ["evaluate", str(graph_path), str(out)])
         monkeypatch.undo()
         assert code == 0

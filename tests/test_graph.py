@@ -86,6 +86,21 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="UTF-8"):
             load_edge_list(io.BytesIO(b"\xc3(0 1\n"))
 
+    @pytest.mark.parametrize("brk", [
+        b"\r", b"\x0b", b"\x0c", b"\x1c", "\x85".encode(), "\u2028".encode()],
+        ids=["cr", "vt", "ff", "fs", "nel", "ls"])
+    @pytest.mark.parametrize("lead", [b"", b"2 "], ids=["line-start", "mid-line"])
+    def test_invalid_byte_numbered_like_a_malformed_token(self, brk, lead):
+        # Line breaks other than \n count as str.splitlines counts them.
+        prefix = b"0 1" + brk + b"1 2\n2 3\n" + lead
+
+        def line_of(bad):
+            with pytest.raises(ParseError) as info:
+                load_edge_list(io.BytesIO(prefix + bad + b"\n"))
+            return str(info.value).split(":")[0]
+
+        assert line_of(b"\xff") == line_of(b"x") == "line 4"
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=20), st.integers(0, 2**31))
     def test_round_trip(self, n, seed):

@@ -105,12 +105,15 @@ class TestLmEigs:
 
 
 class TestLmEigsNoConvergence:
-    """ARPACK stalls on a graph too large for the dense fallback."""
+    """ARPACK stalls: lm_eigs raises at every order, small graphs included,
+    instead of switching to another solver."""
 
     @pytest.fixture
-    def big(self):
-        graph, _ = generate_sbm(3, 200, 0.05, 0.01, seed=0)
-        return graph
+    def graphs(self):
+        small, _ = generate_sbm(3, 30, 0.2, 0.05, seed=0)
+        big, _ = generate_sbm(3, 200, 0.05, 0.01, seed=0)
+        assert small.node_count <= 512 < big.node_count
+        return small, big
 
     def _stall(self, monkeypatch, values, vectors):
         def stalled(*args, **kwargs):
@@ -118,22 +121,42 @@ class TestLmEigsNoConvergence:
         # lm_eigs imports eigsh from scipy.sparse.linalg when it runs.
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
 
-    def test_reports_residuals_of_partial_pairs(self, big, monkeypatch, rng):
-        vectors = np.linalg.qr(rng.standard_normal((big.node_count, 2)))[0]
-        values = np.array([5.0, -3.0])
-        self._stall(monkeypatch, values, vectors)
-        with pytest.raises(ConvergenceError) as info:
-            lm_eigs(big, 4, seed=0)
-        expected = np.linalg.norm(big.to_dense() @ vectors - vectors * values,
-                                  axis=0)
-        np.testing.assert_allclose(info.value.residuals, expected,
-                                   rtol=1e-12)
+    def test_reports_residuals_of_partial_pairs(self, graphs, monkeypatch,
+                                                rng):
+        for graph in graphs:
+            vectors = np.linalg.qr(
+                rng.standard_normal((graph.node_count, 2)))[0]
+            values = np.array([5.0, -3.0])
+            self._stall(monkeypatch, values, vectors)
+            with pytest.raises(ConvergenceError) as info:
+                lm_eigs(graph, 4, seed=0)
+            expected = np.linalg.norm(
+                graph.to_dense() @ vectors - vectors * values, axis=0)
+            np.testing.assert_allclose(info.value.residuals, expected,
+                                       rtol=1e-12)
 
-    def test_no_partial_pairs_reports_none(self, big, monkeypatch):
-        self._stall(monkeypatch, np.empty(0), np.empty((big.node_count, 0)))
-        with pytest.raises(ConvergenceError) as info:
-            lm_eigs(big, 4, seed=0)
-        assert info.value.residuals is None
+    def test_no_partial_pairs_reports_none(self, graphs, monkeypatch):
+        for graph in graphs:
+            self._stall(monkeypatch, np.empty(0),
+                        np.empty((graph.node_count, 0)))
+            with pytest.raises(ConvergenceError) as info:
+                lm_eigs(graph, 4, seed=0)
+            assert info.value.residuals is None
+
+    def test_tolerance_miss_reports_residuals(self, graphs, monkeypatch, rng):
+        for graph in graphs:
+            vectors = np.linalg.qr(
+                rng.standard_normal((graph.node_count, 4)))[0]
+            values = np.array([4.0, 3.0, 2.0, 1.0])
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                                lambda *args, **kwargs: (values, vectors))
+            with pytest.raises(ConvergenceError,
+                               match="failed residual check") as info:
+                lm_eigs(graph, 4, seed=0)
+            expected = np.linalg.norm(
+                graph.to_dense() @ vectors - vectors * values, axis=0)
+            np.testing.assert_allclose(info.value.residuals, expected,
+                                       rtol=1e-12)
 
 
 def test_complete_graph_ordering_tie_rule():
