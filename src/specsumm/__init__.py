@@ -15,7 +15,7 @@ from .kmeans import KmeansConfig, kmeans_cost, kmeanspp_init, minibatch_kmeans
 from .queries import TriangleEstimate, exact_triangles, expected_triangles
 from .spectral import EigenBasis, lm_eigs
 from .stiefel import (AscentTrace, OcsaConfig, SkewDirection, cayley_step,
-                      gradient, line_search, ocsa, orthonormality_defect,
+                      gradient, ocsa, orthonormality_defect,
                       random_orthonormal_init, skew_direction,
                       trace_objective_relaxed)
 from .summary import (Membership, ReassignConfig, ReassignMove, Summary,
@@ -32,8 +32,8 @@ __all__ = [
     "TriangleEstimate", "exact_triangles", "expected_triangles",
     "EigenBasis", "lm_eigs",
     "AscentTrace", "OcsaConfig", "SkewDirection", "cayley_step", "gradient",
-    "line_search", "ocsa", "orthonormality_defect",
-    "random_orthonormal_init", "skew_direction", "trace_objective_relaxed",
+    "ocsa", "orthonormality_defect", "random_orthonormal_init",
+    "skew_direction", "trace_objective_relaxed",
     "Membership", "ReassignConfig", "ReassignMove", "Summary",
     "SummaryReport", "build_summary", "l2_loss", "objective_integer",
     "reassignment", "specsumm", "supernode_edge_counts",

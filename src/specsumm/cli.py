@@ -38,7 +38,7 @@ from .stiefel import AscentTrace, OcsaConfig, ocsa, random_orthonormal_init
 from .summary import (Membership, ReassignConfig, Summary,
                       _summarize_counts, _timed, specsumm)
 
-__all__ = ["SummaryFile", "read_summary_file", "write_trace", "main"]
+__all__ = ["SummaryFile", "read_summary_file", "main"]
 
 FORMAT_VERSION = 1
 
@@ -164,7 +164,7 @@ def read_summary_file(path: str | Path) -> SummaryFile:
         raise ParseError(f"malformed summary file: {exc}") from exc
 
 
-def write_trace(path: str | Path, trace: AscentTrace) -> None:
+def _write_trace(path: str | Path, trace: AscentTrace) -> None:
     """TSV trace: one row per objective value; the starting row has no
     step size."""
     lines = ["iter\tF\ttau"]
@@ -260,6 +260,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_relax(args: argparse.Namespace) -> int:
+    config = OcsaConfig(max_iterations=args.iters, initial_step=args.tau,
+                        relative_tolerance=args.tol)
     graph, _ = _load_graph(args.graph)
     n = graph.node_count
     if not 1 <= args.k <= n:
@@ -268,13 +270,11 @@ def cmd_relax(args: argparse.Namespace) -> int:
         start = lm_eigs(graph, args.k, seed=args.seed).vectors
     else:
         start = random_orthonormal_init(n, args.k, args.seed)
-    config = OcsaConfig(max_iterations=args.iters, initial_step=args.tau,
-                        relative_tolerance=args.tol)
     seconds: dict[str, float] = {}
     with _timed(seconds, "ascent"):
         _, trace = ocsa(graph, start, config)
     if args.trace:
-        write_trace(args.trace, trace)
+        _write_trace(args.trace, trace)
     _print_json({"F": float(trace.objectives[-1]),
                  "initial_F": float(trace.objectives[0]),
                  "iterations": trace.iterations, "reason": trace.reason,

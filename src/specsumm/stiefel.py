@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "gradient",
     "skew_direction",
     "cayley_step",
-    "line_search",
     "random_orthonormal_init",
     "orthonormality_defect",
     "ocsa",
@@ -53,23 +52,24 @@ class CayleyStepError(RuntimeError):
 
 @dataclass(frozen=True)
 class OcsaConfig:
-    """Ascent-loop knobs: iteration budget, first trial step, stop
-    tolerance, and the backtracking contraction."""
+    """Ascent-loop knobs: iteration budget, first trial step and stop
+    tolerance.  ``contraction`` is not a knob: every rejected trial step
+    is halved."""
+
+    contraction: ClassVar[float] = 0.5
 
     max_iterations: int = 100
     initial_step: float = 1e-3
     relative_tolerance: float = 1e-3
-    contraction: float = 0.5
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ParameterError("max_iterations must be >= 0")
-        if not self.initial_step > 0:
-            raise ParameterError("initial_step must be positive")
-        if self.relative_tolerance < 0:
-            raise ParameterError("relative_tolerance must be >= 0")
-        if not 0 < self.contraction < 1:
-            raise ParameterError("contraction must lie in (0, 1)")
+        if not (math.isfinite(self.initial_step) and self.initial_step > 0):
+            raise ParameterError("initial_step must be finite and positive")
+        if not (math.isfinite(self.relative_tolerance)
+                and self.relative_tolerance >= 0):
+            raise ParameterError("relative_tolerance must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,23 +94,12 @@ class AscentTrace:
 class SkewDirection:
     """Skew operator W = left·rightᵀ − right·leftᵀ, kept in factored form.
 
-    The n×n matrix is never formed: ``cayley_step`` and ``line_search``
-    work from the k×k Grams of the two n×k factors.
+    The n×n matrix is never formed: ``cayley_step`` and the ascent's line
+    search work from the k×k Grams of the two n×k factors.
     """
 
     left: np.ndarray
     right: np.ndarray
-
-
-class LineSearchResult(NamedTuple):
-    """An accepted step: τ, Z(τ), F(Z(τ)), and the A·Z(τ) and
-    Z(τ)ᵀA·Z(τ) its objective was computed from."""
-
-    tau: float
-    solution: np.ndarray
-    objective: float
-    az: np.ndarray
-    zaz: np.ndarray
 
 
 def _objective_parts(graph: Graph, Z: np.ndarray
@@ -219,31 +208,25 @@ def cayley_step(Z: np.ndarray, W: SkewDirection, tau: float) -> np.ndarray:
     return _curve_system(Z, W).point(Z, tau)
 
 
-def line_search(graph: Graph, Z: np.ndarray, W: SkewDirection, tau0: float,
-                contraction: float = 0.5, *, objective: float | None = None,
-                grad: np.ndarray | None = None) -> LineSearchResult | None:
-    """Armijo backtracking along the Cayley curve of W.
+def _line_search(graph: Graph, Z: np.ndarray, G: np.ndarray, value: float,
+                 tau0: float) -> tuple | None:
+    """Armijo backtracking along the Cayley curve of W = Z·Gᵀ − G·Zᵀ.
 
-    Tries τ₀, τ₀ρ, τ₀ρ², …, τ₀ρ³⁰ (ρ = ``contraction``) and accepts the
-    first (largest) step with F(Z(τ)) ≥ F(Z) + 1e-4·τ·g₀, where
-    g₀ = ⟨G, −W·Z⟩ is the analytic curve derivative at τ = 0.  Returns
-    None when the direction offers no ascent: g₀ ≤ 0, the direction is
-    stationary relative to the gradient scale (‖W·Z‖ ≤ 1e-8·‖G‖), or every
-    backtrack level fails the test.  A step whose curve system is singular
-    counts as a failed level.
+    Tries τ₀, τ₀ρ, τ₀ρ², …, τ₀ρ³⁰ (ρ = ``OcsaConfig.contraction``) and
+    accepts the first (largest) step with F(Z(τ)) ≥ F(Z) + 1e-4·τ·g₀, where
+    F(Z) = ``value`` and g₀ = ⟨G, −W·Z⟩ is the analytic curve derivative at
+    τ = 0.  Returns (τ, Z(τ), F(Z(τ)), A·Z(τ), Z(τ)ᵀA·Z(τ)), or None when
+    the direction offers no ascent: g₀ ≤ 0, the direction is stationary
+    relative to the gradient scale (‖W·Z‖ ≤ 1e-8·‖G‖), or every backtrack
+    level fails the test.  A step whose curve system is singular counts as
+    a failed level.
 
-    The curve system is built once, from k×k Grams (for the ascent's
-    W = Z·Gᵀ − G·Zᵀ: ZᵀZ, GᵀZ and GᵀG), and serves the direction
-    −W·Z = −B·CᵀZ = G·ZᵀZ − Z·GᵀZ as well as every trial step, which then
-    costs one 2k×2k solve, two n×k·k×k products and one objective
-    evaluation.  The accepted result carries A·Z(τ) and Z(τ)ᵀA·Z(τ), so
-    the caller's next gradient needs no sparse product of its own.
+    The curve system is built once, from the k×k Grams ZᵀZ, GᵀZ and GᵀG,
+    and serves the direction −W·Z = −B·CᵀZ = G·ZᵀZ − Z·GᵀZ as well as every
+    trial step, which then costs one 2k×2k solve, two n×k·k×k products and
+    one objective evaluation.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    F0 = trace_objective_relaxed(graph, Z) if objective is None else objective
-    G = gradient(graph, Z) if grad is None else grad
-
-    system = _curve_system(Z, W)
+    system = _curve_system(Z, skew_direction(Z, G))
     direction = -system.lift(system.rhs)
     if np.linalg.norm(direction) <= _STATIONARY_REL * np.linalg.norm(G):
         return None
@@ -256,13 +239,12 @@ def line_search(graph: Graph, Z: np.ndarray, W: SkewDirection, tau0: float,
         try:
             candidate = system.point(Z, tau)
         except CayleyStepError:
-            tau *= contraction
+            tau *= OcsaConfig.contraction
             continue
-        AZ, M, value = _objective_parts(graph, candidate)
-        if value >= F0 + _SUFFICIENT_INCREASE * tau * g0:
-            return LineSearchResult(tau=tau, solution=candidate,
-                                    objective=value, az=AZ, zaz=M)
-        tau *= contraction
+        AZ, M, trial = _objective_parts(graph, candidate)
+        if trial >= value + _SUFFICIENT_INCREASE * tau * g0:
+            return tau, candidate, trial, AZ, M
+        tau *= OcsaConfig.contraction
     return None
 
 
@@ -322,21 +304,19 @@ def ocsa(graph: Graph, Z0: np.ndarray,
     steps: list[float] = []
     reason = "max-iter"
     for _ in range(config.max_iterations):
-        G = 4.0 * (AZ @ M)
-        W = skew_direction(Z, G)
-        found = line_search(graph, Z, W, config.initial_step, config.contraction,
-                            objective=value, grad=G)
+        found = _line_search(graph, Z, 4.0 * (AZ @ M), value,
+                             config.initial_step)
         if found is None:
             reason = "no-ascent-step"
             break
-        Z, AZ, M = found.solution, found.az, found.zaz
-        objectives.append(found.objective)
-        steps.append(found.tau)
+        tau, Z, trial, AZ, M = found
+        objectives.append(trial)
+        steps.append(tau)
         if value > 0:
-            relative_gain = (found.objective - value) / value
+            relative_gain = (trial - value) / value
         else:
-            relative_gain = math.inf if found.objective > 0 else 0.0
-        value = found.objective
+            relative_gain = math.inf if trial > 0 else 0.0
+        value = trial
         if relative_gain <= config.relative_tolerance:
             reason = "tolerance"
             break

@@ -23,8 +23,8 @@ PACKAGE_ALL = {
     "TriangleEstimate", "exact_triangles", "expected_triangles",
     "EigenBasis", "lm_eigs",
     "AscentTrace", "OcsaConfig", "SkewDirection", "cayley_step", "gradient",
-    "line_search", "ocsa", "orthonormality_defect",
-    "random_orthonormal_init", "skew_direction", "trace_objective_relaxed",
+    "ocsa", "orthonormality_defect", "random_orthonormal_init",
+    "skew_direction", "trace_objective_relaxed",
     "Membership", "ReassignConfig", "ReassignMove", "Summary",
     "SummaryReport", "build_summary", "l2_loss", "objective_integer",
     "reassignment", "specsumm", "supernode_edge_counts",

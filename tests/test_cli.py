@@ -351,6 +351,22 @@ class TestRelax:
     def test_k_out_of_range(self, graph_file):
         assert main(["relax", graph_file, "--k", "7"]) == 2
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--tau", "inf", "initial_step"), ("--tau", "nan", "initial_step"),
+        ("--tol", "nan", "relative_tolerance"),
+        ("--tol", "inf", "relative_tolerance"),
+    ])
+    def test_non_finite_step_or_tolerance_exits_2(self, tmp_path, graph_file,
+                                                  capsys, flag, value, name):
+        trace_path = tmp_path / "t.tsv"
+        code = main(["relax", graph_file, "--k", "2", "--init", "random",
+                     flag, value, "--trace", str(trace_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must be finite")
+        assert not trace_path.exists()
+
 
 class TestGenSbm:
     def test_single_block_is_complete(self, tmp_path, capsys):
@@ -487,6 +503,24 @@ class TestAtomicWrites:
         assert main(["summarize", graph_file, "--k", "2", "--seed", "0",
                      "--out", str(out)]) == 1
         assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["summarize", "{graph}", "--k", "2", "--out", "{out}"],
+    ["gen-sbm", "--blocks", "2", "--size", "3", "--p-in", "1.0",
+     "--out", "{out}"],
+    ["relax", "{graph}", "--k", "2", "--init", "random", "--trace", "{out}"],
+], ids=["summarize", "gen-sbm", "relax"])
+def test_negative_seed_is_parameter_error(tmp_path, graph_file, capsys, argv):
+    out = tmp_path / "out"
+    code = main([a.format(graph=graph_file, out=out) for a in argv]
+                + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0\n"
+    assert not out.exists()
+    assert not (tmp_path / "out.membership").exists()
 
 
 def _fresh_env(**extra: str) -> dict:

@@ -1,12 +1,13 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from specsumm import (Graph, OcsaConfig, ParameterError, cayley_step,
-                      gradient, line_search, lm_eigs, ocsa,
-                      orthonormality_defect, random_orthonormal_init,
-                      skew_direction, stiefel, trace_objective_relaxed)
+                      gradient, lm_eigs, ocsa, orthonormality_defect,
+                      random_orthonormal_init, skew_direction, stiefel,
+                      trace_objective_relaxed)
 from specsumm.stiefel import CayleyStepError
 
 from oracles import (dense_eig_oracle, fd_gradient, ocsa_reference,
@@ -170,24 +171,26 @@ class TestCayleyStep:
 
 
 class TestLineSearch:
+    """The Armijo search that ``ocsa`` runs at every iteration."""
+
     def test_zero_direction_returns_none(self, k3):
         Z = np.ones((3, 1)) / np.sqrt(3.0)
-        W = skew_direction(Z, np.zeros((3, 1)))
-        assert line_search(k3, Z, W, 0.001) is None
+        value = trace_objective_relaxed(k3, Z)
+        assert stiefel._line_search(k3, Z, np.zeros((3, 1)), value,
+                                    0.001) is None
 
     def test_ascent_on_two_triangles(self, two_triangles):
         Z = random_orthonormal_init(6, 2, seed=17)
-        W = skew_direction(Z, gradient(two_triangles, Z))
-        got = line_search(two_triangles, Z, W, 0.001)
+        value = trace_objective_relaxed(two_triangles, Z)
+        got = stiefel._line_search(two_triangles, Z,
+                                   gradient(two_triangles, Z), value, 0.001)
         assert got is not None
-        assert got.tau > 0
-        assert got.objective > trace_objective_relaxed(two_triangles, Z)
-
-    def test_descent_direction_returns_none(self, two_triangles):
-        Z = random_orthonormal_init(6, 2, seed=17)
-        G = gradient(two_triangles, Z)
-        flipped = skew_direction(G, Z)  # negates W, so g0 flips sign
-        assert line_search(two_triangles, Z, flipped, 0.001) is None
+        tau, Z_new, trial, AZ, M = got
+        assert tau > 0
+        assert trial > value
+        assert trial == trace_objective_relaxed(two_triangles, Z_new)
+        assert np.array_equal(AZ, two_triangles.adjacency_matmat(Z_new))
+        assert np.array_equal(M, Z_new.T @ AZ)
 
 
 class TestRandomInit:
@@ -285,8 +288,18 @@ class TestOcsa:
             OcsaConfig(max_iterations=-1)
         with pytest.raises(ParameterError):
             OcsaConfig(initial_step=0.0)
-        with pytest.raises(ParameterError):
-            OcsaConfig(contraction=1.0)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ParameterError, match="initial_step"):
+                OcsaConfig(initial_step=bad)
+            with pytest.raises(ParameterError, match="relative_tolerance"):
+                OcsaConfig(relative_tolerance=bad)
+
+    def test_contraction_is_a_constant_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(OcsaConfig)] == [
+            "max_iterations", "initial_step", "relative_tolerance"]
+        assert OcsaConfig().contraction == OcsaConfig.contraction == 0.5
+        with pytest.raises(TypeError):
+            OcsaConfig(contraction=0.25)
 
 
 class TestOcsaMatchesReference:
@@ -327,8 +340,8 @@ class TestOcsaMatchesReference:
         graph = random_graph(rng, 30, p=0.3)
         Z0 = random_orthonormal_init(30, 3, seed=5)
         monkeypatch.setattr(stiefel, "_MAX_BACKTRACKS", 200)
-        config = OcsaConfig(max_iterations=5, initial_step=1e307,
-                            contraction=0.01)
+        monkeypatch.setattr(OcsaConfig, "contraction", 0.01)
+        config = OcsaConfig(max_iterations=5, initial_step=1e307)
         W = skew_direction(Z0, gradient(graph, Z0))
         with np.errstate(all="ignore"):
             with pytest.raises(CayleyStepError):
