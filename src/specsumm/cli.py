@@ -109,9 +109,12 @@ class SummaryFile:
         return full
 
     def to_summary(self) -> Summary:
-        membership = Membership(np.asarray(self.membership, dtype=np.int64),
-                                self.k)
-        return Summary(membership, self.density_matrix())
+        try:
+            membership = Membership(
+                np.asarray(self.membership, dtype=np.int64), self.k)
+            return Summary(membership, self.density_matrix())
+        except ParameterError as exc:
+            raise ParseError(f"malformed summary file: {exc}") from None
 
     def write(self, path: str | Path) -> None:
         payload = {"format_version": FORMAT_VERSION, "n": self.n,
@@ -379,18 +382,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, ParameterError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: parse failures exit 1,
-parameter/validation failures exit 2, solver non-convergence exits 3.
+Each type carries the CLI's exit code for it as ``exit_code``: parse
+failures exit 1, parameter/validation failures 2, non-convergence 3.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ class ParseError(ValueError):
     The message names the 1-based line number when the line is known.
     """
 
+    exit_code = 1
+
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
@@ -22,6 +24,8 @@ class ParseError(ValueError):
 class ParameterError(ValueError):
     """A caller-supplied parameter violates an operation's precondition."""
 
+    exit_code = 2
+
 
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance.
@@ -29,6 +33,8 @@ class ConvergenceError(RuntimeError):
     ``residuals`` holds the best per-eigenpair residual norms seen, when
     available, so callers can report how close the solver got.
     """
+
+    exit_code = 3
 
     def __init__(self, message: str, residuals=None):
         super().__init__(message)

@@ -363,10 +363,9 @@ def largest_connected_component(graph: Graph) -> tuple[Graph, np.ndarray]:
     if ncomp == 1:
         return graph, np.arange(graph.node_count, dtype=np.int64)
     sizes = np.bincount(labels, minlength=ncomp)
-    # np.unique scans ascending, so first_index[c] is the smallest node in c.
-    comps, first_index = np.unique(labels, return_index=True)
-    candidates = comps[sizes[comps] == sizes.max()]
-    best = candidates[np.argmin(first_index[candidates])]
+    # The lowest node that lies in a largest component picks it, so ties
+    # go to the component holding the smallest id.
+    best = labels[np.argmax(sizes[labels] == sizes.max())]
 
     kept = np.flatnonzero(labels == best)
     new_id = np.full(graph.node_count, -1, dtype=np.int64)

@@ -64,9 +64,9 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 # Rows per screened block of _nearest, and per block of
-# _assigned_sq_dists: a multiple of _DIST_BLOCK, so the exact
-# recomputation of a row takes its whole _sq_dists block.
-_SCREEN_BLOCK = 8 * _DIST_BLOCK
+# _assigned_sq_dists: the GEMM screen's temporaries stay at
+# _SCREEN_BLOCK * k floats and the differences at _SCREEN_BLOCK * d.
+_SCREEN_BLOCK = 1024
 
 # The GEMM form and _sq_dists each lie within γ_{d+2}·(‖x‖ + ‖c‖)² of the
 # true squared distance for any summation order, FMA or not (Higham,
@@ -86,9 +86,9 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     exact ones.  Column j stays a candidate while approx_ij − e_ij is at
     most min_l (approx_il + e_il); a row with a single candidate is
     settled, since every other column is provably farther.  Rows with
-    several candidates (exact or near ties, overflow) have their whole
-    _sq_dists block recomputed and argmin'd, so ties still go to the
-    lowest index.
+    several candidates (exact or near ties, overflow) are re-solved alone
+    by _sq_dists, whose rows do not depend on the rows beside them, and
+    argmin'd, so ties still go to the lowest index.
     """
     m = (points.shape[1] + 4) * _UNIT_ROUNDOFF
     scale = _SLACK_FACTOR * m / (1.0 - m)
@@ -96,7 +96,7 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     cent_sq = np.einsum("kd,kd->k", centroids, centroids)
     cent_norm = np.sqrt(cent_sq)
     nearest = np.empty(len(points), dtype=np.int64)
-    unsettled = []
+    ties = []
     for start in range(0, len(points), _SCREEN_BLOCK):
         rows = points[start:start + _SCREEN_BLOCK]
         row_sq = np.einsum("nd,nd->n", rows, rows)
@@ -108,11 +108,10 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             upper = np.min(approx + slack, axis=1, keepdims=True)
             candidate = approx - slack <= upper
         nearest[start:start + len(rows)] = np.argmax(candidate, axis=1)
-        ties = np.flatnonzero(np.count_nonzero(candidate, axis=1) != 1)
-        unsettled.append(start + ties)
-    for block in np.unique(np.concatenate(unsettled) // _DIST_BLOCK):
-        rows = slice(block * _DIST_BLOCK, (block + 1) * _DIST_BLOCK)
-        nearest[rows] = np.argmin(_sq_dists(points[rows], centroids), axis=1)
+        ties.append(start + np.flatnonzero(
+            np.count_nonzero(candidate, axis=1) != 1))
+    ties = np.concatenate(ties)
+    nearest[ties] = np.argmin(_sq_dists(points[ties], centroids), axis=1)
     return nearest
 
 

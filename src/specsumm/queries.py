@@ -39,39 +39,21 @@ def _pair_matrix(summary: Summary) -> np.ndarray:
 def expected_triangles(summary: Summary) -> TriangleEstimate:
     """Expected triangle count of the summary's model, in closed form.
 
-    Sums, over unordered node triples, the product of the three pair
-    probabilities.  Grouping triples by which supernodes host them reduces
-    the sum to O(k^3): the fully mixed part is a trace of the cube of the
-    size-weighted probability matrix, corrected for coincident-group
-    patterns by inclusion-exclusion, plus the two-group and one-group
-    terms counted directly.
+    With P the n×n node-pair probability matrix (zero diagonal), the sum
+    over unordered node triples of their pair probabilities' product is
+    tr(P³)/6.  P = Q − E, with Q the group-level Π repeated over the nodes
+    and E its diagonal, so for group sizes N, in three O(k³) sums,
+    tr(P³) = tr((NΠ)³) − 3·Σᵢ nᵢπᵢᵢ·Σⱼ nⱼπᵢⱼ² + 2·Σᵢ nᵢπᵢᵢ³.
     """
     sizes = summary.membership.sizes.astype(np.float64)
     pi = _pair_matrix(summary)
     diag = np.diag(pi)
-
-    choose2 = sizes * (sizes - 1.0) / 2.0
-    choose3 = sizes * (sizes - 1.0) * (sizes - 2.0) / 6.0
-
-    # All three nodes in one group.
-    total = float(np.sum(choose3 * diag**3))
-
-    # Exactly two groups: two nodes in i, one in j (and the mirror image).
-    off = pi.copy()
-    np.fill_diagonal(off, 0.0)
-    pair_w = off**2
-    total += float(np.sum(pair_w * (choose2 * diag)[:, None] * sizes[None, :]))
-
-    # Three distinct groups, via inclusion-exclusion on the unrestricted
-    # cyclic sum s_all = sum_{i,j,w} n_i n_j n_w pi_ij pi_jw pi_wi.
     weighted = sizes[:, None] * pi
-    s_all = float(np.trace(weighted @ weighted @ weighted))
-    s_pair = float(np.sum(sizes**2 * diag * np.sum(sizes[None, :] * pi**2,
-                                                   axis=1)))
-    s_triple = float(np.sum(sizes**3 * diag**3))
-    total += (s_all - 3.0 * s_pair + 2.0 * s_triple) / 6.0
-
-    return TriangleEstimate(expected=total)
+    trace = (float(np.trace(weighted @ weighted @ weighted))
+             - 3.0 * float(np.sum(sizes * diag
+                                  * np.sum(sizes * pi**2, axis=1)))
+             + 2.0 * float(np.sum(sizes * diag**3)))
+    return TriangleEstimate(expected=trace / 6.0)
 
 
 # Oriented two-paths per row block of exact_triangles: the product holds at

@@ -76,20 +76,11 @@ def _canonicalize(values: np.ndarray, vectors: np.ndarray) -> EigenBasis:
     order = _canonical_order(values)
     values = values[order]
     vectors = vectors[:, order]
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        lead = np.flatnonzero(np.abs(col) > _SIGN_EPS)
-        if len(lead) and col[lead[0]] < 0:
-            vectors[:, j] = -col
+    # argmax finds each column's first entry above _SIGN_EPS (or row 0).
+    lead = vectors[np.argmax(np.abs(vectors) > _SIGN_EPS, axis=0),
+                   np.arange(vectors.shape[1])]
+    vectors[:, lead < -_SIGN_EPS] *= -1.0
     return EigenBasis(values=values, vectors=vectors)
-
-
-def _invariants_hold(graph: Graph, basis: EigenBasis) -> bool:
-    res = basis.residual_norms(graph)
-    if np.any(res > _RESIDUAL_TOL * np.maximum(1.0, np.abs(basis.values))):
-        return False
-    gram = basis.vectors.T @ basis.vectors
-    return np.abs(gram - np.eye(basis.d)).max() <= _ORTHO_TOL
 
 
 def _dense_basis(graph: Graph) -> EigenBasis:
@@ -150,7 +141,10 @@ def lm_eigs(graph: Graph, d: int, seed: int | None = None) -> EigenBasis:
     except (ArpackError, np.linalg.LinAlgError) as exc:
         raise ConvergenceError(str(exc)) from exc
     basis = _canonicalize(values, vectors)
-    if not _invariants_hold(graph, basis):
+    residuals = basis.residual_norms(graph)
+    bound = _RESIDUAL_TOL * np.maximum(1.0, np.abs(basis.values))
+    defect = np.abs(basis.vectors.T @ basis.vectors - np.eye(d)).max()
+    if not (np.all(residuals <= bound) and defect <= _ORTHO_TOL):
         raise ConvergenceError("Lanczos output failed residual check",
-                               residuals=basis.residual_norms(graph))
+                               residuals=residuals)
     return basis

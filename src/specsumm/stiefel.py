@@ -312,10 +312,8 @@ def ocsa(graph: Graph, Z0: np.ndarray,
         tau, Z, trial, AZ, M = found
         objectives.append(trial)
         steps.append(tau)
-        if value > 0:
-            relative_gain = (trial - value) / value
-        else:
-            relative_gain = math.inf if trial > 0 else 0.0
+        # value > 0: F = 0 gives G = 0, which the search rejects as stationary.
+        relative_gain = (trial - value) / value
         value = trial
         if relative_gain <= config.relative_tolerance:
             reason = "tolerance"

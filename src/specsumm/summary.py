@@ -254,8 +254,9 @@ def reassignment(graph: Graph, membership: Membership, counts: np.ndarray,
     Each round samples nodes without replacement and visits them in
     sample order; a visited node moves to the supernode that most
     increases the objective (ties to the lowest target index), if any move
-    strictly increases it.  The move updates the integer count matrix in
-    place, and the objective is then recomputed exactly from the counts.
+    strictly increases it.  Moves update a private copy of ``counts`` (the
+    caller's array is left as it was), and the objective is then
+    recomputed exactly from the counts.
     Moves that would empty a supernode are skipped.
 
     The visits are evaluated in blocks: the next 64 sampled nodes (fewer

@@ -8,15 +8,15 @@ definition sums.  Slow on purpose; kept well away from production code.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 
 from specsumm import (AscentTrace, EigenBasis, Graph, KmeansConfig,
                       Membership, OcsaConfig, ParameterError, ReassignConfig,
-                      ReassignMove, SkewDirection, Summary, build_summary,
-                      gradient, kmeans, skew_direction, stiefel,
-                      trace_objective_relaxed)
+                      ReassignMove, SkewDirection, Summary, gradient, kmeans,
+                      skew_direction, stiefel, trace_objective_relaxed)
 from specsumm.graph import _PLAIN_BYTES, _PLAIN_DIGITS, _from_pairs
 from specsumm.kmeans import _sq_dists
 from specsumm.queries import _pair_matrix
@@ -56,12 +56,6 @@ def triangles_triple_sum_oracle(summary: Summary) -> float:
     # With a zero diagonal and symmetry, tr(P^3)/6 is exactly the sum of
     # p_uv p_vw p_wu over unordered triples of distinct nodes.
     return float(np.sum((p @ p) * p)) / 6.0
-
-
-def dense_objective(graph: Graph, z: np.ndarray) -> float:
-    """tr((ZᵀAZ)²) straight from the dense adjacency."""
-    m = z.T @ graph.to_dense() @ z
-    return float(np.trace(m @ m))
 
 
 def trace_objective_split(graph: Graph, Z: np.ndarray) -> tuple[float, float]:
@@ -211,14 +205,6 @@ def all_memberships(n: int, k: int):
     for labels in itertools.product(range(k), repeat=n):
         if len(set(labels)) == k:
             yield Membership(np.array(labels, dtype=np.int64), k)
-
-
-def best_partition_objective(graph: Graph, k: int) -> float:
-    """Exhaustive maximum of the integer objective over all k-partitions."""
-    from specsumm import objective_integer
-
-    return max(objective_integer(graph, m)
-               for m in all_memberships(graph.node_count, k))
 
 
 def best_single_move(graph: Graph, membership: Membership
@@ -451,14 +437,15 @@ def minibatch_kmeans_reference(
 
 
 def triangle_triple_loop(summary: Summary) -> float:
-    """Expected triangles by literally iterating node triples."""
+    """Expected triangles by literally iterating node triples, in exact
+    rational arithmetic on the float pair probabilities, rounded once."""
     n = summary.membership.n
     a = summary.membership.assign
-    pi = _pair_matrix(summary)
-    total = 0.0
+    pi = [[Fraction(p) for p in row] for row in _pair_matrix(summary).tolist()]
+    total = Fraction(0)
     for u, v, w in itertools.combinations(range(n), 3):
-        total += pi[a[u], a[v]] * pi[a[v], a[w]] * pi[a[w], a[u]]
-    return total
+        total += pi[a[u]][a[v]] * pi[a[v]][a[w]] * pi[a[w]][a[u]]
+    return float(total)
 
 
 def triangle_count_dense(graph: Graph) -> int:
@@ -491,12 +478,6 @@ def random_membership(rng: np.random.Generator, n: int, k: int) -> Membership:
     forced = rng.choice(n, size=k, replace=False)
     assign[forced] = np.arange(k)
     return Membership(assign.astype(np.int64), k)
-
-
-def random_summary(rng: np.random.Generator, n: int, k: int
-                   ) -> tuple[Graph, Summary]:
-    graph = random_graph(rng, n)
-    return graph, build_summary(graph, random_membership(rng, n, k))
 
 
 def cayley_step_reference(Z: np.ndarray, W: SkewDirection,

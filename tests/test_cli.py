@@ -18,6 +18,8 @@ from specsumm.cli import SummaryFile, main, read_summary_file
 
 TWO_TRIANGLES = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
 K3 = "0 1\n0 2\n1 2\n"
+# A key a test case leaves out of a summary file.
+_MISSING = object()
 
 
 def _run(capsys, argv):
@@ -103,12 +105,37 @@ class TestSummarize:
     def test_negative_reassign_rounds_is_parameter_error(self, tmp_path,
                                                          graph_file, capsys):
         out = tmp_path / "s.json"
-        code = main(["summarize", graph_file, "--k", "2",
-                     "--reassign-rounds", "-3", "--out", str(out)])
+        for flag, value, message in (
+                ("--reassign-rounds", "-3", "rounds must be >= 0"),
+                ("--reassign-samples", "0", "samples_per_round must be >= 1")):
+            code = main(["summarize", graph_file, "--k", "2", flag, value,
+                         "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("failure", ["no-convergence", "arpack-error"])
+    def test_solver_failure_exits_3(self, tmp_path, graph_file, capsys,
+                                    monkeypatch, failure):
+        import scipy.sparse.linalg as linalg
+
+        def failed(*args, **kwargs):
+            if failure == "no-convergence":
+                raise linalg.ArpackNoConvergence("ARPACK stalled",
+                                                 np.empty(0), np.empty((6, 0)))
+            raise linalg.ArpackError(-9999)
+        # lm_eigs imports eigsh from scipy.sparse.linalg when it runs.
+        monkeypatch.setattr(linalg, "eigsh", failed)
+        out = tmp_path / "s.json"
+        code = main(["summarize", graph_file, "--k", "2", "--seed", "0",
+                     "--out", str(out)])
         captured = capsys.readouterr()
-        assert code == 2
+        assert code == 3
         assert captured.out == ""
-        assert captured.err == "error: rounds must be >= 0\n"
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_graph_file(self, tmp_path):
@@ -240,20 +267,27 @@ class TestEvaluate:
         assert code == 0
         assert report["L"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_nan_density_is_parameter_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("membership, densities, message", [
+        ([0, 0, 0], "[0.5, 0.0, 0.0]",
+         "every supernode must contain a node"),
+        ([0, 0, 1], "[0.5, 1.5, 0.0]", "density entries must lie in [0, 1]"),
+        ([0, 0, 1], "[0.5, 1e400, 0.0]", "density entries must be finite"),
+        ([0, 0, 1], "[0.5, NaN, 0.0]", "density entries must be finite"),
+    ], ids=["empty-supernode", "density-1.5", "inf", "nan"])
+    @pytest.mark.parametrize("command", ["evaluate", "triangles"])
+    def test_summary_breaking_an_invariant_is_parse_error(
+            self, tmp_path, capsys, command, membership, densities, message):
         graph = tmp_path / "k3.txt"
         graph.write_text(K3)
-        doc = {"format_version": 1, "n": 3, "k": 2,
-               "membership": [0, 0, 1],
-               "densities": [0.5, float("nan"), 0.0], "meta": {}}
-        summary = tmp_path / "nan.json"
-        summary.write_text(json.dumps(doc))
-        for command in ("evaluate", "triangles"):
-            code = main([command, str(graph), str(summary)])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert captured.err == "error: density entries must be finite\n"
+        summary = tmp_path / "bad.json"
+        summary.write_text(
+            '{"format_version": 1, "n": 3, "k": 2, "membership": '
+            f'{membership}, "densities": {densities}, "meta": {{}}}}')
+        code = main([command, str(graph), str(summary)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: malformed summary file: {message}\n"
 
     @pytest.mark.parametrize("field, value", [
         (None, None),
@@ -265,20 +299,30 @@ class TestEvaluate:
         ("k", True),
         ("densities", ["0.5"]),
         ("densities", [False]),
-        ("densities", {"0.5": 1})])
+        ("densities", {"0.5": 1}),
+        ("k", 0),
+        ("membership", [0, 0, 1]),
+        ("densities", [0.5, 0.5]),
+        ("densities", _MISSING),
+        (None, [1, 3, 1, [0, 0, 0], [0.5]]),
+        ("densities", [10 ** 400])])
     def test_summary_fields_are_not_coerced(self, tmp_path, capsys, field,
                                             value):
         graph = tmp_path / "k3.txt"
         graph.write_text(K3)
         doc = {"format_version": 1, "n": 3, "k": 1, "membership": [0, 0, 0],
                "densities": [0.5]}
-        if field is not None:
+        if value is _MISSING:
+            del doc[field]
+        elif field is not None:
             doc[field] = value
+        elif value is not None:
+            doc = value
         summary = tmp_path / "typed.json"
         summary.write_text(json.dumps(doc))
         code = main(["evaluate", str(graph), str(summary)])
         captured = capsys.readouterr()
-        if field is None:
+        if field is value is None:
             assert code == 0
             return
         assert code == 1

@@ -258,9 +258,9 @@ class TestNearest:
         centroids = 1e4 + 1e-3 * rng.standard_normal((20, 2))
         assert np.array_equal(_nearest(points, centroids),
                               self._exact(points, centroids))
-        # An exact tie in the GEMM form sends its whole _sq_dists block to
-        # the exact path, so give each block one near-tie (b closer than a
-        # by about 4e-10) among points that are clearly nearest a: the
+        # Only the rows the screen cannot settle are re-solved exactly, so
+        # scatter near-ties (b closer than a by about 4e-10, one in every
+        # _DIST_BLOCK rows) among points that are clearly nearest a: the
         # GEMM form misorders some of them without tying.
         a, b = centroids[:2]
         points = a + 1e-4 * rng.standard_normal((4096, 2))

@@ -85,6 +85,17 @@ class TestExpectedTriangles:
             assert closed == pytest.approx(triangle_triple_loop(s),
                                            abs=1e-9 * max(1.0, closed))
 
+    def test_matches_exact_rational_sum(self):
+        rng = np.random.default_rng(909)
+        for _ in range(300):
+            n = int(rng.integers(2, 13))
+            k = int(rng.integers(1, min(n, 6) + 1))
+            graph = random_graph(rng, n, p=float(rng.uniform(0.1, 0.9)))
+            s = build_summary(graph, random_membership(rng, n, k))
+            exact = triangle_triple_loop(s)
+            assert expected_triangles(s).expected == pytest.approx(
+                exact, rel=0, abs=1e-14 * max(1.0, exact))
+
     def test_invariant_to_label_permutation(self, rng):
         graph = random_graph(rng, 14)
         m = random_membership(rng, 14, 4)
