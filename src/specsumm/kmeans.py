@@ -8,10 +8,11 @@ Points are taken as one row-major float64 array whatever layout the
 caller passes, so every distance sums its d squares in one order and the
 results do not depend on the input's memory order.  Nearest-centroid
 search is screened: one GEMM gives every squared distance as
-‖x‖² − 2x·c + ‖c‖² with a rigorous forward-error bound, and only rows
-where the bound cannot name a single winner are recomputed with the exact
-blocked difference form, ``_sq_dists``.  The result is the argmin of
-``_sq_dists`` bit for bit, whatever the BLAS thread count.
+‖x‖² − 2x·c + ‖c‖², one slack per row bounds its forward error against
+every centroid, and only rows where that bound cannot name a single
+winner are recomputed with the exact blocked difference form,
+``_sq_dists``.  The result is the argmin of ``_sq_dists`` bit for bit,
+whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ _SCREEN_BLOCK = 1024
 # The GEMM form and _sq_dists each lie within γ_{d+2}·(‖x‖ + ‖c‖)² of the
 # true squared distance for any summation order, FMA or not (Higham,
 # "Accuracy and Stability of Numerical Algorithms", §3.1), so their gap is
-# at most 2γ_{d+2}·(‖x‖ + ‖c‖)².  The slack 4γ_{d+4}·(‖x‖ + ‖c‖)² leaves
-# room for the rounding of the norms and of the screen itself; the
-# smallest normal float on top covers products that underflow.
+# at most 2γ_{d+2}·(‖x‖ + ‖c‖)².  The slack 4γ_{d+4}·(‖x‖ + max‖c‖)² bounds
+# that gap for every centroid of a row and leaves room for the rounding of
+# the norms and of the screen itself; the smallest normal float on top
+# covers products that underflow.
 _SLACK_FACTOR = 4.0
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -82,19 +84,20 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """``np.argmin(_sq_dists(points, centroids), axis=1)``, bit for bit.
 
     Each block of rows gets approximate distances from one GEMM,
-    ‖x‖² − 2x·cᵀ + ‖c‖², and a slack e_ij that bounds their gap to the
-    exact ones.  Column j stays a candidate while approx_ij − e_ij is at
-    most min_l (approx_il + e_il); a row with a single candidate is
-    settled, since every other column is provably farther.  Rows with
-    several candidates (exact or near ties, overflow) are re-solved alone
-    by _sq_dists, whose rows do not depend on the rows beside them, and
+    ‖x‖² − 2x·cᵀ + ‖c‖², and each row one slack s_i that bounds their gap
+    to the exact ones in every column.  A row is settled by its approximate
+    argmin b when column b is its only candidate, that is, the only j with
+    approx_ij − s_i ≤ approx_ib + s_i: every other column is then provably
+    farther.  Rows with another count of candidates (exact or near ties;
+    overflow or NaN, which give none or all k) are re-solved alone by
+    _sq_dists, whose rows do not depend on the rows beside them, and
     argmin'd, so ties still go to the lowest index.
     """
     m = (points.shape[1] + 4) * _UNIT_ROUNDOFF
     scale = _SLACK_FACTOR * m / (1.0 - m)
     tiny = np.finfo(np.float64).tiny
     cent_sq = np.einsum("kd,kd->k", centroids, centroids)
-    cent_norm = np.sqrt(cent_sq)
+    cent_max = np.sqrt(cent_sq.max())
     nearest = np.empty(len(points), dtype=np.int64)
     ties = []
     for start in range(0, len(points), _SCREEN_BLOCK):
@@ -104,10 +107,11 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         # test, which sends the row to the exact recomputation.
         with np.errstate(over="ignore", invalid="ignore"):
             approx = row_sq[:, None] - 2.0 * (rows @ centroids.T) + cent_sq
-            slack = scale * (np.sqrt(row_sq)[:, None] + cent_norm) ** 2 + tiny
-            upper = np.min(approx + slack, axis=1, keepdims=True)
-            candidate = approx - slack <= upper
-        nearest[start:start + len(rows)] = np.argmax(candidate, axis=1)
+            best = np.argmin(approx, axis=1)
+            slack = scale * (np.sqrt(row_sq) + cent_max) ** 2 + tiny
+            upper = approx[np.arange(len(rows)), best] + slack
+            candidate = approx - slack[:, None] <= upper[:, None]
+        nearest[start:start + len(rows)] = best
         ties.append(start + np.flatnonzero(
             np.count_nonzero(candidate, axis=1) != 1))
     ties = np.concatenate(ties)

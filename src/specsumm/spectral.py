@@ -104,6 +104,12 @@ def lm_eigs(graph: Graph, d: int, seed: int | None = None) -> EigenBasis:
     ARPACK, which needs a spare basis column, runs when d ≤ n − 2; a dense
     ``eigh`` route serves d > n − 2, for n ≤ 2048.
 
+    The Lanczos basis holds ncv = min(n, max(2d + 1, d + 20)) vectors.
+    Each implicit restart costs O(n·ncv²) of dense work, which grows faster
+    than the sparse products a wider basis saves, so ncv follows scipy's
+    default of 2d + 1 for large d; the d + 20 floor, where scipy has 20,
+    keeps small d from needing extra restarts.
+
     Raises
     ------
     ParameterError
@@ -128,7 +134,7 @@ def lm_eigs(graph: Graph, d: int, seed: int | None = None) -> EigenBasis:
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
     v0 = make_generator(seed).standard_normal(n)
-    ncv = min(n, max(4 * d, d + 20))
+    ncv = min(n, max(2 * d + 1, d + 20))
     try:
         values, vectors = eigsh(graph._csr, k=d, which="LM", v0=v0, ncv=ncv,
                                 tol=0)

@@ -310,6 +310,28 @@ class TestNearest:
         assert np.array_equal(_nearest(points, centroids), exact)
         assert sum(rows) == 0
 
+    def test_outlier_centroid_keeps_the_screen_exact(self, monkeypatch):
+        # One centroid at norm 1e3 sets the slack of every row, which is
+        # sized to the largest centroid norm: the winners must stay exact,
+        # and the looser slack must still settle most rows from the GEMM.
+        points = random_orthonormal_init(4000, 40, seed=5)
+        centroids = points[np.random.default_rng(6).choice(4000, 40,
+                                                           replace=False)]
+        far = np.zeros((1, 40))
+        far[0, 0] = 1e3
+        centroids = np.vstack([centroids, far])
+        exact = self._exact(points, centroids)
+        rows = []
+
+        def counting(p, c):
+            rows.append(len(p))
+            return _sq_dists(p, c)
+
+        monkeypatch.setattr(kmeans, "_sq_dists", counting)
+        assert np.array_equal(_nearest(points, centroids), exact)
+        assert exact.max() < 40
+        assert sum(rows) <= len(points) // 100
+
 
 class TestAssignWithRepair:
     """The screened final pass against the full-matrix oracle: same

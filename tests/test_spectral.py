@@ -104,6 +104,53 @@ class TestLmEigs:
             np.testing.assert_allclose(f, np.sum(basis.values**2), atol=1e-8)
 
 
+def _disjoint_cliques(count: int, size: int) -> list[tuple[int, int]]:
+    return [(base + u, base + v) for base in range(0, count * size, size)
+            for u in range(size) for v in range(u + 1, size)]
+
+
+class TestLanczosBasis:
+    """The Lanczos basis is sized to d: it must keep every copy of a
+    repeated eigenvalue, and stay between d + 1 and n vectors."""
+
+    @pytest.mark.parametrize("count, size, d, extra", [
+        (50, 20, 40, 0), (50, 20, 40, 300), (30, 12, 25, 0)])
+    def test_repeated_top_eigenvalues_match_dense(self, rng, count, size, d,
+                                                  extra):
+        n = count * size
+        edges = _disjoint_cliques(count, size)
+        pairs = rng.integers(0, n, size=(extra, 2))
+        edges += [(int(u), int(v)) for u, v in pairs if u != v]
+        graph = Graph.from_edges(n, edges)
+        dense = np.sort(np.abs(np.linalg.eigvalsh(graph.to_dense())))[::-1]
+        basis = lm_eigs(graph, d, seed=0)
+        np.testing.assert_allclose(np.abs(basis.values), dense[:d], rtol=0,
+                                   atol=1e-10)
+
+    @pytest.mark.parametrize("n, d", [
+        (200, 1), (200, 6), (200, 7), (200, 19), (200, 20), (200, 40),
+        (30, 28)])
+    def test_basis_size(self, monkeypatch, n, d):
+        graph, _ = generate_sbm(n // 10, 10, 0.5, 0.05, seed=3)
+        assert graph.node_count == n
+        real = scipy.sparse.linalg.eigsh
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["ncv"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+        basis = lm_eigs(graph, d, seed=1)
+        [ncv] = seen
+        assert d < ncv <= n
+        assert ncv <= max(4 * d, d + 20)
+        if d == n - 2:
+            assert ncv == n
+        res = basis.residual_norms(graph)
+        assert np.all(res <= 1e-8 * np.maximum(1.0, np.abs(basis.values)))
+
+
 class TestLmEigsNoConvergence:
     """ARPACK stalls: lm_eigs raises at every order, small graphs included,
     instead of switching to another solver."""
