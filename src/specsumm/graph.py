@@ -367,13 +367,16 @@ def largest_connected_component(graph: Graph) -> tuple[Graph, np.ndarray]:
     # go to the component holding the smallest id.
     best = labels[np.argmax(sizes[labels] == sizes.max())]
 
-    kept = np.flatnonzero(labels == best)
-    new_id = np.full(graph.node_count, -1, dtype=np.int64)
-    new_id[kept] = np.arange(len(kept))
-    pairs = graph.edge_pairs()
-    mask = (new_id[pairs[:, 0]] >= 0) & (new_id[pairs[:, 1]] >= 0)
-    sub = _from_pairs(len(kept), *new_id[pairs[mask]].T)
-    return sub, kept
+    keep = labels == best
+    kept = np.flatnonzero(keep)
+    # A component holds every neighbor of its nodes, so the kept CSR rows
+    # are the subgraph's rows; numbering the kept nodes in id order keeps
+    # each row sorted.
+    new_id = np.cumsum(keep, dtype=np.int64) - 1
+    indices = new_id[graph.indices[np.repeat(keep, graph.degrees)]]
+    indptr = np.zeros(len(kept) + 1, dtype=np.int64)
+    np.cumsum(graph.degrees[kept], out=indptr[1:])
+    return Graph(len(kept), len(indices) // 2, indptr, indices), kept
 
 
 # Node pairs per uniform draw of generate_sbm, rounded down to whole rows.

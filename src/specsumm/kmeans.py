@@ -10,9 +10,9 @@ results do not depend on the input's memory order.  Nearest-centroid
 search is screened: one GEMM gives every squared distance as
 ‖x‖² − 2x·c + ‖c‖², one slack per row bounds its forward error against
 every centroid, and only rows where that bound cannot name a single
-winner are recomputed with the exact blocked difference form,
-``_sq_dists``.  The result is the argmin of ``_sq_dists`` bit for bit,
-whatever the BLAS thread count.
+winner are recomputed in the exact difference form Σ(x − c)² that
+kmeans++, the fits and the cost use.  The result is the exact argmin bit
+for bit, whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -48,29 +48,13 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(pts)
 
 
-# Rows per block of _sq_dists: the difference tensor stays at
-# _DIST_BLOCK * k * d floats however many points there are.
-_DIST_BLOCK = 128
-
-
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (n, k), taken in row blocks;
-    each entry is the same d-term sum as the unblocked einsum."""
-    out = np.empty((len(points), len(centroids)))
-    for start in range(0, len(points), _DIST_BLOCK):
-        diff = (points[start:start + _DIST_BLOCK, None, :]
-                - centroids[None, :, :])
-        out[start:start + _DIST_BLOCK] = np.einsum("nkd,nkd->nk", diff, diff)
-    return out
-
-
 # Rows per screened block of _nearest, and per block of
 # _assigned_sq_dists: the GEMM screen's temporaries stay at
 # _SCREEN_BLOCK * k floats and the differences at _SCREEN_BLOCK * d.
 _SCREEN_BLOCK = 1024
 
-# The GEMM form and _sq_dists each lie within γ_{d+2}·(‖x‖ + ‖c‖)² of the
-# true squared distance for any summation order, FMA or not (Higham,
+# The GEMM form and the difference form each lie within γ_{d+2}·(‖x‖ + ‖c‖)²
+# of the true squared distance for any summation order, FMA or not (Higham,
 # "Accuracy and Stability of Numerical Algorithms", §3.1), so their gap is
 # at most 2γ_{d+2}·(‖x‖ + ‖c‖)².  The slack 4γ_{d+4}·(‖x‖ + max‖c‖)² bounds
 # that gap for every centroid of a row and leaves room for the rounding of
@@ -81,7 +65,7 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """``np.argmin(_sq_dists(points, centroids), axis=1)``, bit for bit.
+    """Each row's argmin of its exact distances Σ(x − c)², bit for bit.
 
     Each block of rows gets approximate distances from one GEMM,
     ‖x‖² − 2x·cᵀ + ‖c‖², and each row one slack s_i that bounds their gap
@@ -89,9 +73,9 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     argmin b when column b is its only candidate, that is, the only j with
     approx_ij − s_i ≤ approx_ib + s_i: every other column is then provably
     farther.  Rows with another count of candidates (exact or near ties;
-    overflow or NaN, which give none or all k) are re-solved alone by
-    _sq_dists, whose rows do not depend on the rows beside them, and
-    argmin'd, so ties still go to the lowest index.
+    overflow or NaN, which give none or all k) are re-solved alone, one
+    ``_assigned_sq_dists`` column per centroid, and argmin'd, so ties
+    still go to the lowest index.
     """
     m = (points.shape[1] + 4) * _UNIT_ROUNDOFF
     scale = _SLACK_FACTOR * m / (1.0 - m)
@@ -115,16 +99,21 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         ties.append(start + np.flatnonzero(
             np.count_nonzero(candidate, axis=1) != 1))
     ties = np.concatenate(ties)
-    nearest[ties] = np.argmin(_sq_dists(points[ties], centroids), axis=1)
+    # Most calls tie no row; k column calls on zero rows would add about a
+    # third to the screen of a 1024-row batch at k = 40.
+    if len(ties):
+        tied = points[ties]
+        nearest[ties] = np.argmin(np.column_stack(
+            [_assigned_sq_dists(tied, c) for c in centroids]), axis=1)
     return nearest
 
 
 def _assigned_sq_dists(points: np.ndarray, centroids: np.ndarray,
                        assign: np.ndarray | None = None) -> np.ndarray:
-    """Entry (i, assign[i]) of ``_sq_dists(points, centroids)``, bit for bit,
-    taken in row blocks so the differences stay at _SCREEN_BLOCK rows.
-    Without ``assign``, centroids is one row that every point is measured
-    against by broadcasting, with the same bits as an all-zero assignment."""
+    """Entry (i, assign[i]) of the exact distances Σ(x − c)², taken in row
+    blocks so the differences stay at _SCREEN_BLOCK rows.  Without
+    ``assign``, centroids is one row that every point is measured against
+    by broadcasting, with the same bits as an all-zero assignment."""
     out = np.empty(len(points))
     for start in range(0, len(points), _SCREEN_BLOCK):
         rows = slice(start, start + _SCREEN_BLOCK)
@@ -197,7 +186,7 @@ def _assign_with_repair(points: np.ndarray, centroids: np.ndarray
     even when duplicate points make nearest-assignment ambiguous.  Repairs
     never increase the clustering cost.  Every pass is one screened
     ``_nearest`` search; the cost and the fits are each point's exact
-    ``_sq_dists`` entry for its own centroid.
+    ``_assigned_sq_dists`` distance to its own centroid.
     """
     k = len(centroids)
     centroids = centroids.copy()

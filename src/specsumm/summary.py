@@ -100,16 +100,15 @@ def supernode_edge_counts(graph: Graph, membership: Membership) -> np.ndarray:
     """Ordered-pair edge counts E between supernodes, as int64 (k, k).
 
     Both directions of every edge are counted, so E is symmetric, diagonal
-    entries are twice the intra-group edge count, and E sums to 2m.
+    entries are twice the intra-group edge count, and E sums to 2m: one
+    bincount over the CSR entries, which hold both directions, gives E.
     """
     if membership.n != graph.node_count:
         raise ParameterError("membership length must match graph order")
     k = membership.k
-    pairs = graph.edge_pairs()
     a = membership.assign
-    flat = np.bincount(a[pairs[:, 0]] * k + a[pairs[:, 1]], minlength=k * k)
-    counts = flat.reshape(k, k)
-    return np.ascontiguousarray(counts + counts.T, dtype=np.int64)
+    keys = np.repeat(a * k, graph.degrees) + a[graph.indices]
+    return np.bincount(keys, minlength=k * k).reshape(k, k)
 
 
 def _objective_from_counts(counts: np.ndarray, sizes: np.ndarray) -> float:
@@ -145,14 +144,20 @@ def build_summary(graph: Graph, membership: Membership) -> Summary:
 
 
 def l2_loss(graph: Graph, summary: Summary) -> float:
-    """Squared Frobenius error of the lifted adjacency, as 2m - F.
+    """Squared Frobenius error of the lifted adjacency over all ordered node
+    pairs, for the summary's own densities D.
 
-    The identity is exact for count-based densities, so no dense
-    reconstruction is ever materialized here.
+    Summed over supernode pairs it is 2m − 2⟨E, D⟩ + ⟨nnᵀ, D∘D⟩, from the
+    edge counts E and the group sizes n, so no dense reconstruction is ever
+    materialized.  For count-based densities it equals 2m − F.
     """
     if summary.membership.n != graph.node_count:
         raise ParameterError("summary does not match graph order")
-    return _summarize_counts(graph, summary.membership)[2]
+    counts = supernode_edge_counts(graph, summary.membership)
+    sizes = summary.membership.sizes.astype(np.float64)
+    d = summary.density
+    return float(adjacency_trace_sq(graph) - 2.0 * np.sum(counts * d)
+                 + np.sum(np.outer(sizes, sizes) * d * d))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 Everything here recomputes quantities the package produces, but by a
 different route: dense matrices, brute-force enumeration, or literal
 definition sums.  Slow on purpose; kept well away from production code.
+The k-means references measure through ``sq_dists``, the full distance
+matrix, which the package never builds: it takes one column at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from specsumm import (AscentTrace, EigenBasis, Graph, KmeansConfig,
                       ReassignMove, SkewDirection, Summary, gradient, kmeans,
                       skew_direction, stiefel, trace_objective_relaxed)
 from specsumm.graph import _PLAIN_BYTES, _PLAIN_DIGITS, _from_pairs
-from specsumm.kmeans import _sq_dists
 from specsumm.queries import _pair_matrix
 from specsumm.rng import make_generator
 from specsumm.spectral import _dense_basis
@@ -177,6 +178,14 @@ def dense_lifted(summary: Summary) -> np.ndarray:
     """The full n×n reconstruction, one density lookup per node pair."""
     a = summary.membership.assign
     return summary.density[np.ix_(a, a)]
+
+
+def edge_counts_dense(graph: Graph, membership: Membership) -> np.ndarray:
+    """Supernode edge counts as HᵀAH, with H the n×k one-hot membership
+    matrix and A the dense adjacency, in exact integer arithmetic."""
+    h = np.zeros((membership.n, membership.k), dtype=np.int64)
+    h[np.arange(membership.n), membership.assign] = 1
+    return h.T @ graph.to_dense().astype(np.int64) @ h
 
 
 def dense_l2_loss(graph: Graph, summary: Summary) -> float:
@@ -371,14 +380,30 @@ def minibatch_running_mean(centroids: np.ndarray, counts: np.ndarray,
                                / counts[cluster])
 
 
+# Rows per block of sq_dists: the difference tensor stays at
+# DIST_BLOCK * k * d floats however many points there are.
+DIST_BLOCK = 128
+
+
+def sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, (n, k), taken in row blocks;
+    each entry is the same d-term sum as the unblocked einsum."""
+    out = np.empty((len(points), len(centroids)))
+    for start in range(0, len(points), DIST_BLOCK):
+        diff = (points[start:start + DIST_BLOCK, None, :]
+                - centroids[None, :, :])
+        out[start:start + DIST_BLOCK] = np.einsum("nkd,nkd->nk", diff, diff)
+    return out
+
+
 def kmeanspp_reference(points: np.ndarray, k: int,
                        rng: np.random.Generator) -> np.ndarray:
     """kmeans++ draws with each point's D² read off the full exact distance
-    matrix ``_sq_dists`` to every centroid chosen so far."""
+    matrix ``sq_dists`` to every centroid chosen so far."""
     n = len(points)
     chosen = [rng.integers(n)]
     for _ in range(1, k):
-        best = np.min(_sq_dists(points, points[chosen]), axis=1)
+        best = np.min(sq_dists(points, points[chosen]), axis=1)
         total = best.sum()
         chosen.append(rng.choice(n, p=best / total) if total > 0
                       else rng.integers(n))
@@ -388,14 +413,14 @@ def kmeanspp_reference(points: np.ndarray, k: int,
 def assign_with_repair_reference(points: np.ndarray, centroids: np.ndarray
                                  ) -> tuple[np.ndarray, np.ndarray, float]:
     """Nearest-centroid assignment with empty-cluster repair, each pass
-    built on the full exact distance matrix ``_sq_dists``: the lowest-index
+    built on the full exact distance matrix ``sq_dists``: the lowest-index
     empty centroid moves onto the worst-fit unpinned point, which is pinned
     there."""
     k = len(centroids)
     centroids = centroids.copy()
     pins: dict[int, int] = {}
     for _ in range(len(points) + k):
-        dists = _sq_dists(points, centroids)
+        dists = sq_dists(points, centroids)
         assign = np.argmin(dists, axis=1)
         for point, cluster in pins.items():
             assign[point] = cluster
@@ -429,7 +454,7 @@ def minibatch_kmeans_reference(
     counts = np.zeros(k, dtype=np.int64)
     for _ in range(kmeans._MAX_ITERATIONS):
         batch = points[rng.integers(0, len(points), size=kmeans._BATCH_SIZE)]
-        nearest = np.argmin(_sq_dists(batch, centroids), axis=1)
+        nearest = np.argmin(sq_dists(batch, centroids), axis=1)
         minibatch_running_mean(centroids, counts, batch, nearest)
     trained = assign_with_repair_reference(points, centroids)
     seeded = assign_with_repair_reference(points, initial)

@@ -471,7 +471,7 @@ class TestLcc:
         assert kept.tolist() == [0, 1]
 
     def test_matches_networkx(self, rng):
-        disconnected = 0
+        graphs = []
         for i in range(20):
             # Every other graph is a shuffled disjoint union of small random
             # graphs, so equal-size largest components are common.
@@ -481,7 +481,11 @@ class TestLcc:
             else:
                 parts = [random_graph(rng, int(rng.integers(2, 80)),
                                       p=float(rng.uniform(0.02, 0.3)))]
-            graph = _shuffled_union(rng, parts)
+            graphs.append(_shuffled_union(rng, parts))
+        # No edges at all, and isolated nodes around one edge.
+        graphs += [Graph.from_edges(5, []), Graph.from_edges(6, [(2, 4)])]
+        disconnected = 0
+        for graph in graphs:
             g = to_networkx(graph)
             components = list(nx.connected_components(g))
             disconnected += len(components) > 1
@@ -492,7 +496,15 @@ class TestLcc:
             edges = {(int(kept[u]), int(kept[v]))
                      for u, v in sub.edge_pairs()}
             assert edges == {tuple(sorted(e)) for e in g.subgraph(best).edges}
-        assert disconnected >= 10
+            # The CSR is the canonical one of the relabeled induced edges.
+            induced = np.array(list(g.subgraph(best).edges),
+                               dtype=np.int64).reshape(-1, 2)
+            want = Graph.from_edges(len(kept), np.searchsorted(kept, induced))
+            assert sub.indptr.dtype == sub.indices.dtype == np.int64
+            assert np.array_equal(sub.indptr, want.indptr)
+            assert np.array_equal(sub.indices, want.indices)
+            assert sub.edge_count == want.edge_count
+        assert disconnected >= 12
 
 
 class TestGenerateSbm:

@@ -7,13 +7,12 @@ from specsumm import (KmeansConfig, ParameterError, generate_sbm, kmeans_cost,
                       kmeanspp_init, lm_eigs, minibatch_kmeans,
                       random_orthonormal_init)
 from specsumm import kmeans
-from specsumm.kmeans import (_DIST_BLOCK, _assign_with_repair,
-                             _assigned_sq_dists, _nearest, _sq_dists,
-                             _update_batch)
+from specsumm.kmeans import (_assign_with_repair, _assigned_sq_dists,
+                             _nearest, _update_batch)
 
-from oracles import (all_memberships, assign_with_repair_reference,
-                     minibatch_kmeans_reference, minibatch_replay,
-                     minibatch_running_mean)
+from oracles import (DIST_BLOCK, all_memberships,
+                     assign_with_repair_reference, minibatch_kmeans_reference,
+                     minibatch_replay, minibatch_running_mean, sq_dists)
 
 # The private helpers take the row-major points that _as_points hands
 # them; the public functions take any layout.
@@ -85,7 +84,7 @@ class TestKmeansppInit:
                                               np.zeros(n, dtype=np.int64))
                 assert np.array_equal(broadcast, gathered)
                 assert np.array_equal(broadcast,
-                                      _sq_dists(points, newest)[:, 0])
+                                      sq_dists(points, newest)[:, 0])
 
 
 class TestMinibatchKmeans:
@@ -201,19 +200,36 @@ class TestReplayBatch:
     def test_skewed_hits_from_nearest_assignment(self, rng):
         centroids = rng.standard_normal((8, 3))
         batch = rng.standard_normal((1024, 3)) * 3.0 + 1.0
-        nearest = np.argmin(_sq_dists(batch, centroids), axis=1)
+        nearest = np.argmin(sq_dists(batch, centroids), axis=1)
         self._compare(centroids, np.zeros(8, np.int64), batch, nearest)
 
 
 class TestSqDists:
-    @pytest.mark.parametrize("n", [1, 5, _DIST_BLOCK - 1, _DIST_BLOCK,
-                                   _DIST_BLOCK + 1, 3 * _DIST_BLOCK + 17])
+    """The oracle's blocked distance matrix, and the package's per-centroid
+    columns against it: the tie fallback of ``_nearest`` relies on them
+    being equal bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 5, DIST_BLOCK - 1, DIST_BLOCK,
+                                   DIST_BLOCK + 1, 3 * DIST_BLOCK + 17])
     def test_blocked_equals_unblocked_einsum(self, rng, n):
         points = rng.standard_normal((n, 7))
         centroids = rng.standard_normal((11, 7))
         diff = points[:, None, :] - centroids[None, :, :]
         expected = np.einsum("nkd,nkd->nk", diff, diff)
-        assert np.array_equal(_sq_dists(points, centroids), expected)
+        assert np.array_equal(sq_dists(points, centroids), expected)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_per_centroid_columns_equal_oracle(self, seed):
+        local = np.random.default_rng(seed)
+        for _ in range(10):
+            n = int(local.integers(1, 3 * DIST_BLOCK + 20))
+            k, d = local.integers(1, 71, size=2)
+            scale = 10.0 ** local.uniform(-6, 6)
+            points = scale * local.standard_normal((n, d))
+            centroids = scale * local.standard_normal((k, d))
+            columns = np.column_stack(
+                [_assigned_sq_dists(points, c) for c in centroids])
+            assert np.array_equal(columns, sq_dists(points, centroids))
 
 
 class TestNearest:
@@ -222,7 +238,21 @@ class TestNearest:
 
     @staticmethod
     def _exact(points, centroids):
-        return np.argmin(_sq_dists(points, centroids), axis=1)
+        return np.argmin(sq_dists(points, centroids), axis=1)
+
+    @staticmethod
+    def _resolved_rows(monkeypatch, points, centroids):
+        """``_nearest``'s result and the number of rows its exact fallback
+        re-solved, which it measures against one centroid per call."""
+        rows = [0]
+        column = kmeans._assigned_sq_dists
+
+        def counting(p, c, assign=None):
+            rows.append(len(p))
+            return column(p, c, assign)
+
+        monkeypatch.setattr(kmeans, "_assigned_sq_dists", counting)
+        return _nearest(points, centroids), max(rows)
 
     @pytest.mark.parametrize("d", [1, 2, 7, 32, 40, 129])
     def test_equals_exact_argmin(self, rng, d):
@@ -260,13 +290,13 @@ class TestNearest:
                               self._exact(points, centroids))
         # Only the rows the screen cannot settle are re-solved exactly, so
         # scatter near-ties (b closer than a by about 4e-10, one in every
-        # _DIST_BLOCK rows) among points that are clearly nearest a: the
+        # DIST_BLOCK rows) among points that are clearly nearest a: the
         # GEMM form misorders some of them without tying.
         a, b = centroids[:2]
         points = a + 1e-4 * rng.standard_normal((4096, 2))
         across = np.array([a[1] - b[1], b[0] - a[0]])
-        hard = rng.standard_normal((4096 // _DIST_BLOCK, 1))
-        points[::_DIST_BLOCK] = (a + b) / 2 + 1e-4 * (b - a) + hard * across
+        hard = rng.standard_normal((4096 // DIST_BLOCK, 1))
+        points[::DIST_BLOCK] = (a + b) / 2 + 1e-4 * (b - a) + hard * across
         assert np.array_equal(_nearest(points, centroids[:2]),
                               self._exact(points, centroids[:2]))
 
@@ -276,7 +306,7 @@ class TestNearest:
         points = 1e155 + 1e150 * rng.standard_normal((300, 3))
         centroids = 1e155 + 1e150 * rng.standard_normal((5, 3))
         exact = self._exact(points, centroids)
-        assert np.all(np.isfinite(_sq_dists(points, centroids)))
+        assert np.all(np.isfinite(sq_dists(points, centroids)))
         assert len(set(exact.tolist())) > 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -285,8 +315,8 @@ class TestNearest:
     def test_rounding_ties_take_the_exact_path(self, rng):
         # Centroid 1 swaps centroid 0's coordinate pairs and every point is
         # equal within each pair, so both distances sum the same squares in
-        # another order: rounding alone separates them, and only the
-        # recomputed _sq_dists rows can order them as _sq_dists does.
+        # another order: rounding alone separates them, and only the rows
+        # recomputed in the difference form can order them as sq_dists does.
         c0 = rng.standard_normal(40)
         centroids = np.vstack([c0, c0.reshape(20, 2)[:, ::-1].ravel()])
         points = np.repeat(rng.standard_normal((1000, 20)), 2, axis=1)
@@ -300,15 +330,10 @@ class TestNearest:
         centroids = points[np.random.default_rng(6).choice(4000, 40,
                                                            replace=False)]
         exact = self._exact(points, centroids)
-        rows = []
-
-        def counting(p, c):
-            rows.append(len(p))
-            return _sq_dists(p, c)
-
-        monkeypatch.setattr(kmeans, "_sq_dists", counting)
-        assert np.array_equal(_nearest(points, centroids), exact)
-        assert sum(rows) == 0
+        nearest, resolved = self._resolved_rows(monkeypatch, points,
+                                                centroids)
+        assert np.array_equal(nearest, exact)
+        assert resolved == 0
 
     def test_outlier_centroid_keeps_the_screen_exact(self, monkeypatch):
         # One centroid at norm 1e3 sets the slack of every row, which is
@@ -321,16 +346,11 @@ class TestNearest:
         far[0, 0] = 1e3
         centroids = np.vstack([centroids, far])
         exact = self._exact(points, centroids)
-        rows = []
-
-        def counting(p, c):
-            rows.append(len(p))
-            return _sq_dists(p, c)
-
-        monkeypatch.setattr(kmeans, "_sq_dists", counting)
-        assert np.array_equal(_nearest(points, centroids), exact)
+        nearest, resolved = self._resolved_rows(monkeypatch, points,
+                                                centroids)
+        assert np.array_equal(nearest, exact)
         assert exact.max() < 40
-        assert sum(rows) <= len(points) // 100
+        assert resolved <= len(points) // 100
 
 
 class TestAssignWithRepair:
@@ -347,7 +367,7 @@ class TestAssignWithRepair:
         return want
 
     def test_random_points(self, rng):
-        for n, d, k in ((5, 1, 3), (2 * _DIST_BLOCK + 1, 7, 9),
+        for n, d, k in ((5, 1, 3), (2 * DIST_BLOCK + 1, 7, 9),
                         (1500, 40, 40)):
             self._compare(rng.standard_normal((n, d)),
                           rng.standard_normal((k, d)))
@@ -361,12 +381,12 @@ class TestAssignWithRepair:
             assert not np.array_equal(repaired, centroids)
 
     def test_assigned_distances_match_matrix_entries(self, rng):
-        for n in (1, _DIST_BLOCK, 2 * _DIST_BLOCK + 1, 3 * _DIST_BLOCK + 17,
+        for n in (1, DIST_BLOCK, 2 * DIST_BLOCK + 1, 3 * DIST_BLOCK + 17,
                   kmeans._SCREEN_BLOCK + 1):
             centroids = rng.standard_normal((6, 33))
             assign = rng.integers(0, 6, size=n)
             points = rng.standard_normal((n, 33))
-            full = _sq_dists(points, centroids)
+            full = sq_dists(points, centroids)
             assert np.array_equal(_assigned_sq_dists(points, centroids, assign),
                                   full[np.arange(n), assign])
 
@@ -424,7 +444,7 @@ class TestKmeansCost:
         with pytest.raises(IndexError):
             kmeans_cost(np.zeros((2, 1)), np.zeros((1, 1)), np.array([0, 1]))
 
-    @pytest.mark.parametrize("n, d, k", [(5, 1, 2), (2 * _DIST_BLOCK + 1, 7, 9),
+    @pytest.mark.parametrize("n, d, k", [(5, 1, 2), (2 * DIST_BLOCK + 1, 7, 9),
                                          (700, 33, 12), (1500, 40, 40)])
     def test_equals_minibatch_cost(self, rng, n, d, k):
         # The cost minibatch_kmeans reports, bit for bit, in every layout.

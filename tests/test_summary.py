@@ -13,7 +13,7 @@ from specsumm.rng import make_generator
 import specsumm.summary as summary_module
 from specsumm.summary import _block_move_deltas, _neighbor_counts, _reassign
 
-from oracles import (best_single_move, dense_l2_loss,
+from oracles import (best_single_move, dense_l2_loss, edge_counts_dense,
                      membership_to_normalized, move_delta,
                      move_deltas_reference, random_graph, random_membership,
                      reassign_reference)
@@ -107,6 +107,22 @@ class TestEdgeCounts:
         assert E.sum() == 2 * graph.edge_count
         np.testing.assert_array_equal(E, E.T)
 
+    @pytest.mark.parametrize("k_rule", ["one", "random", "all"])
+    def test_entries_equal_dense_oracle(self, rng, k_rule):
+        # Each graph is a random graph on its first nodes plus isolated
+        # nodes after them, which the count must leave out.
+        for _ in range(20):
+            n, isolated = int(rng.integers(2, 30)), int(rng.integers(0, 6))
+            pairs = random_graph(rng, n, p=rng.uniform(0.05, 0.9)).edge_pairs()
+            graph = Graph.from_edges(n + isolated, pairs)
+            total = n + isolated
+            k = {"one": 1, "all": total,
+                 "random": int(rng.integers(1, total + 1))}[k_rule]
+            m = random_membership(rng, total, k)
+            got = supernode_edge_counts(graph, m)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert np.array_equal(got, edge_counts_dense(graph, m))
+
 
 class TestBuildSummary:
     def test_k3_two_group_density(self, k3):
@@ -181,6 +197,30 @@ class TestL2Loss:
         f = objective_integer(graph, m)
         assert loss + f == pytest.approx(adjacency_trace_sq(graph), abs=1e-9)
         assert loss == pytest.approx(dense_l2_loss(graph, s), abs=1e-9)
+
+    def test_zero_densities_lose_every_edge(self):
+        # Nothing reconstructed: the loss is the 2m ordered edge entries.
+        path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        s = Summary(_mem([0, 0, 1, 1], 2), np.zeros((2, 2)))
+        assert l2_loss(path, s) == 6.0
+        assert dense_l2_loss(path, s) == 6.0
+
+    def test_own_densities_against_dense_oracle(self, rng):
+        # Densities moved off the counts, kept symmetric, within [0, 1] and
+        # under the diagonal cap: the loss is that of these densities.
+        for _ in range(300):
+            n = int(rng.integers(2, 30))
+            graph = random_graph(rng, n, p=rng.uniform(0.05, 0.9))
+            m = random_membership(rng, n, int(rng.integers(1, n + 1)))
+            density = build_summary(graph, m).density + rng.uniform(
+                -0.5, 0.5, size=(m.k, m.k))
+            density = np.clip((density + density.T) / 2, 0.0, 1.0)
+            sizes = m.sizes.astype(np.float64)
+            np.fill_diagonal(density, np.minimum(np.diag(density),
+                                                 (sizes - 1) / sizes))
+            s = Summary(m, density)
+            want = dense_l2_loss(graph, s)
+            assert l2_loss(graph, s) == pytest.approx(want, abs=1e-9)
 
     def test_ordering_matches_loss_ordering(self, rng):
         graph = random_graph(rng, 20)
