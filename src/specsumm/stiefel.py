@@ -7,9 +7,12 @@ Armijo backtracking search choosing the step size.  All heavy inverses are
 reduced to 2k×2k solves via the Sherman–Morrison–Woodbury identity.
 
 The 2k×2k system comes from the k×k Grams ZᵀZ, GᵀZ and GᵀG, built once
-per iteration and shared by the ascent direction, its slope and every
-trial step; the A·Z and ZᵀAZ behind an accepted step's objective give the
-next gradient without another sparse product.
+per iteration and shared by every trial step.  The same Grams give the
+search its slope and the direction's norm in k×k work; the n×k direction
+is lifted only near a stationary point, where that form cancels.  The
+A·Z and ZᵀAZ behind an accepted step's objective give the next gradient
+without another sparse product, and the gradient and trial points are
+written into n×k buffers that the whole ascent reuses.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ _STATIONARY_REL = 1e-8
 # the first trial step before it gives up.
 _SUFFICIENT_INCREASE = 1e-4
 _MAX_BACKTRACKS = 30
+# The search takes ‖W·Z‖² from the curve system's Grams, whose rounding
+# error is about 1e-16·‖G‖²; at or below this fraction of ‖G‖² it lifts
+# the direction instead.
+_GRAM_NORM_FLOOR = 1e-10
 
 
 class CayleyStepError(RuntimeError):
@@ -150,19 +157,29 @@ class _CurveSystem(NamedTuple):
     gram: np.ndarray
     rhs: np.ndarray
 
-    def lift(self, coeff: np.ndarray) -> np.ndarray:
-        """B·coeff = U·coeff_top + V·coeff_bottom, without stacking B."""
-        k = self.left.shape[1]
-        return self.left @ coeff[:k] + self.right @ coeff[k:]
+    def lift(self, coeff: np.ndarray, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
+        """B·coeff = U·coeff_top + V·coeff_bottom, without stacking B.
 
-    def point(self, Z: np.ndarray, tau: float) -> np.ndarray:
-        """Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ."""
+        The products go into ``out`` and ``scratch`` when given (n×k,
+        C-ordered), and into fresh arrays otherwise.
+        """
+        k = self.left.shape[1]
+        out = np.matmul(self.left, coeff[:k], out=out)
+        out += np.matmul(self.right, coeff[k:], out=scratch)
+        return out
+
+    def point(self, Z: np.ndarray, tau: float, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+        """Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ, in ``out`` when given."""
         S = np.eye(len(self.gram)) + (tau / 2.0) * self.gram
         try:
             coeff = np.linalg.solve(S, self.rhs)
         except np.linalg.LinAlgError as exc:
             raise CayleyStepError(f"singular curve system at tau={tau}") from exc
-        out = Z - tau * self.lift(coeff)
+        out = self.lift(coeff, out, scratch)
+        out *= tau
+        np.subtract(Z, out, out=out)
         if not np.all(np.isfinite(out)):
             raise CayleyStepError(f"non-finite curve point at tau={tau}")
         return out
@@ -208,8 +225,31 @@ def cayley_step(Z: np.ndarray, W: SkewDirection, tau: float) -> np.ndarray:
     return _curve_system(Z, W).point(Z, tau)
 
 
+def _direction_slope(system: _CurveSystem, G: np.ndarray
+                     ) -> tuple[float, float]:
+    """‖W·Z‖ and the slope g₀ = ⟨G, −W·Z⟩ of the search direction −W·Z.
+
+    ``system`` is the curve system of W = Z·Gᵀ − G·Zᵀ through Z, so
+    −W·Z = −B·CᵀZ, and with BᵀB = [[ZᵀZ, ZᵀG], [GᵀZ, GᵀG]] (CᵀB with its
+    block rows swapped and the lower one negated) ‖W·Z‖² = ⟨CᵀZ, BᵀB·CᵀZ⟩
+    and g₀ = −⟨BᵀG, CᵀZ⟩ = tr(GᵀG·ZᵀZ) − tr((GᵀZ)²): k×k work, no n×k
+    array.  Near a stationary point that norm is a difference of nearly
+    equal terms, so at or below 1e-10·‖G‖² both come from the direction
+    lifted to n×k instead.
+    """
+    k = G.shape[1]
+    BtB = np.vstack([-system.gram[k:], system.gram[:k]])
+    rhs = system.rhs
+    sq_norm = float(np.vdot(rhs, BtB @ rhs))
+    if sq_norm > _GRAM_NORM_FLOOR * np.trace(BtB[k:, k:]):
+        return math.sqrt(sq_norm), -float(np.vdot(BtB[:, k:], rhs))
+    direction = -system.lift(rhs)
+    return float(np.linalg.norm(direction)), float(np.vdot(G, direction))
+
+
 def _line_search(graph: Graph, Z: np.ndarray, G: np.ndarray, value: float,
-                 tau0: float) -> tuple | None:
+                 tau0: float, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> tuple | None:
     """Armijo backtracking along the Cayley curve of W = Z·Gᵀ − G·Zᵀ.
 
     Tries τ₀, τ₀ρ, τ₀ρ², …, τ₀ρ³⁰ (ρ = ``OcsaConfig.contraction``) and
@@ -221,23 +261,22 @@ def _line_search(graph: Graph, Z: np.ndarray, G: np.ndarray, value: float,
     level fails the test.  A step whose curve system is singular counts as
     a failed level.
 
-    The curve system is built once, from the k×k Grams ZᵀZ, GᵀZ and GᵀG,
-    and serves the direction −W·Z = −B·CᵀZ = G·ZᵀZ − Z·GᵀZ as well as every
-    trial step, which then costs one 2k×2k solve, two n×k·k×k products and
-    one objective evaluation.
+    The curve system is built once, from the k×k Grams ZᵀZ, GᵀZ and GᵀG.
+    It gives ‖W·Z‖ and g₀ without lifting the direction to n×k, except
+    near a stationary point, where the lifted direction decides both
+    tests (``_direction_slope``).  Each trial step costs one 2k×2k solve,
+    two n×k·k×k products and one objective evaluation, and writes Z(τ)
+    into ``out`` (with ``scratch`` for the second product) when given.
     """
     system = _curve_system(Z, skew_direction(Z, G))
-    direction = -system.lift(system.rhs)
-    if np.linalg.norm(direction) <= _STATIONARY_REL * np.linalg.norm(G):
-        return None
-    g0 = float(np.vdot(G, direction))
-    if g0 <= 0:
+    norm, g0 = _direction_slope(system, G)
+    if norm <= _STATIONARY_REL * np.linalg.norm(G) or g0 <= 0:
         return None
 
     tau = tau0
     for _ in range(_MAX_BACKTRACKS + 1):
         try:
-            candidate = system.point(Z, tau)
+            candidate = system.point(Z, tau, out, scratch)
         except CayleyStepError:
             tau *= OcsaConfig.contraction
             continue
@@ -282,12 +321,16 @@ def ocsa(graph: Graph, Z0: np.ndarray,
     objective history is non-decreasing and every iterate stays feasible.
     Each gradient 4·(A·Z)·(ZᵀAZ) reuses the A·Z and ZᵀAZ of the step the
     search accepted, so an iteration makes one sparse product per trial
-    step and no other.
+    step and no other.  The gradient, the trial points and the lift's
+    second product live in three n×k buffers allocated once per call; an
+    accepted trial point becomes the iterate and the old iterate the next
+    trial buffer.  Z0 is copied, never written.
 
     Raises
     ------
     ParameterError
-        If Z0 has the wrong row count or is not column-orthonormal.
+        If Z0 has the wrong row count or is not column-orthonormal (a NaN
+        entry included).
     """
     config = config or OcsaConfig()
     Z = np.array(Z0, dtype=np.float64)
@@ -296,20 +339,27 @@ def ocsa(graph: Graph, Z0: np.ndarray,
             f"Z0 shape {Z.shape} incompatible with n={graph.node_count}")
     if Z.shape[1] > graph.node_count:
         raise ParameterError("more columns than nodes")
-    if orthonormality_defect(Z) > FEASIBILITY_TOL:
+    if not orthonormality_defect(Z) <= FEASIBILITY_TOL:
         raise ParameterError("Z0 is not column-orthonormal")
 
     AZ, M, value = _objective_parts(graph, Z)
     objectives = [value]
     steps: list[float] = []
     reason = "max-iter"
+    G, spare, scratch = (np.empty(Z.shape) for _ in range(3))
     for _ in range(config.max_iterations):
-        found = _line_search(graph, Z, 4.0 * (AZ @ M), value,
-                             config.initial_step)
+        np.matmul(AZ, M, out=G)
+        G *= 4.0
+        found = _line_search(graph, Z, G, value, config.initial_step,
+                             spare, scratch)
         if found is None:
             reason = "no-ascent-step"
             break
-        tau, Z, trial, AZ, M = found
+        tau, candidate, trial, AZ, M = found
+        # Trial points go into C-ordered buffers only; the start copy keeps
+        # Z0's layout (Fortran for Lanczos vectors) and is not recycled then.
+        Z, spare = candidate, (Z if Z.flags.c_contiguous
+                               else np.empty(Z.shape))
         objectives.append(trial)
         steps.append(tau)
         # value > 0: F = 0 gives G = 0, which the search rejects as stationary.

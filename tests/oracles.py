@@ -86,6 +86,14 @@ def skew_apply(W: SkewDirection, x: np.ndarray) -> np.ndarray:
     return W.left @ (W.right.T @ x) - W.right @ (W.left.T @ x)
 
 
+def direction_slope_reference(Z: np.ndarray, G: np.ndarray
+                              ) -> tuple[float, float]:
+    """‖−W·Z‖ and ⟨G, −W·Z⟩ for W = Z·Gᵀ − G·Zᵀ, from the direction lifted
+    to n×k: the norm and slope the Armijo search tests."""
+    direction = -skew_apply(skew_direction(Z, G), Z)
+    return float(np.linalg.norm(direction)), float(np.vdot(G, direction))
+
+
 def skew_dense(W: SkewDirection) -> np.ndarray:
     """The n×n matrix W = left·rightᵀ − right·leftᵀ."""
     return W.left @ W.right.T - W.right @ W.left.T

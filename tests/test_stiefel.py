@@ -10,9 +10,9 @@ from specsumm import (Graph, OcsaConfig, ParameterError, cayley_step,
                       trace_objective_relaxed)
 from specsumm.stiefel import CayleyStepError
 
-from oracles import (dense_eig_oracle, fd_gradient, ocsa_reference,
-                     random_graph, skew_apply, skew_dense,
-                     trace_objective_split)
+from oracles import (dense_eig_oracle, direction_slope_reference,
+                     fd_gradient, ocsa_reference, random_graph, skew_apply,
+                     skew_dense, trace_objective_split)
 
 
 def _delta_columns(n, cols):
@@ -192,6 +192,73 @@ class TestLineSearch:
         assert np.array_equal(AZ, two_triangles.adjacency_matmat(Z_new))
         assert np.array_equal(M, Z_new.T @ AZ)
 
+    @staticmethod
+    def _count_lifts(monkeypatch):
+        calls = []
+        lift = stiefel._CurveSystem.lift
+
+        def counted(self, *args):
+            calls.append(args)
+            return lift(self, *args)
+
+        monkeypatch.setattr(stiefel._CurveSystem, "lift", counted)
+        return calls
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_gram_slope_matches_the_lifted_direction(self, k, monkeypatch):
+        lifts = self._count_lifts(monkeypatch)
+        rng = np.random.default_rng(300 + k)
+        for steps in (0, 3):
+            n = int(rng.integers(k + 8, 60))
+            graph = random_graph(rng, n, p=0.2)
+            Z0 = random_orthonormal_init(n, k, seed=int(rng.integers(2**31)))
+            Z, _ = ocsa(graph, Z0, OcsaConfig(max_iterations=steps,
+                                              relative_tolerance=0.0))
+            G = gradient(graph, Z)
+            lifts.clear()
+            norm, g0 = stiefel._direction_slope(
+                stiefel._curve_system(Z, skew_direction(Z, G)), G)
+            assert lifts == []
+            ref_norm, ref_g0 = direction_slope_reference(Z, G)
+            assert ref_norm > 1e-3 * np.linalg.norm(G)
+            assert norm == pytest.approx(ref_norm, rel=1e-12, abs=0)
+            assert g0 == pytest.approx(ref_g0, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("delta, lifted", [
+        (0.0, True), (1e-12, True), (1e-9, True), (1e-6, True),
+        (1e-3, False)])
+    def test_perturbed_eigenvector_starts_match_one_reference_step(
+            self, delta, lifted, monkeypatch):
+        # Near an eigenvector basis the Gram form of ‖W·Z‖² cancels, so the
+        # search must lift the direction and decide as the reference does.
+        lifts = self._count_lifts(monkeypatch)
+        rng = np.random.default_rng(505)
+        for _ in range(12):
+            n = int(rng.integers(8, 48))
+            k = int(rng.integers(1, min(n - 2, 7)))
+            graph = random_graph(rng, n, p=float(rng.uniform(0.1, 0.5)))
+            basis = lm_eigs(graph, k, seed=0)
+            noise = delta * rng.standard_normal((n, k))
+            Z = np.linalg.qr(basis.vectors + noise)[0]
+            G = gradient(graph, Z)
+            lifts.clear()
+            stiefel._direction_slope(
+                stiefel._curve_system(Z, skew_direction(Z, G)), G)
+            assert len(lifts) == lifted
+            got = stiefel._line_search(graph, Z, G,
+                                       trace_objective_relaxed(graph, Z),
+                                       OcsaConfig.initial_step)
+            Z_ref, ref = ocsa_reference(graph, Z, OcsaConfig(max_iterations=1))
+            assert (got is None) == (ref.iterations == 0)
+            if got is None:
+                continue
+            tau, Z_new, trial, _, _ = got
+            assert tau == ref.step_sizes[0]
+            assert np.array_equal(
+                Z_new, cayley_step(Z, skew_direction(Z, G), tau))
+            np.testing.assert_allclose(Z_new, Z_ref, rtol=0, atol=1e-12)
+            assert trial == pytest.approx(ref.objectives[1], rel=1e-12)
+
 
 class TestRandomInit:
     def test_square_case(self):
@@ -218,6 +285,14 @@ class TestOcsa:
     def test_rejects_infeasible_start(self, k3):
         with pytest.raises(ParameterError, match="orthonormal"):
             ocsa(k3, np.ones((3, 2)), OcsaConfig())
+
+    @pytest.mark.parametrize("where", [(2, 1), ...],
+                             ids=["one-entry", "all-entries"])
+    def test_rejects_nan_start(self, two_triangles, where):
+        Z0 = random_orthonormal_init(6, 2, seed=1)
+        Z0[where] = np.nan
+        with pytest.raises(ParameterError, match="orthonormal"):
+            ocsa(two_triangles, Z0, OcsaConfig())
 
     def test_eigenvector_start_exits_at_once(self, rng):
         graph = random_graph(rng, 30)
@@ -300,6 +375,60 @@ class TestOcsa:
         assert OcsaConfig().contraction == OcsaConfig.contraction == 0.5
         with pytest.raises(TypeError):
             OcsaConfig(contraction=0.25)
+
+
+class TestOcsaBuffers:
+    """``ocsa`` writes its gradient and trial points into buffers of its
+    own; what it is given and what it returns stay untouched."""
+
+    config = OcsaConfig(max_iterations=15, relative_tolerance=0.0)
+
+    def test_start_is_left_unchanged_and_unshared(self, rng):
+        graph = random_graph(rng, 40)
+        Z0 = random_orthonormal_init(40, 3, seed=4)
+        before = Z0.tobytes()
+        for iterations in (0, 15):
+            Z, trace = ocsa(graph, Z0, dataclasses.replace(
+                self.config, max_iterations=iterations))
+            assert trace.iterations == iterations
+            assert Z0.tobytes() == before
+            assert not np.shares_memory(Z, Z0)
+
+    def test_read_only_starts(self, rng):
+        graph = random_graph(rng, 30)
+        basis = lm_eigs(graph, 3, seed=0)
+        assert not basis.vectors.flags.writeable
+        Z, _ = ocsa(graph, basis.vectors, self.config)
+        assert not np.shares_memory(Z, basis.vectors)
+        # A Fortran-ordered start's copy is not recycled as a trial buffer;
+        # the public functions replay its steps bit for bit.
+        Z0 = np.asfortranarray(random_orthonormal_init(30, 3, seed=8))
+        Z0.setflags(write=False)
+        Z, trace = ocsa(graph, Z0, self.config)
+        assert trace.iterations == self.config.max_iterations
+        replay = Z0
+        for tau in trace.step_sizes:
+            W = skew_direction(replay, gradient(graph, replay))
+            replay = cayley_step(replay, W, float(tau))
+        assert np.array_equal(Z, replay)
+
+    def test_second_call_leaves_the_first_result(self, rng):
+        graph = random_graph(rng, 40)
+        Z1, _ = ocsa(graph, random_orthonormal_init(40, 3, seed=4),
+                     self.config)
+        kept = Z1.tobytes()
+        Z2, trace = ocsa(graph, Z1, self.config)
+        assert trace.iterations > 0
+        assert Z1.tobytes() == kept
+        assert not np.shares_memory(Z1, Z2)
+
+    def test_cayley_step_returns_a_fresh_array(self, rng):
+        Z = random_orthonormal_init(20, 3, seed=2)
+        W = skew_direction(Z, rng.standard_normal((20, 3)))
+        first, second = (cayley_step(Z, W, 0.1) for _ in range(2))
+        assert np.array_equal(first, second)
+        for other in (Z, W.right, second):
+            assert not np.shares_memory(first, other)
 
 
 class TestOcsaMatchesReference:
