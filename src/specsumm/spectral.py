@@ -16,12 +16,12 @@ import numpy as np
 from .errors import ConvergenceError, ParameterError
 from .graph import Graph
 from .rng import make_generator
+from .stiefel import FEASIBILITY_TOL, orthonormality_defect
 
 __all__ = ["EigenBasis", "lm_eigs"]
 
 _SIGN_EPS = 1e-10
 _RESIDUAL_TOL = 1e-8
-_ORTHO_TOL = 1e-8
 # Largest order the dense route serves when d > n - 2 leaves ARPACK out.
 _DENSE_ROUTE_LIMIT = 2048
 
@@ -115,8 +115,9 @@ def lm_eigs(graph: Graph, d: int, seed: int | None = None) -> EigenBasis:
     ParameterError
         If d is out of range, or d > n − 2 on a graph with n > 2048.
     ConvergenceError
-        If ARPACK stalls, fails or misses the tolerance, at any n; carries
-        the best residual norms reached.
+        If ARPACK stalls or fails, or its pairs miss the residual tolerance
+        or its vectors the orthonormality one, at any n; carries the best
+        residual norms reached.
     """
     n = graph.node_count
     if not 1 <= d <= n:
@@ -149,8 +150,12 @@ def lm_eigs(graph: Graph, d: int, seed: int | None = None) -> EigenBasis:
     basis = _canonicalize(values, vectors)
     residuals = basis.residual_norms(graph)
     bound = _RESIDUAL_TOL * np.maximum(1.0, np.abs(basis.values))
-    defect = np.abs(basis.vectors.T @ basis.vectors - np.eye(d)).max()
-    if not (np.all(residuals <= bound) and defect <= _ORTHO_TOL):
+    if not np.all(residuals <= bound):
         raise ConvergenceError("Lanczos output failed residual check",
                                residuals=residuals)
+    defect = orthonormality_defect(basis.vectors)
+    if not defect <= FEASIBILITY_TOL:
+        raise ConvergenceError(
+            f"Lanczos output failed orthonormality check: defect {defect:.3g}",
+            residuals=residuals)
     return basis

@@ -11,8 +11,7 @@ per iteration and shared by every trial step.  The same Grams give the
 search its slope and the direction's norm in k×k work; the n×k direction
 is lifted only near a stationary point, where that form cancels.  The
 A·Z and ZᵀAZ behind an accepted step's objective give the next gradient
-without another sparse product, and the gradient and trial points are
-written into n×k buffers that the whole ascent reuses.
+without another sparse product.
 """
 
 from __future__ import annotations
@@ -157,27 +156,21 @@ class _CurveSystem(NamedTuple):
     gram: np.ndarray
     rhs: np.ndarray
 
-    def lift(self, coeff: np.ndarray, out: np.ndarray | None = None,
-             scratch: np.ndarray | None = None) -> np.ndarray:
-        """B·coeff = U·coeff_top + V·coeff_bottom, without stacking B.
-
-        The products go into ``out`` and ``scratch`` when given (n×k,
-        C-ordered), and into fresh arrays otherwise.
-        """
+    def lift(self, coeff: np.ndarray) -> np.ndarray:
+        """B·coeff = U·coeff_top + V·coeff_bottom, without stacking B."""
         k = self.left.shape[1]
-        out = np.matmul(self.left, coeff[:k], out=out)
-        out += np.matmul(self.right, coeff[k:], out=scratch)
+        out = self.left @ coeff[:k]
+        out += self.right @ coeff[k:]
         return out
 
-    def point(self, Z: np.ndarray, tau: float, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
-        """Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ, in ``out`` when given."""
+    def point(self, Z: np.ndarray, tau: float) -> np.ndarray:
+        """Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ."""
         S = np.eye(len(self.gram)) + (tau / 2.0) * self.gram
         try:
             coeff = np.linalg.solve(S, self.rhs)
         except np.linalg.LinAlgError as exc:
             raise CayleyStepError(f"singular curve system at tau={tau}") from exc
-        out = self.lift(coeff, out, scratch)
+        out = self.lift(coeff)
         out *= tau
         np.subtract(Z, out, out=out)
         if not np.all(np.isfinite(out)):
@@ -248,8 +241,7 @@ def _direction_slope(system: _CurveSystem, G: np.ndarray
 
 
 def _line_search(graph: Graph, Z: np.ndarray, G: np.ndarray, value: float,
-                 tau0: float, out: np.ndarray | None = None,
-                 scratch: np.ndarray | None = None) -> tuple | None:
+                 tau0: float) -> tuple | None:
     """Armijo backtracking along the Cayley curve of W = Z·Gᵀ − G·Zᵀ.
 
     Tries τ₀, τ₀ρ, τ₀ρ², …, τ₀ρ³⁰ (ρ = ``OcsaConfig.contraction``) and
@@ -265,8 +257,7 @@ def _line_search(graph: Graph, Z: np.ndarray, G: np.ndarray, value: float,
     It gives ‖W·Z‖ and g₀ without lifting the direction to n×k, except
     near a stationary point, where the lifted direction decides both
     tests (``_direction_slope``).  Each trial step costs one 2k×2k solve,
-    two n×k·k×k products and one objective evaluation, and writes Z(τ)
-    into ``out`` (with ``scratch`` for the second product) when given.
+    two n×k·k×k products and one objective evaluation.
     """
     system = _curve_system(Z, skew_direction(Z, G))
     norm, g0 = _direction_slope(system, G)
@@ -276,13 +267,14 @@ def _line_search(graph: Graph, Z: np.ndarray, G: np.ndarray, value: float,
     tau = tau0
     for _ in range(_MAX_BACKTRACKS + 1):
         try:
-            candidate = system.point(Z, tau, out, scratch)
+            candidate = system.point(Z, tau)
         except CayleyStepError:
             tau *= OcsaConfig.contraction
             continue
         AZ, M, trial = _objective_parts(graph, candidate)
         if trial >= value + _SUFFICIENT_INCREASE * tau * g0:
             return tau, candidate, trial, AZ, M
+        candidate = AZ = None
         tau *= OcsaConfig.contraction
     return None
 
@@ -321,10 +313,10 @@ def ocsa(graph: Graph, Z0: np.ndarray,
     objective history is non-decreasing and every iterate stays feasible.
     Each gradient 4·(A·Z)·(ZᵀAZ) reuses the A·Z and ZᵀAZ of the step the
     search accepted, so an iteration makes one sparse product per trial
-    step and no other.  The gradient, the trial points and the lift's
-    second product live in three n×k buffers allocated once per call; an
-    accepted trial point becomes the iterate and the old iterate the next
-    trial buffer.  Z0 is copied, never written.
+    step and no other.  A·Z is dropped once the gradient is formed, and
+    the search drops a rejected trial point before it makes the next, so
+    the ascent holds four n×k arrays at a time: the iterate, G, a trial
+    point and its A·Z.  Z0 is copied, never written.
 
     Raises
     ------
@@ -346,20 +338,16 @@ def ocsa(graph: Graph, Z0: np.ndarray,
     objectives = [value]
     steps: list[float] = []
     reason = "max-iter"
-    G, spare, scratch = (np.empty(Z.shape) for _ in range(3))
     for _ in range(config.max_iterations):
-        np.matmul(AZ, M, out=G)
+        G = AZ @ M
         G *= 4.0
-        found = _line_search(graph, Z, G, value, config.initial_step,
-                             spare, scratch)
+        # Only the gradient reads A·Z; the last search result holds it too.
+        AZ = found = None
+        found = _line_search(graph, Z, G, value, config.initial_step)
         if found is None:
             reason = "no-ascent-step"
             break
-        tau, candidate, trial, AZ, M = found
-        # Trial points go into C-ordered buffers only; the start copy keeps
-        # Z0's layout (Fortran for Lanczos vectors) and is not recycled then.
-        Z, spare = candidate, (Z if Z.flags.c_contiguous
-                               else np.empty(Z.shape))
+        tau, Z, trial, AZ, M = found
         objectives.append(trial)
         steps.append(tau)
         # value > 0: F = 0 gives G = 0, which the search rejects as stationary.

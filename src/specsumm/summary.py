@@ -369,9 +369,10 @@ def specsumm(graph: Graph, k: int, d: int | None = None,
     The embedding is either the top-|magnitude| eigenvectors (lm-eigvecs)
     or an orthonormality-constrained ascent from a random start
     (ocsa-random).  Rows are clustered into k groups by mini-batch k-means,
-    then refined by reassignment rounds when a config is given.  One master
-    seed derives every phase seed (a seed set in ``reassign`` is replaced),
-    so equal seeds reproduce results exactly.
+    then refined by ``reassign.rounds`` reassignment rounds (none when
+    ``reassign`` is None).  One master seed derives every phase seed (a
+    seed set in ``reassign`` is replaced), so equal seeds reproduce results
+    exactly.
     """
     n = graph.node_count
     if not 1 <= k <= n:
@@ -398,13 +399,10 @@ def specsumm(graph: Graph, k: int, d: int | None = None,
         membership = Membership(assign, k)
 
     with _timed(seconds, "reassign"):
-        counts = None
-        moves: list[ReassignMove] = []
-        if reassign is not None:
-            # The moves keep the counts current, so they are taken only once.
-            membership, moves, counts = _reassign(
-                graph, membership, supernode_edge_counts(graph, membership),
-                replace(reassign, seed=reassign_seed))
+        # The moves keep the counts current, so they are taken only once.
+        membership, moves, counts = _reassign(
+            graph, membership, supernode_edge_counts(graph, membership),
+            replace(reassign or ReassignConfig(rounds=0), seed=reassign_seed))
 
     with _timed(seconds, "summary"):
         summary, objective, loss = _summarize_counts(graph, membership, counts)

@@ -205,6 +205,22 @@ class TestLmEigsNoConvergence:
             np.testing.assert_allclose(info.value.residuals, expected,
                                        rtol=1e-12)
 
+    def test_orthonormality_miss_names_the_defect(self, monkeypatch):
+        # Exact eigenpairs of K8, one of them repeated: every residual is
+        # at rounding level, so only the orthonormality check can fail.
+        graph = complete_graph(8)
+        ones = np.full(8, 8 ** -0.5)
+        u1 = np.array([1, -1, 0, 0, 0, 0, 0, 0]) / 2 ** 0.5
+        u2 = np.array([1, 1, -2, 0, 0, 0, 0, 0]) / 6 ** 0.5
+        vectors = np.column_stack([ones, u1, u1, u2])
+        values = np.array([7.0, -1.0, -1.0, -1.0])
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            lambda *args, **kwargs: (values, vectors))
+        with pytest.raises(ConvergenceError,
+                           match="orthonormality check: defect 1") as info:
+            lm_eigs(graph, 4, seed=0)
+        assert np.all(info.value.residuals <= 1e-14)
+
 
 def test_complete_graph_ordering_tie_rule():
     # |λ| ties between n−1 and −1 never arise for K_n with n ≥ 3, but the

@@ -1,13 +1,14 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from specsumm import (Graph, OcsaConfig, ParameterError, cayley_step,
-                      gradient, lm_eigs, ocsa, orthonormality_defect,
-                      random_orthonormal_init, skew_direction, stiefel,
-                      trace_objective_relaxed)
+                      generate_sbm, gradient, lm_eigs, ocsa,
+                      orthonormality_defect, random_orthonormal_init,
+                      skew_direction, stiefel, trace_objective_relaxed)
 from specsumm.stiefel import CayleyStepError
 
 from oracles import (dense_eig_oracle, direction_slope_reference,
@@ -377,9 +378,9 @@ class TestOcsa:
             OcsaConfig(contraction=0.25)
 
 
-class TestOcsaBuffers:
-    """``ocsa`` writes its gradient and trial points into buffers of its
-    own; what it is given and what it returns stay untouched."""
+class TestOcsaNoAliasing:
+    """What ``ocsa`` is given stays untouched and unshared, and no result
+    aliases a start or another result."""
 
     config = OcsaConfig(max_iterations=15, relative_tolerance=0.0)
 
@@ -400,8 +401,8 @@ class TestOcsaBuffers:
         assert not basis.vectors.flags.writeable
         Z, _ = ocsa(graph, basis.vectors, self.config)
         assert not np.shares_memory(Z, basis.vectors)
-        # A Fortran-ordered start's copy is not recycled as a trial buffer;
-        # the public functions replay its steps bit for bit.
+        # A Fortran-ordered start's steps replay bit for bit through the
+        # public functions.
         Z0 = np.asfortranarray(random_orthonormal_init(30, 3, seed=8))
         Z0.setflags(write=False)
         Z, trace = ocsa(graph, Z0, self.config)
@@ -429,6 +430,29 @@ class TestOcsaBuffers:
         assert np.array_equal(first, second)
         for other in (Z, W.right, second):
             assert not np.shares_memory(first, other)
+
+
+@pytest.mark.parametrize("initial_step", [1e-3, 1.0])
+@pytest.mark.parametrize("k", [4, 8])
+def test_ocsa_peak_is_four_arrays(k, initial_step):
+    # The iterate, G, a trial point and its A·Z: the previous A·Z is
+    # dropped once G is formed, and a rejected trial (the 1.0 start step
+    # backtracks) before the next is made.
+    graph, _ = generate_sbm(8, 250, 0.05, 0.005, seed=3)
+    Z0 = random_orthonormal_init(graph.node_count, k, seed=1)
+    graph.adjacency_matmat(Z0)  # builds the CSR outside the trace
+    config = OcsaConfig(max_iterations=10, initial_step=initial_step,
+                        relative_tolerance=0.0)
+    tracemalloc.start()
+    try:
+        _, trace = ocsa(graph, Z0, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.iterations == 10
+    if initial_step == 1.0:
+        assert np.any(trace.step_sizes < 1.0)
+    assert peak <= 4.5 * Z0.nbytes
 
 
 class TestOcsaMatchesReference:

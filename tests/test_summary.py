@@ -601,6 +601,22 @@ class TestPipeline:
         assert report.objective == objective_integer(graph,
                                                      summary.membership)
 
+    @pytest.mark.parametrize("method", ["lm-eigvecs", "ocsa-random"])
+    def test_no_config_is_zero_rounds(self, method):
+        graph, _ = generate_sbm(5, 20, 0.3, 0.05, seed=4)
+        for seed in (1, 2):
+            runs = [specsumm(graph, 5, relax_method=method, reassign=reassign,
+                             seed=seed)
+                    for reassign in (None, ReassignConfig(
+                        rounds=0, samples_per_round=7))]
+            (a_sum, a_rep), (b_sum, b_rep) = runs
+            assert (a_sum.membership.assign.tobytes()
+                    == b_sum.membership.assign.tobytes())
+            assert a_sum.density.tobytes() == b_sum.density.tobytes()
+            assert (a_rep.objective, a_rep.loss) == (b_rep.objective,
+                                                     b_rep.loss)
+            assert a_rep.reassign_moves == b_rep.reassign_moves == 0
+
     def test_parameter_validation(self, k3):
         with pytest.raises(ParameterError):
             specsumm(k3, 0)
