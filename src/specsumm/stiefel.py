@@ -11,14 +11,26 @@ per iteration and shared by every trial step.  The same Grams give the
 search its slope and the direction's norm in k×k work; the n×k direction
 is lifted only near a stationary point, where that form cancels.  The
 A·Z and ZᵀAZ behind an accepted step's objective give the next gradient
-without another sparse product.
+without another sparse product, and the trial point's ZᵀZ the next
+system's Gram.
+
+``ocsa`` runs each iteration on two lanes, the calling thread and one
+worker thread, when the process's CPU affinity allows two CPUs or more
+(``taskset -c 0`` gives one lane) and the iterate is large enough to repay
+the hand-offs.  Side by side run: the row blocks of each A·Z, ZᵀAZ beside
+ZᵀZ, GᵀZ beside GᵀG, the lift's two products, and the two row halves of
+the elementwise rest of a trial point.  No GEMM is split, and each row of
+A·Z sums its neighbours in index order, so the bits do not depend on the
+lane count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import Callable, ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,6 +62,9 @@ _MAX_BACKTRACKS = 30
 # error is about 1e-16·‖G‖²; at or below this fraction of ‖G‖² it lifts
 # the direction instead.
 _GRAM_NORM_FLOOR = 1e-10
+# Iterates of fewer entries than this run the ascent on one lane: below it
+# a hand-off to the worker costs more than the work it moves.
+_TWO_LANE_MIN_ENTRIES = 1 << 17
 
 
 class CayleyStepError(RuntimeError):
@@ -108,6 +123,42 @@ class SkewDirection:
     right: np.ndarray
 
 
+def _in_turn(first: Callable, second: Callable) -> tuple:
+    """Run two thunks one after the other and return both results."""
+    return first(), second()
+
+
+@contextmanager
+def _lanes(entries: int) -> Iterator[Callable]:
+    """A runner of two thunks for one ascent whose iterates hold
+    ``entries`` entries: ``both(first, second)`` returns both results.
+
+    It runs them side by side, on the calling thread and one worker
+    thread, when the process's CPU affinity allows two CPUs or more
+    (``taskset -c 0`` gives one lane) and ``entries`` reaches
+    ``_TWO_LANE_MIN_ENTRIES``; otherwise in turn.  The worker lives only
+    inside the block.  Both thunks finish before ``both`` returns or
+    raises, and an exception of either reaches the caller unchanged.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if entries < _TWO_LANE_MIN_ENTRIES or cpus < 2:
+        yield _in_turn
+        return
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        def side_by_side(first: Callable, second: Callable) -> tuple:
+            future = worker.submit(second)
+            try:
+                done = first()
+            finally:
+                wait([future])
+            return done, future.result()
+
+        yield side_by_side
+
+
 def _objective_parts(graph: Graph, Z: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, float]:
     """(A·Z, M = ZᵀAZ, F(Z) = ‖M‖²_F): one sparse product serves the
@@ -115,6 +166,17 @@ def _objective_parts(graph: Graph, Z: np.ndarray
     AZ = graph.adjacency_matmat(Z)
     M = Z.T @ AZ
     return AZ, M, float(np.sum(M * M))
+
+
+def _trial_parts(graph: Graph, Z: np.ndarray, both: Callable
+                 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """``_objective_parts`` of an ascent point and its Gram ZᵀZ, which the
+    next curve system takes when the search accepts the point.  On two
+    lanes A·Z runs in row blocks and ZᵀZ beside ZᵀAZ."""
+    AZ = (graph.adjacency_matmat(Z) if both is _in_turn
+          else graph._matmat_in_row_blocks(Z, both))
+    M, ZtZ = both(lambda: Z.T @ AZ, lambda: Z.T @ Z)
+    return AZ, M, float(np.sum(M * M)), ZtZ
 
 
 def trace_objective_relaxed(graph: Graph, Z: np.ndarray) -> float:
@@ -132,7 +194,8 @@ def trace_objective_relaxed(graph: Graph, Z: np.ndarray) -> float:
 def gradient(graph: Graph, Z: np.ndarray) -> np.ndarray:
     """Euclidean gradient of F: G = 4·A·Z·(ZᵀAZ)."""
     AZ, M, _ = _objective_parts(graph, np.asarray(Z, dtype=np.float64))
-    return 4.0 * (AZ @ M)
+    # Scaling M, not the product, by 4 is exact and saves an n×k pass.
+    return AZ @ (4.0 * M)
 
 
 def skew_direction(Z: np.ndarray, G: np.ndarray) -> SkewDirection:
@@ -163,32 +226,49 @@ class _CurveSystem(NamedTuple):
         out += self.right @ coeff[k:]
         return out
 
-    def point(self, Z: np.ndarray, tau: float) -> np.ndarray:
-        """Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ."""
+    def point(self, Z: np.ndarray, tau: float,
+              both: Callable = _in_turn) -> np.ndarray:
+        """Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ.  The lift's two products run
+        on the two lanes of ``both``; their sum, the scaling by τ, the
+        subtraction from Z and the finiteness check run in two row halves,
+        which split elementwise work without moving a bit."""
         S = np.eye(len(self.gram)) + (tau / 2.0) * self.gram
         try:
             coeff = np.linalg.solve(S, self.rhs)
         except np.linalg.LinAlgError as exc:
             raise CayleyStepError(f"singular curve system at tau={tau}") from exc
-        out = self.lift(coeff)
-        out *= tau
-        np.subtract(Z, out, out=out)
-        if not np.all(np.isfinite(out)):
+        k = self.left.shape[1]
+        out, other = both(lambda: self.left @ coeff[:k],
+                          lambda: self.right @ coeff[k:])
+
+        def finish(rows: slice) -> bool:
+            part = out[rows]
+            part += other[rows]
+            part *= tau
+            np.subtract(Z[rows], part, out=part)
+            return bool(np.isfinite(part).all())
+
+        half = len(out) // 2
+        if not all(both(lambda: finish(slice(half)),
+                        lambda: finish(slice(half, None)))):
             raise CayleyStepError(f"non-finite curve point at tau={tau}")
         return out
 
 
-def _curve_system(Z: np.ndarray, W: SkewDirection) -> _CurveSystem:
+def _curve_system(Z: np.ndarray, W: SkewDirection, both: Callable = _in_turn,
+                  UtU: np.ndarray | None = None) -> _CurveSystem:
     """Build CᵀB and CᵀZ from three k×k Grams (four when W.left is not Z:
     then CᵀZ needs VᵀZ and UᵀZ of its own; when it is, CᵀZ is CᵀB's left
-    block column)."""
+    block column).  VᵀU and VᵀV run on the two lanes of ``both``; UᵀU is
+    formed here unless the caller has it."""
     U, V = W.left, W.right
     k = U.shape[1]
-    VtU = V.T @ U
-    UtU = U.T @ U
+    VtU, VtV = both(lambda: V.T @ U, lambda: V.T @ V)
+    if UtU is None:
+        UtU = U.T @ U
     gram = np.empty((2 * k, 2 * k))
     gram[:k, :k] = VtU
-    gram[:k, k:] = V.T @ V
+    gram[:k, k:] = VtV
     gram[k:, :k] = -UtU
     gram[k:, k:] = -VtU.T
     if U is Z:
@@ -241,39 +321,45 @@ def _direction_slope(system: _CurveSystem, G: np.ndarray
 
 
 def _line_search(graph: Graph, Z: np.ndarray, G: np.ndarray, value: float,
-                 tau0: float) -> tuple | None:
+                 tau0: float, both: Callable = _in_turn,
+                 ZtZ: np.ndarray | None = None) -> tuple | None:
     """Armijo backtracking along the Cayley curve of W = Z·Gᵀ − G·Zᵀ.
 
     Tries τ₀, τ₀ρ, τ₀ρ², …, τ₀ρ³⁰ (ρ = ``OcsaConfig.contraction``) and
     accepts the first (largest) step with F(Z(τ)) ≥ F(Z) + 1e-4·τ·g₀, where
     F(Z) = ``value`` and g₀ = ⟨G, −W·Z⟩ is the analytic curve derivative at
-    τ = 0.  Returns (τ, Z(τ), F(Z(τ)), A·Z(τ), Z(τ)ᵀA·Z(τ)), or None when
-    the direction offers no ascent: g₀ ≤ 0, the direction is stationary
-    relative to the gradient scale (‖W·Z‖ ≤ 1e-8·‖G‖), or every backtrack
-    level fails the test.  A step whose curve system is singular counts as
-    a failed level.
+    τ = 0.  Returns (τ, Z(τ), F(Z(τ)), A·Z(τ), Z(τ)ᵀA·Z(τ), Z(τ)ᵀZ(τ)), or
+    None when the direction offers no ascent: g₀ ≤ 0, the direction is
+    stationary relative to the gradient scale (‖W·Z‖ ≤ 1e-8·‖G‖), or every
+    backtrack level fails the test.  A step whose curve system is singular
+    counts as a failed level.
 
-    The curve system is built once, from the k×k Grams ZᵀZ, GᵀZ and GᵀG.
-    It gives ‖W·Z‖ and g₀ without lifting the direction to n×k, except
-    near a stationary point, where the lifted direction decides both
-    tests (``_direction_slope``).  Each trial step costs one 2k×2k solve,
-    two n×k·k×k products and one objective evaluation.
+    The curve system is built once, from the k×k Grams ZᵀZ (``ZtZ``, when
+    the caller has it), GᵀZ and GᵀG.  It gives ‖W·Z‖ and g₀ without
+    lifting the direction to n×k, except near a stationary point, where the
+    lifted direction decides both tests (``_direction_slope``), and its
+    trace of GᵀG gives ‖G‖.  Each trial step costs one 2k×2k solve, two
+    n×k·k×k products and one objective evaluation with its Gram.  ``both``
+    runs the independent halves of that work side by side or in turn
+    (``_lanes``).
     """
-    system = _curve_system(Z, skew_direction(Z, G))
+    system = _curve_system(Z, skew_direction(Z, G), both, ZtZ)
     norm, g0 = _direction_slope(system, G)
-    if norm <= _STATIONARY_REL * np.linalg.norm(G) or g0 <= 0:
+    k = G.shape[1]
+    if (norm <= _STATIONARY_REL * math.sqrt(np.trace(system.gram[:k, k:]))
+            or g0 <= 0):
         return None
 
     tau = tau0
     for _ in range(_MAX_BACKTRACKS + 1):
         try:
-            candidate = system.point(Z, tau)
+            candidate = system.point(Z, tau, both)
         except CayleyStepError:
             tau *= OcsaConfig.contraction
             continue
-        AZ, M, trial = _objective_parts(graph, candidate)
+        AZ, M, trial, gram = _trial_parts(graph, candidate, both)
         if trial >= value + _SUFFICIENT_INCREASE * tau * g0:
-            return tau, candidate, trial, AZ, M
+            return tau, candidate, trial, AZ, M, gram
         candidate = AZ = None
         tau *= OcsaConfig.contraction
     return None
@@ -315,8 +401,11 @@ def ocsa(graph: Graph, Z0: np.ndarray,
     search accepted, so an iteration makes one sparse product per trial
     step and no other.  A·Z is dropped once the gradient is formed, and
     the search drops a rejected trial point before it makes the next, so
-    the ascent holds four n×k arrays at a time: the iterate, G, a trial
-    point and its A·Z.  Z0 is copied, never written.
+    the ascent holds four n×k arrays at a time: the iterate, G, and the
+    lift's two products or a trial point and its A·Z.  Z0 is copied in C
+    order, never written, so its memory layout moves no bit.  The work
+    runs on one or two lanes (module docstring, ``_lanes``) with the same
+    bits.
 
     Raises
     ------
@@ -325,7 +414,7 @@ def ocsa(graph: Graph, Z0: np.ndarray,
         entry included).
     """
     config = config or OcsaConfig()
-    Z = np.array(Z0, dtype=np.float64)
+    Z = np.array(Z0, dtype=np.float64, order="C")
     if Z.ndim != 2 or Z.shape[0] != graph.node_count:
         raise ParameterError(
             f"Z0 shape {Z.shape} incompatible with n={graph.node_count}")
@@ -334,28 +423,32 @@ def ocsa(graph: Graph, Z0: np.ndarray,
     if not orthonormality_defect(Z) <= FEASIBILITY_TOL:
         raise ParameterError("Z0 is not column-orthonormal")
 
-    AZ, M, value = _objective_parts(graph, Z)
-    objectives = [value]
+    objectives: list[float] = []
     steps: list[float] = []
     reason = "max-iter"
-    for _ in range(config.max_iterations):
-        G = AZ @ M
-        G *= 4.0
-        # Only the gradient reads A·Z; the last search result holds it too.
-        AZ = found = None
-        found = _line_search(graph, Z, G, value, config.initial_step)
-        if found is None:
-            reason = "no-ascent-step"
-            break
-        tau, Z, trial, AZ, M = found
-        objectives.append(trial)
-        steps.append(tau)
-        # value > 0: F = 0 gives G = 0, which the search rejects as stationary.
-        relative_gain = (trial - value) / value
-        value = trial
-        if relative_gain <= config.relative_tolerance:
-            reason = "tolerance"
-            break
+    with _lanes(Z.size) as both:
+        AZ, M, value, ZtZ = _trial_parts(graph, Z, both)
+        objectives.append(value)
+        for _ in range(config.max_iterations):
+            # 4·(A·Z)·M, as ``gradient`` forms it.
+            G = AZ @ (4.0 * M)
+            # Only the gradient reads A·Z; the last search result holds it.
+            AZ = found = None
+            found = _line_search(graph, Z, G, value, config.initial_step,
+                                 both, ZtZ)
+            if found is None:
+                reason = "no-ascent-step"
+                break
+            tau, Z, trial, AZ, M, ZtZ = found
+            objectives.append(trial)
+            steps.append(tau)
+            # value > 0: F = 0 gives G = 0, which the search rejects as
+            # stationary.
+            relative_gain = (trial - value) / value
+            value = trial
+            if relative_gain <= config.relative_tolerance:
+                reason = "tolerance"
+                break
 
     trace = AscentTrace(objectives=np.asarray(objectives, dtype=np.float64),
                         step_sizes=np.asarray(steps, dtype=np.float64),

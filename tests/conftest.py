@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from specsumm import Graph
+from specsumm import Graph, stiefel
 
 
 @pytest.fixture
@@ -35,3 +37,29 @@ def complete_graph(n: int) -> Graph:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
+
+
+def use_lanes(monkeypatch, count: int, floor: int | None = 0) -> None:
+    """Make ``stiefel.ocsa`` run on ``count`` lanes (1 or 2) whatever the
+    host's CPUs: the process's CPU affinity reads as ``count`` CPUs, and
+    the work floor becomes ``floor`` (None keeps the shipped one)."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+    if floor is not None:
+        monkeypatch.setattr(stiefel, "_TWO_LANE_MIN_ENTRIES", floor)
+
+
+def planted_graph(blocks: int, size: int, deg_in: float, deg_out: float,
+                  seed: int) -> Graph:
+    """A planted-partition graph drawn in O(m): about ``deg_in`` neighbours
+    per node inside its block of ``size`` and ``deg_out`` anywhere, repeats
+    and self-loops dropped."""
+    rng = np.random.default_rng(seed)
+    n = blocks * size
+    inside, anywhere = int(n * deg_in / 2), int(n * deg_out / 2)
+    u = rng.integers(n, size=inside + anywhere)
+    v = np.concatenate([u[:inside] // size * size
+                        + rng.integers(size, size=inside),
+                        rng.integers(n, size=anywhere)])
+    keep = u != v
+    return Graph.from_edges(n, np.column_stack([u[keep], v[keep]]))

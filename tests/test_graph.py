@@ -1,4 +1,6 @@
 import io
+import sys
+import threading
 from unittest import mock
 
 import networkx as nx
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 from specsumm import (Graph, ParameterError, ParseError, adjacency_trace_sq,
                       generate_sbm, graph as graph_module,
-                      largest_connected_component, load_edge_list,
+                      largest_connected_component, load_edge_list, stiefel,
                       write_edge_list)
 
+from conftest import use_lanes
 from oracles import (canonicalize_reference, generate_sbm_reference,
                      graph_from_canonical_reference, random_graph,
                      relabeled_graph_reference, relabeled_unique_reference,
@@ -574,6 +577,81 @@ class TestKernels:
             x = rng.standard_normal(graph.node_count)
             np.testing.assert_allclose(graph.adjacency_matmat(x),
                                        graph.to_dense() @ x, atol=1e-12)
+
+    @staticmethod
+    def _row_block_cases(rng):
+        yield Graph.from_edges(1, [])
+        yield Graph.from_edges(2, [(0, 1)])
+        # Isolated nodes give empty rows: first, inner and last.
+        yield Graph.from_edges(12, [(2, 5), (5, 6), (6, 9), (2, 9)])
+        for n in (5, 40, 200):
+            graph = random_graph(rng, n, p=0.1)
+            yield Graph.from_edges(n + 30, np.vstack(
+                [graph.edge_pairs(), [[n + 3, n + 4]]]))
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_row_block_product_matches_csr(self, rng, lanes, monkeypatch):
+        use_lanes(monkeypatch, lanes)
+        with stiefel._lanes(1) as both:
+            assert (both is stiefel._in_turn) == (lanes == 1)
+            for graph in self._row_block_cases(rng):
+                n = graph.node_count
+                blocks = graph._row_blocks
+                assert 1 <= len(blocks) <= graph_module._ROW_BLOCKS
+                assert [start for start, _ in blocks] == [0] + [
+                    stop for _, stop in blocks[:-1]]
+                assert blocks[-1][1] == n
+                assert all(start < stop for start, stop in blocks)
+                for k in (1, 3, 32):
+                    x = rng.standard_normal((n, k))
+                    for operand in (x, np.asfortranarray(x)):
+                        got = graph._matmat_in_row_blocks(operand, both)
+                        assert got.shape == (n, k)
+                        assert np.array_equal(got, graph._csr @ operand)
+                        assert np.array_equal(
+                            got, graph.adjacency_matmat(operand))
+
+    def test_row_block_product_under_thread_stress(self, monkeypatch):
+        # A block run twice or never would break the equality: six threads
+        # on two lanes each, switching as often as the interpreter allows.
+        use_lanes(monkeypatch, 2)
+        graph, _ = generate_sbm(8, 50, 0.3, 0.02, seed=2)
+        x = np.random.default_rng(3).standard_normal((graph.node_count, 4))
+        want = graph._csr @ x
+        mismatches = []
+
+        def hammer():
+            with stiefel._lanes(1) as both:
+                for _ in range(40):
+                    if not np.array_equal(
+                            graph._matmat_in_row_blocks(x, both), want):
+                        mismatches.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_row_blocks_share_out_the_nonzeros(self):
+        graph, _ = generate_sbm(8, 50, 0.3, 0.02, seed=1)
+        blocks = graph._row_blocks
+        assert len(blocks) == graph_module._ROW_BLOCKS
+        counts = [graph.indptr[stop] - graph.indptr[start]
+                  for start, stop in blocks]
+        assert max(counts) - min(counts) <= 2 * graph.degrees.max()
+
+    def test_row_block_product_rejects_a_bad_operand(self, k3):
+        for bad in (np.ones(3), np.ones((4, 2))):
+            with pytest.raises(ValueError):
+                k3._matmat_in_row_blocks(bad, stiefel._in_turn)
 
     def test_trace_sq_examples(self, k3, p3, two_triangles):
         assert adjacency_trace_sq(k3) == 6.0

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ from specsumm import (Graph, OcsaConfig, ParameterError, cayley_step,
                       skew_direction, stiefel, trace_objective_relaxed)
 from specsumm.stiefel import CayleyStepError
 
+from conftest import planted_graph, use_lanes
 from oracles import (dense_eig_oracle, direction_slope_reference,
                      fd_gradient, ocsa_reference, random_graph, skew_apply,
                      skew_dense, trace_objective_split)
@@ -186,12 +188,13 @@ class TestLineSearch:
         got = stiefel._line_search(two_triangles, Z,
                                    gradient(two_triangles, Z), value, 0.001)
         assert got is not None
-        tau, Z_new, trial, AZ, M = got
+        tau, Z_new, trial, AZ, M, ZtZ = got
         assert tau > 0
         assert trial > value
         assert trial == trace_objective_relaxed(two_triangles, Z_new)
         assert np.array_equal(AZ, two_triangles.adjacency_matmat(Z_new))
         assert np.array_equal(M, Z_new.T @ AZ)
+        assert np.array_equal(ZtZ, Z_new.T @ Z_new)
 
     @staticmethod
     def _count_lifts(monkeypatch):
@@ -253,7 +256,7 @@ class TestLineSearch:
             assert (got is None) == (ref.iterations == 0)
             if got is None:
                 continue
-            tau, Z_new, trial, _, _ = got
+            tau, Z_new, trial, *_ = got
             assert tau == ref.step_sizes[0]
             assert np.array_equal(
                 Z_new, cayley_step(Z, skew_direction(Z, G), tau))
@@ -401,13 +404,13 @@ class TestOcsaNoAliasing:
         assert not basis.vectors.flags.writeable
         Z, _ = ocsa(graph, basis.vectors, self.config)
         assert not np.shares_memory(Z, basis.vectors)
-        # A Fortran-ordered start's steps replay bit for bit through the
-        # public functions.
+        # A Fortran-ordered start runs as its C-ordered copy, whose steps
+        # replay bit for bit through the public functions.
         Z0 = np.asfortranarray(random_orthonormal_init(30, 3, seed=8))
         Z0.setflags(write=False)
         Z, trace = ocsa(graph, Z0, self.config)
         assert trace.iterations == self.config.max_iterations
-        replay = Z0
+        replay = np.ascontiguousarray(Z0)
         for tau in trace.step_sizes:
             W = skew_direction(replay, gradient(graph, replay))
             replay = cayley_step(replay, W, float(tau))
@@ -434,25 +437,133 @@ class TestOcsaNoAliasing:
 
 @pytest.mark.parametrize("initial_step", [1e-3, 1.0])
 @pytest.mark.parametrize("k", [4, 8])
-def test_ocsa_peak_is_four_arrays(k, initial_step):
+def test_ocsa_peak_is_four_arrays(k, initial_step, monkeypatch):
     # The iterate, G, a trial point and its A·Z: the previous A·Z is
     # dropped once G is formed, and a rejected trial (the 1.0 start step
-    # backtracks) before the next is made.
+    # backtracks) before the next is made.  On two lanes the lift's two
+    # products live at once, as the lift and its second term do on one.
     graph, _ = generate_sbm(8, 250, 0.05, 0.005, seed=3)
     Z0 = random_orthonormal_init(graph.node_count, k, seed=1)
-    graph.adjacency_matmat(Z0)  # builds the CSR outside the trace
     config = OcsaConfig(max_iterations=10, initial_step=initial_step,
                         relative_tolerance=0.0)
-    tracemalloc.start()
-    try:
-        _, trace = ocsa(graph, Z0, config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert trace.iterations == 10
-    if initial_step == 1.0:
-        assert np.any(trace.step_sizes < 1.0)
-    assert peak <= 4.5 * Z0.nbytes
+    for lanes in (1, 2):
+        use_lanes(monkeypatch, lanes)
+        # Builds the CSR and imports the worker pool outside the trace.
+        ocsa(graph, Z0, dataclasses.replace(config, max_iterations=1))
+        tracemalloc.start()
+        try:
+            _, trace = ocsa(graph, Z0, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.iterations == 10
+        if initial_step == 1.0:
+            assert np.any(trace.step_sizes < 1.0)
+        assert peak <= 4.5 * Z0.nbytes, lanes
+
+
+@pytest.fixture(scope="module")
+def ascent_random_graph():
+    """A graph of ascent-random's size: n 16000, about 160k edges in 50
+    blocks, above the two-lane work floor at k 32."""
+    graph = planted_graph(50, 320, 16.0, 4.0, seed=11)
+    assert graph.node_count * 32 >= stiefel._TWO_LANE_MIN_ENTRIES
+    return graph
+
+
+class TestTwoLanes:
+    """``ocsa`` on two lanes (the caller and one worker thread) against one
+    lane, bit for bit, with the shipped work floor."""
+
+    @staticmethod
+    def _run(monkeypatch, lanes, graph, Z0, config):
+        use_lanes(monkeypatch, lanes, floor=None)
+        blocked = []
+        matmat = Graph._matmat_in_row_blocks
+
+        def counted(self, x, both):
+            blocked.append(x.shape)
+            return matmat(self, x, both)
+
+        monkeypatch.setattr(Graph, "_matmat_in_row_blocks", counted)
+        Z, trace = ocsa(graph, Z0, config)
+        # Two lanes make every product in row blocks, one lane none.
+        assert bool(blocked) == (lanes == 2)
+        return Z, trace
+
+    @pytest.mark.parametrize("initial_step, iterations",
+                             [(1e-3, 8), (1.0, 3)])
+    def test_match_one_lane(self, ascent_random_graph, initial_step,
+                            iterations, monkeypatch):
+        graph = ascent_random_graph
+        Z0 = random_orthonormal_init(graph.node_count, 32, seed=1)
+        config = OcsaConfig(max_iterations=iterations,
+                            initial_step=initial_step, relative_tolerance=0.0)
+        one, one_trace = self._run(monkeypatch, 1, graph, Z0, config)
+        two, two_trace = self._run(monkeypatch, 2, graph, Z0, config)
+        assert two_trace.iterations == iterations
+        if initial_step == 1.0:
+            assert np.any(two_trace.step_sizes < 1.0)
+        assert np.array_equal(two, one)
+        assert np.array_equal(two_trace.objectives, one_trace.objectives)
+        assert np.array_equal(two_trace.step_sizes, one_trace.step_sizes)
+        assert two_trace.reason == one_trace.reason
+
+    def test_no_thread_outlives_the_call(self, rng, monkeypatch):
+        use_lanes(monkeypatch, 2)
+        graph = random_graph(rng, 40)
+        Z0 = random_orthonormal_init(40, 3, seed=4)
+        before = threading.active_count()
+        _, trace = ocsa(graph, Z0, OcsaConfig(max_iterations=5,
+                                              relative_tolerance=0.0))
+        assert trace.iterations == 5
+        assert threading.active_count() == before
+
+    def test_worker_exception_reaches_the_caller(self, rng, monkeypatch):
+        class WorkerOnly(Exception):
+            pass
+
+        def fail():
+            assert threading.current_thread() is not threading.main_thread()
+            raise WorkerOnly
+
+        use_lanes(monkeypatch, 2)
+        with stiefel._lanes(1) as both:
+            with pytest.raises(WorkerOnly):
+                both(lambda: None, fail)
+            assert both(lambda: 1, lambda: 2) == (1, 2)
+
+        def failing_matmat(self, x, both):
+            both(lambda: None, fail)
+
+        monkeypatch.setattr(Graph, "_matmat_in_row_blocks", failing_matmat)
+        graph = random_graph(rng, 40)
+        before = threading.active_count()
+        with pytest.raises(WorkerOnly):
+            ocsa(graph, random_orthonormal_init(40, 3, seed=4))
+        assert threading.active_count() == before
+
+    def test_one_cpu_runs_in_turn(self, monkeypatch):
+        use_lanes(monkeypatch, 1)
+        with stiefel._lanes(1 << 40) as both:
+            assert both is stiefel._in_turn
+        use_lanes(monkeypatch, 2, floor=None)
+        with stiefel._lanes(stiefel._TWO_LANE_MIN_ENTRIES - 1) as both:
+            assert both is stiefel._in_turn
+
+
+def test_ocsa_bits_do_not_depend_on_the_start_layout():
+    # Run on Z0's own layout, these two starts gave iterates up to 9.7e-16
+    # apart and different objective histories.
+    graph, _ = generate_sbm(8, 250, 0.05, 0.005, seed=3)
+    Z0 = random_orthonormal_init(graph.node_count, 3, seed=8)
+    config = OcsaConfig(max_iterations=30, relative_tolerance=0.0)
+    Z, trace = ocsa(graph, Z0, config)
+    Z_f, trace_f = ocsa(graph, np.asfortranarray(Z0), config)
+    assert trace.iterations == 30
+    assert np.array_equal(Z_f, Z)
+    assert np.array_equal(trace_f.objectives, trace.objectives)
+    assert np.array_equal(trace_f.step_sizes, trace.step_sizes)
 
 
 class TestOcsaMatchesReference:
