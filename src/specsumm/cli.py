@@ -194,13 +194,22 @@ def _load_graph(path: str | Path) -> tuple[Graph, bytes]:
     return graph, data
 
 
-def _stored_summary(graph: Graph, path: str | Path) -> Summary:
-    """The summary stored at ``path``, which must cover the graph's nodes."""
+def _stored_summary(graph: Graph,
+                    path: str | Path) -> tuple[Graph, Summary]:
+    """The summary stored at ``path`` and the graph it covers: the graph
+    itself, or its largest connected component when the summary was made
+    with ``--lcc`` and the node counts differ (a connected graph pays no
+    extra pass)."""
     stored = read_summary_file(path)
+    meta = stored.meta if isinstance(stored.meta, dict) else {}
+    params = meta.get("params")
+    if (stored.n != graph.node_count and isinstance(params, dict)
+            and params.get("lcc") is True):
+        graph, _ = largest_connected_component(graph)
     if stored.n != graph.node_count:
         raise ParameterError(f"summary is for n={stored.n}, "
                              f"graph has n={graph.node_count}")
-    return stored.to_summary()
+    return graph, stored.to_summary()
 
 
 def _metrics(graph: Graph, summary: Summary, objective: float,
@@ -249,7 +258,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with _timed(seconds, "load"):
         graph, _ = _load_graph(args.graph)
     with _timed(seconds, "evaluate"):
-        summary = _stored_summary(graph, args.summary)
+        graph, summary = _stored_summary(graph, args.summary)
         recomputed, objective, loss = _summarize_counts(graph,
                                                         summary.membership)
         drift = float(np.max(np.abs(summary.density - recomputed.density),
@@ -302,7 +311,7 @@ def cmd_gen_sbm(args: argparse.Namespace) -> int:
 
 def cmd_triangles(args: argparse.Namespace) -> int:
     graph, _ = _load_graph(args.graph)
-    summary = _stored_summary(graph, args.summary)
+    graph, summary = _stored_summary(graph, args.summary)
     exact = (exact_triangles(graph)
              if graph.node_count <= _EXACT_TRIANGLE_LIMIT else None)
     _print_json({"estimate": expected_triangles(summary).expected,

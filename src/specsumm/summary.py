@@ -180,11 +180,33 @@ class ReassignMove(NamedTuple):
     objective: float
 
 
-# Sampled nodes evaluated per pass of _reassign, capped so each (B, k, k)
-# temporary of _block_move_deltas stays within _BLOCK_FLOATS floats (one
-# node per pass once k² alone exceeds it).
+# Sampled nodes screened per window of _reassign, capped so each (B, k)
+# temporary of the screen stays within _BLOCK_FLOATS floats; the candidates
+# go to _block_move_deltas in chunks capped so each (B, k, k) temporary
+# stays within it too (one node per chunk once k² alone exceeds it).
 _BLOCK_NODES = 64
 _BLOCK_FLOATS = 2 ** 18
+
+# Both delta forms, the screen and _block_move_deltas, are signed sums of
+# terms like E²/(n_i·n_j) of exact integers (counts and sizes far below
+# 2⁵³, and their sums and differences), and every term meets at most
+# k + 11 roundings on its way to the delta: a few in forming it, k − 1 in
+# a band sum of any order (BLAS or not, FMA or not), and the scalings and
+# combinations after it.  So each form lies within γ_{k+11}·M of the true
+# delta, M the sum of its terms' absolute values (Higham, "Accuracy and
+# Stability of Numerical Algorithms", §3.1).  Every term is bounded
+# through a band sum: an entry a band drops is one of the band's own
+# terms, 2·|E_bj·c_j| ≤ E_bj² + c_j², and each subtracted entry of the
+# exact form is a term of its band over the group's size.  So the two M
+# add up to at most 5P, and the forms differ by at most 5γ_{k+11}·P,
+# where P = 2X/n'_a + 4(R_b + C)/n'_b + I + 2R_a/n_a + 2R_b/n_b, with
+# X = Σⱼ (E_aj − c_j)²/n_j, C = Σⱼ c_j²/n_j, I the three entries inside
+# {a, b} after the move and n' the sizes after it.  The slack
+# 8γ_{k+16}·max_b P, one per node, leaves room for the rounding of P.  No
+# term is subnormal: a nonzero numerator is at least 1 and a denominator
+# at most n².
+_SCREEN_SLACK_FACTOR = 8.0
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _neighbor_counts(graph: Graph, assign: np.ndarray, nodes: np.ndarray,
@@ -251,6 +273,64 @@ def _block_move_deltas(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
     return deltas
 
 
+def _screen_move_deltas(counts: np.ndarray, sizes: np.ndarray,
+                        nbr: np.ndarray, a: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """``_block_move_deltas`` to within a rounding slack, in O(B·k) work
+    plus one (B, k)·(k, k) product, and that slack, one per node.
+
+    Moving node r from group a to group b changes F only in the bands of
+    a and b: each band's entries outside {a, b} over its group's size,
+    plus the three entries inside.  With c = nbr[r], target b's band after
+    the move, Σⱼ (E_bj + c_j)²/n_j, expands as
+    R_b + 2·(E·(c/n))_b + Σⱼ c_j²/n_j, where R_b = Σⱼ E_bj²/n_j is shared
+    by every node; group a's, Σⱼ (E_aj − c_j)²/n_j, is one sum per node.
+    Each then drops its a and b entries.  Entry (r, a[r]) is -inf, as in
+    the exact form, and |screen − exact| is at most the row's slack in
+    every other entry (see _SCREEN_SLACK_FACTOR).
+    """
+    nodes, k = nbr.shape
+    r = np.arange(nodes)
+    fs = sizes.astype(np.float64)
+    rows = counts.astype(np.float64)
+    inv = 1.0 / fs
+    inv_b = 1.0 / (fs + 1.0)
+    e_bb = np.diagonal(rows)
+    bands = rows**2 @ inv
+    doubled = 2.0 * bands * inv
+    stay = doubled - (e_bb * inv)**2
+
+    c = nbr.astype(np.float64)
+    c_a = c[r, a][:, None]
+    inv_a = inv[a][:, None]
+    inv_na = 1.0 / (fs[a][:, None] - 1.0)
+    # Row r, column b: E_ab, then E_ab − c_b and its entry of a's band.
+    row_a = rows[a]
+    left = row_a - c
+    left_sq = left**2 * inv
+    left_full = np.sum(left_sq, axis=1, keepdims=True)
+    band_a = left_full - left_sq[r, a][:, None] - left_sq
+    scaled = c * inv
+    shared = bands + np.sum(c * scaled, axis=1, keepdims=True)
+    across = e_bb + c
+    band_b = (shared + 2.0 * (scaled @ rows) - (row_a + c_a)**2 * inv_a
+              - across**2 * inv)
+    inside = (((row_a[r, a][:, None] - 2.0 * c_a) * inv_na)**2
+              + ((across + c) * inv_b)**2
+              + 2.0 * (left + c_a)**2 * (inv_na * inv_b))
+    # The bands of a and b before the move, F's part that the move changes.
+    before = stay[a][:, None] + stay - 2.0 * row_a**2 * (inv_a * inv)
+    screen = (2.0 * inv_na * band_a + band_b * (2.0 * inv_b) + inside
+              - before)
+    screen[r, a] = -np.inf
+    positive = (2.0 * inv_na * left_full + shared * (4.0 * inv_b) + inside
+                + doubled + doubled[a][:, None])
+    m = (k + 16) * _UNIT_ROUNDOFF
+    slack = _SCREEN_SLACK_FACTOR * m / (1.0 - m) * positive.max(
+        axis=1, initial=0.0)
+    return screen, slack
+
+
 def reassignment(graph: Graph, membership: Membership, counts: np.ndarray,
                  config: ReassignConfig | None = None
                  ) -> tuple[Membership, list[ReassignMove]]:
@@ -264,14 +344,18 @@ def reassignment(graph: Graph, membership: Membership, counts: np.ndarray,
     recomputed exactly from the counts.
     Moves that would empty a supernode are skipped.
 
-    The visits are evaluated in blocks: the next 64 sampled nodes (fewer
-    when k is large) against the current counts, every move of every node
-    in one (B, k, k) array evaluation of the row/column band deltas.  The
-    first node in sample order with an improving move is applied and the
-    next block starts at the node after it, so every node is evaluated
-    against exactly the counts a one-node-at-a-time loop would show it:
-    the moves, the objectives logged and the result are that loop's, bit
-    for bit.
+    The visits are evaluated in windows: the next 64 sampled nodes (fewer
+    when k is in the thousands) against the current counts.  A screen
+    gives every move of every node in the window to within a rounding
+    slack, in O(B·k) work and one (B, k)·(k, k) product, and settles each
+    node whose best screened move plus its slack is at most zero: it has
+    no strictly improving move.  The other nodes, in sample order, get the
+    exact (B, k, k) array evaluation of the row/column band deltas, in
+    chunks, until one has an improving move.  That node's best move is
+    applied and the next window starts at the node after it, so every
+    node is evaluated against exactly the counts a one-node-at-a-time loop
+    would show it: the moves, the objectives logged and the result are
+    that loop's, bit for bit, whatever the BLAS thread count.
 
     Returns the updated membership and a log of applied moves with the
     objective after each one.
@@ -284,7 +368,17 @@ def _reassign(graph: Graph, membership: Membership, counts: np.ndarray,
               config: ReassignConfig | None
               ) -> tuple[Membership, list[ReassignMove], np.ndarray]:
     """``reassignment``, also returning the edge counts of the final
-    membership, which the moves keep up to date."""
+    membership, which the moves keep up to date.
+
+    Each window of sampled nodes goes through two passes:
+    ``_screen_move_deltas`` over the whole window, whose (B, k)
+    temporaries stay within _BLOCK_FLOATS, then ``_block_move_deltas``
+    over the nodes the screen could not settle, in sample order and in
+    chunks whose (B, k, k) temporaries stay within it too.  A settled node
+    has exact deltas of at most its screened ones plus its slack, so none
+    of them is positive, and the first candidate with an exact improving
+    move is the window's first improving node.
+    """
     config = config or ReassignConfig()
     if membership.n != graph.node_count:
         raise ParameterError("membership length must match graph order")
@@ -302,29 +396,43 @@ def _reassign(graph: Graph, membership: Membership, counts: np.ndarray,
     rng = make_generator(config.seed)
     n = graph.node_count
     moves: list[ReassignMove] = []
-    block = max(1, min(_BLOCK_NODES, _BLOCK_FLOATS // (k * k)))
+    window_size = max(1, min(_BLOCK_NODES, _BLOCK_FLOATS // k))
+    chunk = max(1, _BLOCK_FLOATS // (k * k))
 
     for _ in range(config.rounds):
         sampled = rng.choice(n, size=min(config.samples_per_round, n),
                              replace=False)
         pos = 0
         while pos < len(sampled):
-            window = sampled[pos:pos + block]
+            window = sampled[pos:pos + window_size]
             # Nodes alone in their group stay put.
             live = np.flatnonzero(sizes[assign[window]] > 1)
             nodes = window[live]
             nbr = _neighbor_counts(graph, assign, nodes, k)
-            deltas = _block_move_deltas(counts, sizes, nbr, assign[nodes])
-            improving = np.flatnonzero(deltas.max(axis=1) > 0.0)
-            if len(improving) == 0:
+            source = assign[nodes]
+            screen, slack = _screen_move_deltas(counts, sizes, nbr, source)
+            # A node whose screened best plus slack is <= 0 has no move
+            # that strictly improves F; NaN would keep a node a candidate.
+            candidates = np.flatnonzero(
+                ~(screen.max(axis=1) + slack <= 0.0))
+            first = None
+            for start in range(0, len(candidates), chunk):
+                rows = candidates[start:start + chunk]
+                deltas = _block_move_deltas(counts, sizes, nbr[rows],
+                                            source[rows])
+                improving = np.flatnonzero(deltas.max(axis=1) > 0.0)
+                if len(improving):
+                    first = int(rows[improving[0]])
+                    best = deltas[improving[0]]
+                    break
+            if first is None:
                 pos += len(window)
                 continue
             # The first improving node saw the counts the one-node-at-a-time
             # loop would show it; the nodes after it are evaluated again.
-            first = int(improving[0])
             pos += int(live[first]) + 1
             node, row = int(nodes[first]), nbr[first]
-            a, b = int(assign[node]), int(np.argmax(deltas[first]))
+            a, b = int(assign[node]), int(np.argmax(best))
             counts[a, :] -= row
             counts[:, a] -= row
             counts[b, :] += row

@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -489,6 +490,61 @@ class TestTriangles:
         other = tmp_path / "bigger.txt"
         other.write_text(TWO_TRIANGLES)
         assert main(["triangles", str(other), summary_path]) == 2
+
+
+class TestLccSummaries:
+    """A summary made with --lcc covers the graph's largest connected
+    component, and evaluate and triangles measure it on that component."""
+
+    # Two triangles joined by an edge (the component), plus a detached
+    # triangle and a detached edge.
+    EDGES = ("0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n4 5\n"
+             "6 7\n6 8\n7 8\n9 10\n")
+
+    def _summarize(self, tmp_path, capsys, *extra):
+        graph_path = tmp_path / "g.txt"
+        graph_path.write_text(self.EDGES)
+        out = tmp_path / "s.json"
+        code, made = _run(capsys, ["summarize", str(graph_path), "--k", "2",
+                                   "--seed", "1", "--lcc", *extra,
+                                   "--out", str(out)])
+        assert code == 0
+        assert made["n"] == 6
+        return str(graph_path), str(out), made
+
+    def test_evaluate_gives_back_summarize_bits(self, tmp_path, capsys):
+        for extra in ((), ("--reassign-rounds", "2")):
+            graph_path, out, made = self._summarize(tmp_path, capsys, *extra)
+            code, evaluated = _run(capsys, ["evaluate", graph_path, out])
+            assert code == 0
+            assert evaluated["F"] == made["F"]
+            assert evaluated["L"] == made["L"]
+            assert (evaluated["n"], evaluated["m"]) == (6, 7)
+            assert evaluated["density_drift_max"] == 0.0
+
+    def test_triangles_counts_the_component(self, tmp_path, capsys):
+        graph_path, out, _ = self._summarize(tmp_path, capsys)
+        code, report = _run(capsys, ["triangles", graph_path, out])
+        assert code == 0
+        whole = nx.parse_edgelist(self.EDGES.splitlines(), nodetype=int)
+        component = whole.subgraph(max(nx.connected_components(whole),
+                                       key=len))
+        assert report["exact"] == sum(nx.triangles(component).values()) // 3
+        assert report["exact"] == 2
+
+    def test_other_summaries_still_need_the_graph_order(self, tmp_path,
+                                                        capsys):
+        graph_path, out, _ = self._summarize(tmp_path, capsys)
+        stored = json.loads(Path(out).read_text())
+        for meta in ({"params": {"lcc": False}}, {"params": "lcc"}, [1],
+                     {}):
+            stored["meta"] = meta
+            Path(out).write_text(json.dumps(stored))
+            for command in ("evaluate", "triangles"):
+                code = main([command, graph_path, out])
+                captured = capsys.readouterr()
+                assert code == 2, (command, meta)
+                assert "summary is for n=6, graph has n=11" in captured.err
 
 
 class TestAtomicWrites:

@@ -11,7 +11,8 @@ from specsumm import (Graph, Membership, ParameterError, ReassignConfig,
 from specsumm.rng import make_generator
 
 import specsumm.summary as summary_module
-from specsumm.summary import _block_move_deltas, _neighbor_counts, _reassign
+from specsumm.summary import (_block_move_deltas, _neighbor_counts, _reassign,
+                              _screen_move_deltas)
 
 from oracles import (best_single_move, dense_l2_loss, edge_counts_dense,
                      membership_to_normalized, move_delta,
@@ -525,21 +526,121 @@ class TestBlockedReassign:
         assert at == positions
 
     def test_block_size_bounds_the_temporaries(self, monkeypatch):
-        shapes = []
+        # The screen takes windows of up to _BLOCK_NODES nodes whose (B, k)
+        # temporaries stay within _BLOCK_FLOATS; the exact pass takes
+        # chunks whose (B, k, k) temporaries stay within it too, one node
+        # once k² alone exceeds it.  A screen with an infinite slack
+        # settles no node, so every live node reaches the exact pass and
+        # its chunks fill to their cap.
+        screened, evaluated = [], []
+        screen = summary_module._screen_move_deltas
         evaluate = summary_module._block_move_deltas
 
+        def recorded_screen(counts, sizes, nbr, a):
+            screened.append(len(nbr))
+            return screen(counts, sizes, nbr, a)
+
         def recorded(counts, sizes, nbr, a):
-            shapes.append(nbr.shape)
+            evaluated.append(len(nbr))
             return evaluate(counts, sizes, nbr, a)
 
+        monkeypatch.setattr(summary_module, "_screen_move_deltas",
+                            recorded_screen)
         monkeypatch.setattr(summary_module, "_block_move_deltas", recorded)
-        for k, cap in ((40, 64), (100, 26), (600, 1)):
-            shapes.clear()
+        slack_factor = summary_module._SCREEN_SLACK_FACTOR
+        for floats, k, window, chunk in ((2 ** 18, 40, 64, 64),
+                                         (2 ** 18, 100, 64, 26),
+                                         (2 ** 18, 600, 64, 1),
+                                         (2 ** 12, 100, 40, 1)):
+            monkeypatch.setattr(summary_module, "_BLOCK_FLOATS", floats)
             graph, planted = generate_sbm(k, 2, 0.9, 0.01, seed=k)
-            self._compare(graph, planted,
-                          ReassignConfig(rounds=1, samples_per_round=70,
-                                         seed=1))
-            assert max(rows for rows, _ in shapes) == cap
+            for factor in (slack_factor, np.inf):
+                monkeypatch.setattr(summary_module, "_SCREEN_SLACK_FACTOR",
+                                    factor)
+                screened.clear()
+                evaluated.clear()
+                self._compare(graph, planted,
+                              ReassignConfig(rounds=1, samples_per_round=70,
+                                             seed=1))
+                assert max(screened) == window
+                assert all(rows * k <= floats for rows in screened)
+                assert all(rows <= chunk for rows in evaluated)
+                assert all(rows == 1 or rows * k * k <= floats
+                           for rows in evaluated)
+            assert max(evaluated) == chunk
+
+
+class TestScreen:
+    """The O(B·k) screen of the move deltas: within its slack of the exact
+    (B, k, k) form, so the nodes it settles have no improving move."""
+
+    def test_slack_bounds_the_gap_to_the_exact_form(self, rng):
+        # Groups of two (sizes after the move down to 1), k = 131 past
+        # numpy's pairwise block, and counts up to 2⁴⁰, whose squares
+        # round; neighbor counts are drawn independently of them.
+        k, nodes = 131, 40
+        largest = 0.0
+        for high in (2 ** 8, 2 ** 24, 2 ** 40):
+            for sizes in (np.full(k, 2), rng.integers(2, 50, size=k)):
+                counts = rng.integers(0, high, size=(k, k))
+                counts = counts + counts.T
+                a = rng.integers(0, k, size=nodes)
+                nbr = rng.integers(0, high, size=(nodes, k))
+                screen, slack = _screen_move_deltas(counts, sizes, nbr, a)
+                exact = _block_move_deltas(counts, sizes, nbr, a)
+                stay = np.zeros_like(exact, dtype=bool)
+                stay[np.arange(nodes), a] = True
+                assert np.all(screen[stay] == -np.inf)
+                assert np.all(np.isfinite(exact[~stay]))
+                gap = np.abs(np.subtract(screen, exact, where=~stay,
+                                         out=np.zeros_like(exact)))
+                assert np.all(gap <= slack[:, None])
+                largest = max(largest, float(gap.max()))
+        # The forms round differently, so a zero slack would fail.
+        assert largest > 0.0
+
+    def test_empty_window(self):
+        screen, slack = _screen_move_deltas(
+            np.array([[2, 1], [1, 0]]), np.array([2, 1]),
+            np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert screen.shape == (0, 2)
+        assert slack.shape == (0,)
+
+    def test_exact_zero_ties_reach_the_exact_pass(self):
+        # Eight disjoint edges, each split between group 0 and group 1 or
+        # 2: moving a node of groups 1 and 2 changes F by exactly zero, a
+        # move the strict rule rejects.  No slack can settle those nodes,
+        # so the exact pass sees them and the result is the reference's.
+        graph = Graph.from_edges(16, [(2 * i, 2 * i + 1) for i in range(8)])
+        labels = np.zeros(16, dtype=np.int64)
+        labels[1::2] = 1 + np.arange(8) % 2
+        m = _mem(labels, 3)
+        counts = supernode_edge_counts(graph, m)
+        nodes = np.arange(16)
+        nbr = _neighbor_counts(graph, m.assign, nodes, 3)
+        best = _block_move_deltas(counts, m.sizes, nbr, m.assign).max(axis=1)
+        screen, slack = _screen_move_deltas(counts, m.sizes, nbr, m.assign)
+        ties = best == 0.0
+        assert ties.sum() == 8
+        assert np.all(screen.max(axis=1)[ties] + slack[ties] > 0.0)
+        moves = TestBlockedReassign._compare(
+            graph, m, ReassignConfig(rounds=2, samples_per_round=16, seed=3))
+        assert moves == []
+
+    def test_matches_reference_at_large_k(self):
+        # k = 600: one node per exact chunk, whole windows in the screen.
+        graph, planted = generate_sbm(600, 2, 0.9, 0.01, seed=600)
+        # Swapping the labels of 150 node pairs keeps every group inhabited.
+        swapped = np.random.default_rng(600).choice(graph.node_count,
+                                                    size=(2, 150),
+                                                    replace=False)
+        labels = planted.assign.copy()
+        labels[swapped[0]], labels[swapped[1]] = (labels[swapped[1]],
+                                                  labels[swapped[0]])
+        moves = TestBlockedReassign._compare(
+            graph, _mem(labels, 600),
+            ReassignConfig(rounds=1, samples_per_round=200, seed=6))
+        assert len(moves) > 0
 
 
 class TestPipeline:
