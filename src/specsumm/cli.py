@@ -242,6 +242,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         payload = _metrics(graph, summary, report.objective, report.loss)
     payload["seconds"] = seconds
     payload["reassign_moves"] = report.reassign_moves
+    payload["cluster"] = report.cluster
 
     meta = {"source_hash": source_hash, "d": report.d,
             "relax_method": report.relax_method, "seeds": report.seeds,

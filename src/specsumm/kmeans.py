@@ -1,8 +1,9 @@
 """Mini-batch k-means over embedding rows.
 
-Sculley-style running-mean updates with kmeans++ seeding.  The output
-never leaves a cluster empty (downstream summaries need every group
-inhabited) and never costs more than the seeding it started from.
+Greedy kmeans++ seeding, then Sculley-style running-mean updates on
+batches until their smoothed cost stops falling.  The output never leaves
+a cluster empty (downstream summaries need every group inhabited) and
+never costs more than the seeding it started from.
 
 Points are taken as one row-major float64 array whatever layout the
 caller passes, so every distance sums its d squares in one order and the
@@ -10,13 +11,16 @@ results do not depend on the input's memory order.  Nearest-centroid
 search is screened: one GEMM gives every squared distance as
 ‖x‖² − 2x·c + ‖c‖², one slack per row bounds its forward error against
 every centroid, and only rows where that bound cannot name a single
-winner are recomputed in the exact difference form Σ(x − c)² that
-kmeans++, the fits and the cost use.  The result is the exact argmin bit
-for bit, whatever the BLAS thread count.
+winner are recomputed in the exact difference form Σ(x − c)² that the
+seeding's D², the fits, the batch costs and the final cost use.  The
+seeding's choice among its candidates is screened the same way, with the
+rows' slacks summed.  So every choice is the exact form's, bit for bit,
+whatever the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +33,21 @@ __all__ = ["KmeansConfig", "kmeanspp_init", "minibatch_kmeans", "kmeans_cost"]
 
 @dataclass(frozen=True)
 class KmeansConfig:
-    """Seed of the kmeans++ draws and of the _MAX_ITERATIONS batches of
-    _BATCH_SIZE points, drawn with replacement, that every run takes."""
+    """Seed of the seeding's draws and of the batches of _BATCH_SIZE
+    points, drawn with replacement: at most _MAX_ITERATIONS of them, fewer
+    when the smoothed batch cost reaches a plateau first."""
 
     seed: int | None = None
 
 
 _BATCH_SIZE = 1024
 _MAX_ITERATIONS = 100
+# The batch loop stops after this many batches in a row that set no new
+# minimum of the smoothed batch cost (scikit-learn's max_no_improvement).
+_PATIENCE = 10
+# Above this many rows the seeding runs on a sorted uniform subsample of
+# that many (scikit-learn's init_size); the final passes still see every row.
+_SEED_ROWS = 4 * _BATCH_SIZE
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -64,24 +75,32 @@ _SLACK_FACTOR = 4.0
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
+def _row_slack(row_sq: np.ndarray, cent_sq: np.ndarray,
+               d: int) -> np.ndarray:
+    """Each row's slack, given its ‖x‖² and every centroid's ‖c‖²: a bound
+    on the gap between the GEMM form ‖x‖² − 2x·c + ‖c‖² and the exact form
+    Σ(x − c)² of its distance to every centroid.  Overflow gives inf."""
+    m = (d + 4) * _UNIT_ROUNDOFF
+    scale = _SLACK_FACTOR * m / (1.0 - m)
+    with np.errstate(over="ignore"):
+        return (scale * (np.sqrt(row_sq) + np.sqrt(cent_sq.max())) ** 2
+                + np.finfo(np.float64).tiny)
+
+
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Each row's argmin of its exact distances Σ(x − c)², bit for bit.
 
     Each block of rows gets approximate distances from one GEMM,
-    ‖x‖² − 2x·cᵀ + ‖c‖², and each row one slack s_i that bounds their gap
-    to the exact ones in every column.  A row is settled by its approximate
-    argmin b when column b is its only candidate, that is, the only j with
-    approx_ij − s_i ≤ approx_ib + s_i: every other column is then provably
-    farther.  Rows with another count of candidates (exact or near ties;
-    overflow or NaN, which give none or all k) are re-solved alone, one
-    ``_assigned_sq_dists`` column per centroid, and argmin'd, so ties
-    still go to the lowest index.
+    ‖x‖² − 2x·cᵀ + ‖c‖², and each row one slack s_i (``_row_slack``) that
+    bounds their gap to the exact ones in every column.  A row is settled
+    by its approximate argmin b when column b is its only candidate, that
+    is, the only j with approx_ij − s_i ≤ approx_ib + s_i: every other
+    column is then provably farther.  Rows with another count of
+    candidates (exact or near ties; overflow or NaN, which give none or all
+    k) are re-solved alone, one ``_assigned_sq_dists`` column per centroid,
+    and argmin'd, so ties still go to the lowest index.
     """
-    m = (points.shape[1] + 4) * _UNIT_ROUNDOFF
-    scale = _SLACK_FACTOR * m / (1.0 - m)
-    tiny = np.finfo(np.float64).tiny
     cent_sq = np.einsum("kd,kd->k", centroids, centroids)
-    cent_max = np.sqrt(cent_sq.max())
     nearest = np.empty(len(points), dtype=np.int64)
     ties = []
     for start in range(0, len(points), _SCREEN_BLOCK):
@@ -92,7 +111,7 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             approx = row_sq[:, None] - 2.0 * (rows @ centroids.T) + cent_sq
             best = np.argmin(approx, axis=1)
-            slack = scale * (np.sqrt(row_sq) + cent_max) ** 2 + tiny
+            slack = _row_slack(row_sq, cent_sq, points.shape[1])
             upper = approx[np.arange(len(rows)), best] + slack
             candidate = approx - slack[:, None] <= upper[:, None]
         nearest[start:start + len(rows)] = best
@@ -145,27 +164,113 @@ def _update_batch(centroids: np.ndarray, counts: np.ndarray,
                        / counts[hit, None])
 
 
-def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+# A candidate's potential Σᵢ min(D²ᵢ, dᵢ²) moves by at most sᵢ in row i
+# when dᵢ² moves by sᵢ (min is 1-Lipschitz), so before their sums round,
+# the screened and the exact potentials differ by at most Σsᵢ.  A sum of n
+# terms in any order errs by at most γ_n times the sum of their magnitudes
+# (Higham §4.2), once for the screened sum and once for the exact one, whose
+# magnitudes sum to at most the screened ones' plus Σsᵢ.  The slack doubles
+# that total, which covers the rounding of the slack itself.
+def _screen_candidates(points: np.ndarray, row_sq: np.ndarray,
+                       best: np.ndarray, candidates: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                  np.ndarray]:
+    """The GEMM-form distances (t, n) of the t candidate rows to every
+    point and each point's ``_row_slack``, given ``row_sq`` = ‖x‖²; then
+    each candidate's potential Σᵢ min(bestᵢ, approxᵢ) and a slack that
+    bounds its gap to the exact potential, the sum of np.minimum(best,
+    the candidate's ``_assigned_sq_dists`` column)."""
     n = len(points)
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    cent_sq = np.einsum("td,td->t", candidates, candidates)
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = row_sq - 2.0 * (candidates @ points.T) + cent_sq[:, None]
+        slack = _row_slack(row_sq, cent_sq, points.shape[1])
+        reduced = np.minimum(best, approx)
+        total = slack.sum()
+        bound = 2.0 * (total + 2.0 * gamma
+                       * (np.abs(reduced).sum(axis=1) + total))
+        return approx, slack, reduced.sum(axis=1), bound
+
+
+def _exact_best_candidate(points: np.ndarray, best: np.ndarray,
+                          candidates: np.ndarray) -> tuple[int, np.ndarray]:
+    """The candidate with the lowest exact potential, the first on ties,
+    and D² with it added as a centroid."""
+    reduced = [np.minimum(best, _assigned_sq_dists(points, points[[c]]))
+               for c in candidates]
+    win = int(np.argmin([r.sum() for r in reduced]))
+    return int(candidates[win]), reduced[win]
+
+
+def _best_candidate(points: np.ndarray, row_sq: np.ndarray, best: np.ndarray,
+                    drawn: np.ndarray) -> tuple[int, np.ndarray]:
+    """The draw with the lowest exact potential, the first such on ties,
+    and D² with it added as a centroid, bit for bit as the exact form
+    gives them.
+
+    Repeated draws are scored once.  The screen settles the choice when
+    every screened distance is finite and its winner is the only draw that
+    its slack cannot rule out; any other outcome (a near or exact tie, an
+    overflow) sends every distinct draw to ``_exact_best_candidate``.  A
+    settled winner's exact distances are taken only on the rows whose
+    screened distance minus slack does not exceed their D², since only
+    they can come closer.
+    """
+    candidates = np.array(list(dict.fromkeys(drawn.tolist())))
+    approx, slack, potential, bound = _screen_candidates(
+        points, row_sq, best, points[candidates])
+    win = int(np.argmin(potential))
+    with np.errstate(invalid="ignore"):
+        rivals = ~(potential - bound > potential[win] + bound[win])
+        if np.count_nonzero(rivals) != 1 or not np.isfinite(approx).all():
+            return _exact_best_candidate(points, best, candidates)
+        near = np.flatnonzero(~(approx[win] - slack > best))
+    pick = int(candidates[win])
+    best = best.copy()
+    best[near] = np.minimum(best[near], _assigned_sq_dists(points[near],
+                                                           points[[pick]]))
+    return pick, best
+
+
+def _greedy_kmeanspp(points: np.ndarray, k: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Greedy kmeans++ (Arthur & Vassilvitskii, "k-means++: The Advantages
+    of Careful Seeding", SODA 2007): the first centroid is a uniform draw,
+    and each next one the best of 2 + ⌊ln k⌋ D²-weighted draws, the one
+    whose potential Σ min(D², d(x, c)²) is lowest (``_best_candidate``)."""
+    n = len(points)
+    trials = 2 + int(math.log(k))
+    row_sq = np.einsum("nd,nd->n", points, points)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
     best = _assigned_sq_dists(points, points[chosen[:1]])
     for j in range(1, k):
         total = best.sum()
         if total > 0:
-            idx = rng.choice(n, p=best / total)
+            drawn = rng.choice(n, size=trials, p=best / total)
         else:
-            # All residual distances vanish (duplicate-heavy input):
-            # fall back to a uniform draw.
-            idx = rng.integers(n)
-        chosen[j] = idx
-        np.minimum(best, _assigned_sq_dists(points, points[[idx]]),
-                   out=best)
+            # All residual distances vanish (duplicate-heavy input): every
+            # potential is 0, so one uniform draw stands for all of them.
+            drawn = rng.integers(n, size=1)
+        chosen[j], best = _best_candidate(points, row_sq, best, drawn)
     return points[chosen].copy()
 
 
+def _seeding(points: np.ndarray, k: int,
+             rng: np.random.Generator) -> np.ndarray:
+    """The centroids ``minibatch_kmeans`` starts from: greedy kmeans++ on
+    every row, or, above max(_SEED_ROWS, k) rows, on a sorted uniform
+    subsample of that many."""
+    rows = max(_SEED_ROWS, k)
+    if len(points) > rows:
+        points = points[np.sort(rng.choice(len(points), rows, replace=False))]
+    return _greedy_kmeanspp(points, k, rng)
+
+
 def kmeanspp_init(points: np.ndarray, k: int, seed: int | None) -> np.ndarray:
-    """kmeans++ seeding: first centroid uniform, then D²-weighted draws.
+    """The seeding that ``minibatch_kmeans`` starts from with this seed:
+    greedy kmeans++, on a uniform subsample of the rows above _SEED_ROWS.
 
     Points and the returned centroids are row-major float arrays, one
     point per row.  Deterministic per seed.
@@ -173,11 +278,11 @@ def kmeanspp_init(points: np.ndarray, k: int, seed: int | None) -> np.ndarray:
     pts = _as_points(points)
     if not 1 <= k <= len(pts):
         raise ParameterError(f"k={k} out of range for n={len(pts)}")
-    return _kmeanspp(pts, k, make_generator(seed))
+    return _seeding(pts, k, make_generator(seed))
 
 
 def _assign_with_repair(points: np.ndarray, centroids: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, float]:
+                        ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Nearest-centroid assignment, reseeding empty clusters until none remain.
 
     Each repair moves the lowest-index empty centroid onto the worst-fit
@@ -186,7 +291,8 @@ def _assign_with_repair(points: np.ndarray, centroids: np.ndarray
     even when duplicate points make nearest-assignment ambiguous.  Repairs
     never increase the clustering cost.  Every pass is one screened
     ``_nearest`` search; the cost and the fits are each point's exact
-    ``_assigned_sq_dists`` distance to its own centroid.
+    ``_assigned_sq_dists`` distance to its own centroid.  Returns the
+    assignment, the centroids, the cost and the number of repairs.
     """
     k = len(centroids)
     centroids = centroids.copy()
@@ -199,7 +305,7 @@ def _assign_with_repair(points: np.ndarray, centroids: np.ndarray
         occupancy = np.bincount(assign, minlength=k)
         empties = np.flatnonzero(occupancy == 0)
         if len(empties) == 0:
-            return assign, centroids, float(fit.sum())
+            return assign, centroids, float(fit.sum()), len(pins)
         if pins:
             fit[list(pins)] = -1.0
         worst = int(np.argmax(fit))
@@ -209,40 +315,75 @@ def _assign_with_repair(points: np.ndarray, centroids: np.ndarray
     raise RuntimeError("empty-cluster repair failed to terminate")
 
 
-def minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cluster points into k groups with mini-batch updates.
-
-    Each iteration draws a batch, assigns it to the nearest centroids, then
-    moves each hit centroid to the running mean of every sample it has
-    absorbed, the batch's in one closed-form step (``_update_batch``).  Every
-    nearest-centroid search, per batch and in the final passes, is the
-    GEMM screen of ``_nearest`` with its exact fallback, so it returns the
-    argmin of the exact distances.  A final full pass defines the returned
-    assignment; if the streamed centroids ended up worse than the kmeans++
-    seeding, the seeding wins.
-
-    Returns (assignment, centroids, cost); equidistant ties go to the
-    lowest centroid index, and no cluster is left empty.
-    """
-    config = config or KmeansConfig()
+def _minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig
+                      ) -> tuple[np.ndarray, np.ndarray, float, dict]:
+    """``minibatch_kmeans``' result and a record of how it was reached, in
+    plain JSON types: the batches run, why the loop stopped ("plateau" or
+    "cap"), which final pass won ("trained" or "seeded"), both passes'
+    costs, and the empty-cluster repairs the winner made."""
     pts = _as_points(points)
     n = len(pts)
     if not 1 <= k <= n:
         raise ParameterError(f"k={k} out of range for n={n}")
 
     rng = make_generator(config.seed)
-    initial = _kmeanspp(pts, k, rng)
+    initial = _seeding(pts, k, rng)
     centroids = initial.copy()
     counts = np.zeros(k, dtype=np.int64)
-    for _ in range(_MAX_ITERATIONS):
-        batch_idx = rng.integers(0, n, size=_BATCH_SIZE)
-        batch = pts[batch_idx]
-        _update_batch(centroids, counts, batch, _nearest(batch, centroids))
+    # The batch costs' exponentially weighted average takes
+    # scikit-learn's weight, a span of about one pass over the data.
+    alpha = min(1.0, 2.0 * _BATCH_SIZE / (n + 1))
+    lowest = np.inf
+    batches = stale = 0
+    stop = "cap"
+    while batches < _MAX_ITERATIONS:
+        batch = pts[rng.integers(0, n, size=_BATCH_SIZE)]
+        nearest = _nearest(batch, centroids)
+        cost = _assigned_sq_dists(batch, centroids, nearest).mean()
+        _update_batch(centroids, counts, batch, nearest)
+        batches += 1
+        smoothed = (cost if batches == 1
+                    else smoothed * (1.0 - alpha) + cost * alpha)
+        if smoothed < lowest:
+            lowest, stale = smoothed, 0
+        else:
+            stale += 1
+            if stale == _PATIENCE:
+                stop = "plateau"
+                break
 
     trained = _assign_with_repair(pts, centroids)
     seeded = _assign_with_repair(pts, initial)
-    return trained if trained[2] <= seeded[2] else seeded
+    won = trained[2] <= seeded[2]
+    assign, centroids, cost, repairs = trained if won else seeded
+    return assign, centroids, cost, {
+        "batches": batches, "stop": stop,
+        "winner": "trained" if won else "seeded",
+        "seeded_cost": seeded[2], "trained_cost": trained[2],
+        "repairs": repairs}
+
+
+def minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Cluster points into k groups with mini-batch updates.
+
+    Seeds with greedy kmeans++ (``kmeanspp_init``).  Each iteration then
+    draws a batch, assigns it to the nearest centroids, and moves each hit
+    centroid to the running mean of every sample it has absorbed, the
+    batch's in one closed-form step (``_update_batch``).  Each batch's
+    mean exact distance to its assigned centroids, before the update, feeds
+    an exponentially weighted average; the loop stops once _PATIENCE
+    batches in a row set no new minimum of it, or after _MAX_ITERATIONS
+    batches.  Every nearest-centroid search, per batch and in the final
+    passes, is the GEMM screen of ``_nearest`` with its exact fallback, so
+    it returns the argmin of the exact distances.  A final full pass
+    defines the returned assignment; if the streamed centroids ended up
+    worse than the seeding, the seeding wins.
+
+    Returns (assignment, centroids, cost); equidistant ties go to the
+    lowest centroid index, and no cluster is left empty.
+    """
+    return _minibatch_kmeans(points, k, config or KmeansConfig())[:3]
 
 
 def kmeans_cost(points: np.ndarray, centroids: np.ndarray,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .graph import Graph, adjacency_trace_sq
-from .kmeans import KmeansConfig, minibatch_kmeans
+from .kmeans import KmeansConfig, _minibatch_kmeans
 from .rng import derive_seeds, make_generator
 from .spectral import lm_eigs
 from .stiefel import ocsa, random_orthonormal_init
@@ -466,6 +466,8 @@ class SummaryReport:
     # The caller's "master" seed and the "relax", "cluster" and "reassign"
     # seeds derived from it.
     seeds: dict[str, int | None]
+    # How k-means ended, in plain JSON types (see kmeans._minibatch_kmeans).
+    cluster: dict[str, int | float | str]
 
 
 def specsumm(graph: Graph, k: int, d: int | None = None,
@@ -502,8 +504,8 @@ def specsumm(graph: Graph, k: int, d: int | None = None,
             embedding, _ = ocsa(graph, start)
 
     with _timed(seconds, "cluster"):
-        assign, _, _ = minibatch_kmeans(embedding, k,
-                                        KmeansConfig(seed=cluster_seed))
+        assign, _, _, cluster = _minibatch_kmeans(
+            embedding, k, KmeansConfig(seed=cluster_seed))
         membership = Membership(assign, k)
 
     with _timed(seconds, "reassign"):
@@ -520,5 +522,6 @@ def specsumm(graph: Graph, k: int, d: int | None = None,
                            reassign_moves=len(moves), seconds=seconds,
                            seeds={"master": seed, "relax": relax_seed,
                                   "cluster": cluster_seed,
-                                  "reassign": reassign_seed})
+                                  "reassign": reassign_seed},
+                           cluster=cluster)
     return summary, report

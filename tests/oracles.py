@@ -10,6 +10,7 @@ matrix, which the package never builds: it takes one column at a time.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import networkx as nx
@@ -406,15 +407,24 @@ def sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def kmeanspp_reference(points: np.ndarray, k: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """kmeans++ draws with each point's D² read off the full exact distance
-    matrix ``sq_dists`` to every centroid chosen so far."""
+    """Greedy kmeans++ read off full exact distance matrices, with no
+    screen: each point's D² is its row minimum of ``sq_dists`` to every
+    centroid chosen so far, each of the 2 + ⌊ln k⌋ D²-weighted draws is
+    scored by its potential Σ min(D², its ``sq_dists`` column), and the
+    first draw with the lowest potential is kept.  When every D² is zero
+    one uniform draw is kept."""
     n = len(points)
+    trials = 2 + int(math.log(k))
     chosen = [rng.integers(n)]
     for _ in range(1, k):
         best = np.min(sq_dists(points, points[chosen]), axis=1)
         total = best.sum()
-        chosen.append(rng.choice(n, p=best / total) if total > 0
-                      else rng.integers(n))
+        drawn = (rng.choice(n, size=trials, p=best / total) if total > 0
+                 else rng.integers(n, size=1))
+        columns = sq_dists(points, points[drawn])
+        potentials = [np.minimum(best, columns[:, t]).sum()
+                      for t in range(len(drawn))]
+        chosen.append(drawn[int(np.argmin(potentials))])
     return points[chosen].copy()
 
 
@@ -448,25 +458,45 @@ def assign_with_repair_reference(points: np.ndarray, centroids: np.ndarray
 
 
 def minibatch_kmeans_reference(
-        points: np.ndarray, k: int,
-        config: KmeansConfig) -> tuple[np.ndarray, np.ndarray, float]:
+        points: np.ndarray, k: int, config: KmeansConfig
+        ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Mini-batch k-means on the row-major copy of the points, seeded by
-    ``kmeanspp_reference``, with every batch assigned by the argmin of the
-    full exact distance matrix and updated by ``minibatch_running_mean``,
-    then both final passes through ``assign_with_repair_reference``.  The
-    batch count and size are the package's, read at call time."""
+    ``kmeanspp_reference`` on every row, or, above max(_SEED_ROWS, k) rows,
+    on the sorted uniform subsample of that many that the generator draws
+    first.  Every batch is assigned by the argmin of the full exact
+    distance matrix, its cost is the mean of those minima, and it is
+    updated by ``minibatch_running_mean``.  The loop ends after
+    _MAX_ITERATIONS batches, or at the first batch whose last _PATIENCE
+    smoothed costs all lie at or above the lowest one before them.  Both
+    final passes go through ``assign_with_repair_reference``.  The
+    package's constants are read at call time.  Returns the result and the
+    batches run."""
     points = np.ascontiguousarray(points, dtype=np.float64)
+    n = len(points)
     rng = make_generator(config.seed)
-    initial = kmeanspp_reference(points, k, rng)
+    rows = max(kmeans._SEED_ROWS, k)
+    sample = (points[np.sort(rng.choice(n, rows, replace=False))]
+              if n > rows else points)
+    initial = kmeanspp_reference(sample, k, rng)
     centroids = initial.copy()
     counts = np.zeros(k, dtype=np.int64)
+    alpha = min(1.0, 2.0 * kmeans._BATCH_SIZE / (n + 1))
+    patience = kmeans._PATIENCE
+    smoothed = []
     for _ in range(kmeans._MAX_ITERATIONS):
-        batch = points[rng.integers(0, len(points), size=kmeans._BATCH_SIZE)]
-        nearest = np.argmin(sq_dists(batch, centroids), axis=1)
+        batch = points[rng.integers(0, n, size=kmeans._BATCH_SIZE)]
+        dists = sq_dists(batch, centroids)
+        nearest = np.argmin(dists, axis=1)
+        cost = dists[np.arange(len(batch)), nearest].mean()
         minibatch_running_mean(centroids, counts, batch, nearest)
+        smoothed.append(smoothed[-1] * (1.0 - alpha) + cost * alpha
+                        if smoothed else cost)
+        if (len(smoothed) > patience
+                and min(smoothed[-patience:]) >= min(smoothed[:-patience])):
+            break
     trained = assign_with_repair_reference(points, centroids)
     seeded = assign_with_repair_reference(points, initial)
-    return trained if trained[2] <= seeded[2] else seeded
+    return (*(trained if trained[2] <= seeded[2] else seeded), len(smoothed))
 
 
 def triangle_triple_loop(summary: Summary) -> float:

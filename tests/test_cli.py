@@ -169,6 +169,34 @@ class TestSummarize:
         assert report["n"] == 3  # one triangle survives the LCC cut
         assert {"load", "lcc", "reassign"} <= set(report["seconds"])
 
+    def test_report_is_one_strict_json_line_with_the_cluster_record(
+            self, tmp_path, capsys):
+        graph, _ = generate_sbm(6, 25, 0.3, 0.05, seed=8)
+        path = tmp_path / "sbm.txt"
+        with open(path, "w") as handle:
+            write_edge_list(graph, handle)
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        code = main(["summarize", str(path), "--k", "6", "--seed", "4",
+                     "--out", str(tmp_path / "s.json")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.endswith("\n") and out.count("\n") == 1
+        cluster = json.loads(out, parse_constant=reject)["cluster"]
+        assert set(cluster) == {"batches", "stop", "winner", "seeded_cost",
+                                "trained_cost", "repairs"}
+        assert cluster["stop"] in ("plateau", "cap")
+        assert cluster["winner"] in ("trained", "seeded")
+        assert isinstance(cluster["batches"], int)
+        assert isinstance(cluster["repairs"], int)
+        # The record is specsumm()'s, through a float-exact round trip.
+        from specsumm import load_edge_list
+        loaded, _ = load_edge_list(path)
+        _, report = specsumm.specsumm(loaded, 6, seed=4)
+        assert cluster == report.cluster
+
     def test_seed_reproducibility(self, tmp_path, graph_file, capsys):
         args = ["summarize", graph_file, "--k", "2", "--seed", "9"]
         code, a = _run(capsys, args + ["--out", str(tmp_path / "a.json")])

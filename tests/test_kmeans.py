@@ -8,11 +8,15 @@ from specsumm import (KmeansConfig, ParameterError, generate_sbm, kmeans_cost,
                       random_orthonormal_init)
 from specsumm import kmeans
 from specsumm.kmeans import (_assign_with_repair, _assigned_sq_dists,
-                             _nearest, _update_batch)
+                             _best_candidate, _exact_best_candidate,
+                             _minibatch_kmeans, _nearest, _screen_candidates,
+                             _update_batch)
+from specsumm.rng import make_generator
 
 from oracles import (DIST_BLOCK, all_memberships,
-                     assign_with_repair_reference, minibatch_kmeans_reference,
-                     minibatch_replay, minibatch_running_mean, sq_dists)
+                     assign_with_repair_reference, kmeanspp_reference,
+                     minibatch_kmeans_reference, minibatch_replay,
+                     minibatch_running_mean, sq_dists)
 
 # The private helpers take the row-major points that _as_points hands
 # them; the public functions take any layout.
@@ -87,6 +91,157 @@ class TestKmeansppInit:
                                       sq_dists(points, newest)[:, 0])
 
 
+class TestGreedySeeding:
+    """The screened greedy choice against the exact one: the oracle reads
+    every potential off full exact distance matrices."""
+
+    @staticmethod
+    def _fallbacks(monkeypatch):
+        """A list that grows by one entry per exact fallback."""
+        calls = []
+        exact = kmeans._exact_best_candidate
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return exact(*args)
+
+        monkeypatch.setattr(kmeans, "_exact_best_candidate", counting)
+        return calls
+
+    @staticmethod
+    def _exact_potentials(points, best, candidates):
+        return np.array([np.minimum(best, _assigned_sq_dists(points, c)).sum()
+                         for c in candidates])
+
+    @pytest.mark.parametrize("n, d, k", [(1, 1, 1), (7, 2, 7), (300, 4, 6),
+                                         (1500, 9, 40), (2500, 40, 12)])
+    def test_equals_reference(self, rng, n, d, k):
+        for seed in range(3):
+            points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(
+                -3, 4, size=(n, 1))
+            want = kmeanspp_reference(np.ascontiguousarray(points), k,
+                                      make_generator(seed))
+            for layout in _layouts(points):
+                assert np.array_equal(kmeanspp_init(layout, k, seed), want)
+
+    def test_duplicated_rows_tie_and_take_the_exact_path(self, monkeypatch):
+        # Every row appears 8 times, so draws at different indices of the
+        # same row tie exactly: only the exact potentials order them, and
+        # the first such draw must win.
+        calls = self._fallbacks(monkeypatch)
+        local = np.random.default_rng(11)
+        points = np.repeat(local.standard_normal((30, 3)), 8, axis=0)
+        for seed in range(5):
+            want = kmeanspp_reference(points, 20, make_generator(seed))
+            assert np.array_equal(kmeanspp_init(points, 20, seed), want)
+        assert len(calls) > 5
+
+    def test_orthonormal_embedding_needs_no_fallback(self, monkeypatch):
+        # The slack must stay tight enough that an embedding like the
+        # pipeline's settles every choice from the GEMM alone.
+        calls = self._fallbacks(monkeypatch)
+        points = random_orthonormal_init(4000, 40, seed=5)
+        want = kmeanspp_reference(np.ascontiguousarray(points), 40,
+                                  make_generator(3))
+        assert np.array_equal(kmeanspp_init(points, 40, 3), want)
+        assert calls == []
+
+    def _screen_errors(self, points, best, candidates):
+        """Screened minus exact potentials, the potential slacks, and the
+        same for every distance and its row slack."""
+        row_sq = np.einsum("nd,nd->n", points, points)
+        approx, slack, potential, bound = _screen_candidates(
+            points, row_sq, best, candidates)
+        exact = self._exact_potentials(points, best, candidates)
+        columns = np.vstack([_assigned_sq_dists(points, c)
+                             for c in candidates])
+        return (np.abs(potential - exact), bound,
+                np.abs(approx - columns), slack)
+
+    def _cases(self, rng):
+        """Points with a large common offset (the GEMM form keeps few
+        correct bits of their distances), at mixed scales, and on an
+        orthonormal embedding; D² to one row of each."""
+        n = 1500
+        yield 1e4 + 1e-3 * rng.standard_normal((n, 2))
+        yield rng.standard_normal((n, 17)) * 10.0 ** rng.integers(
+            -3, 4, size=(n, 1))
+        yield np.ascontiguousarray(random_orthonormal_init(n, 40, seed=2))
+
+    def test_slack_bounds_the_screen(self, rng, monkeypatch):
+        cases = [(points, _assigned_sq_dists(points, points[0]),
+                  points[rng.choice(len(points), 6, replace=False)])
+                 for points in self._cases(rng)]
+        for points, best, candidates in cases:
+            gap, bound, row_gap, row_slack = self._screen_errors(
+                points, best, candidates)
+            assert np.all(gap <= bound)
+            assert np.all(row_gap <= row_slack)
+        # Without the per-row slack the offset case breaks the bound, so
+        # the assertions above test it.
+        monkeypatch.setattr(kmeans, "_SLACK_FACTOR", 0.0)
+        gap, bound, _, _ = self._screen_errors(*cases[0])
+        assert np.any(gap > bound)
+
+    def test_settled_choice_and_update_equal_the_exact_ones(self, rng):
+        # _best_candidate recomputes the exact distances only on the rows
+        # the new centroid may bring closer; D² must still be the exact
+        # update's, bit for bit.
+        for points in self._cases(rng):
+            row_sq = np.einsum("nd,nd->n", points, points)
+            best = _assigned_sq_dists(points, points[0])
+            for _ in range(5):
+                drawn = rng.choice(len(points), 5, p=best / best.sum())
+                got = _best_candidate(points, row_sq, best, drawn)
+                want = _exact_best_candidate(points, best,
+                                             np.array(list(dict.fromkeys(
+                                                 drawn.tolist()))))
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1])
+                best = got[1]
+
+    def test_near_ties_get_the_exact_update(self, rng):
+        # Rows on the bisector of a and b, nudged toward b by 1e-16 to 1e-9
+        # of |b − a|, at a common offset of 100: the GEMM form misjudges
+        # which side of the bisector hundreds of them lie on, so only the
+        # slack keeps them among the rows whose D² is recomputed.
+        a = np.full(3, 100.0)
+        b = a + np.array([1.0, 0.0, 0.0])
+        across = rng.standard_normal((2000, 3))
+        across[:, 0] = 0.0
+        nudge = 10.0 ** rng.uniform(-16, -9, size=(2000, 1))
+        points = np.vstack([a, b, (a + b) / 2 + across + nudge * (b - a)])
+        row_sq = np.einsum("nd,nd->n", points, points)
+        best = _assigned_sq_dists(points, a)
+        exact = _assigned_sq_dists(points, b)
+        approx = row_sq - 2.0 * (points @ b) + b @ b
+        assert np.count_nonzero((exact < best) & (approx >= best)) > 100
+        pick, updated = _best_candidate(points, row_sq, best, np.array([1]))
+        assert pick == 1
+        assert np.array_equal(updated, np.minimum(best, exact))
+
+    def test_minibatch_kmeans_seeds_on_the_subsample(self, rng, monkeypatch):
+        # Above _SEED_ROWS rows kmeanspp_init returns the seeding that
+        # minibatch_kmeans starts from, drawn on that many rows.
+        monkeypatch.setattr(kmeans, "_SEED_ROWS", 300)
+        seen = []
+        greedy = kmeans._greedy_kmeanspp
+
+        def recording(points, k, generator):
+            seen.append((len(points), greedy(points, k, generator)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(kmeans, "_greedy_kmeanspp", recording)
+        points = rng.standard_normal((1000, 5))
+        for seed in range(3):
+            minibatch_kmeans(points, 12, KmeansConfig(seed=seed))
+            used = seen[-1]
+            assert used[0] == 300
+            assert np.array_equal(kmeanspp_init(points, 12, seed), used[1])
+            # Every centroid is one of the points.
+            assert all((points == c).all(axis=1).any() for c in used[1])
+
+
 class TestMinibatchKmeans:
     def test_separable_repeats(self):
         locs = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
@@ -119,9 +274,12 @@ class TestMinibatchKmeans:
         optimum = _brute_force_cost(points, 2)
         assert optimum - 1e-12 <= cost <= 1.01 * optimum
 
-    def test_cost_never_exceeds_seeding(self, rng):
+    def test_cost_never_exceeds_seeding(self, rng, monkeypatch):
+        # Half the cases seed on a subsample; the seeding is still measured
+        # over every row.
+        monkeypatch.setattr(kmeans, "_SEED_ROWS", 40)
         for seed in range(8):
-            points = rng.standard_normal((60, 4))
+            points = rng.standard_normal((30 + 10 * seed, 4))
             k = int(rng.integers(2, 7))
             init = kmeanspp_init(points, k, seed=seed)
             dists = ((points[:, None, :] - init[None, :, :]) ** 2).sum(axis=2)
@@ -148,6 +306,47 @@ class TestMinibatchKmeans:
     def test_k_too_large(self):
         with pytest.raises(ParameterError):
             minibatch_kmeans(np.zeros((2, 2)), 3, KmeansConfig(seed=0))
+
+
+class TestStopRule:
+    def test_well_separated_blobs_stop_on_a_plateau(self, rng):
+        centres = 10.0 * rng.standard_normal((8, 5))
+        points = (np.repeat(centres, 400, axis=0)
+                  + 0.01 * rng.standard_normal((3200, 5)))
+        for seed in range(4):
+            assign, _, _, record = _minibatch_kmeans(points, 8,
+                                                     KmeansConfig(seed=seed))
+            assert record["stop"] == "plateau"
+            assert record["batches"] < kmeans._MAX_ITERATIONS
+            assert record["winner"] == "trained"
+            groups = assign.reshape(8, 400)
+            assert np.all(groups == groups[:, :1])
+            assert len(set(groups[:, 0].tolist())) == 8
+
+    def test_runs_to_the_cap_while_the_cost_falls(self, rng, monkeypatch):
+        # At n = 20000 the smoothing weight is about 0.1, so the smoothed
+        # cost still sets new minima after 15 batches on uniform data.
+        monkeypatch.setattr(kmeans, "_MAX_ITERATIONS", 15)
+        assert kmeans._PATIENCE < 15
+        points = rng.uniform(size=(20000, 2))
+        for seed in range(3):
+            record = _minibatch_kmeans(points, 16, KmeansConfig(seed=seed))[3]
+            assert (record["batches"], record["stop"]) == (15, "cap")
+
+    def test_record_matches_the_result(self, rng):
+        points = rng.standard_normal((500, 3))
+        for seed in range(4):
+            cfg = KmeansConfig(seed=seed)
+            assign, centroids, cost, record = _minibatch_kmeans(points, 5, cfg)
+            public = minibatch_kmeans(points, 5, cfg)
+            assert np.array_equal(public[0], assign)
+            assert np.array_equal(public[1], centroids)
+            assert public[2] == cost
+            assert cost == min(record["seeded_cost"], record["trained_cost"])
+            assert record["winner"] == ("trained" if record["trained_cost"]
+                                        <= record["seeded_cost"] else "seeded")
+            assert 1 <= record["batches"] <= kmeans._MAX_ITERATIONS
+            assert {type(v) for v in record.values()} <= {int, float, str}
 
 
 class TestReplayBatch:
@@ -392,16 +591,36 @@ class TestAssignWithRepair:
 
 
 def test_minibatch_kmeans_matches_reference(rng, monkeypatch):
+    # Small batches and a low cap.  A seed_rows below n seeds on a
+    # subsample (on k rows when k is larger), a short patience stops on a
+    # plateau, and 5 distinct rows for 8 clusters zero every D² and force
+    # repairs.
     monkeypatch.setattr(kmeans, "_BATCH_SIZE", 256)
     monkeypatch.setattr(kmeans, "_MAX_ITERATIONS", 20)
-    for n, d, k, seed in ((300, 4, 6, 1), (2000, 40, 40, 2), (700, 9, 3, 3)):
+    for n, d, k, seed, seed_rows, patience, distinct, stop in (
+            (300, 4, 6, 1, 4096, 10, None, "cap"),
+            (2000, 40, 40, 2, 4096, 10, None, "cap"),
+            (2000, 40, 40, 2, 700, 3, None, "cap"),
+            (700, 9, 3, 3, 256, 10, None, "plateau"),
+            (700, 9, 3, 4, 256, 2, None, "plateau"),
+            (90, 3, 40, 5, 30, 10, None, "cap"),
+            (60, 3, 8, 6, 4096, 10, 5, "plateau")):
+        monkeypatch.setattr(kmeans, "_SEED_ROWS", seed_rows)
+        monkeypatch.setattr(kmeans, "_PATIENCE", patience)
         cfg = KmeansConfig(seed=seed)
-        for points in _layouts(rng.standard_normal((n, d))):
-            got = minibatch_kmeans(points, k, cfg)
-            want = minibatch_kmeans_reference(points, k, cfg)
+        points = rng.standard_normal((distinct or n, d))
+        if distinct:
+            points = np.repeat(points, n // distinct, axis=0)
+        for layout in _layouts(points):
+            got = _minibatch_kmeans(layout, k, cfg)
+            want = minibatch_kmeans_reference(layout, k, cfg)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             assert got[2] == want[2]
+            assert got[3]["batches"] == want[3]
+            assert got[3]["stop"] == stop
+            assert (want[3] < 20) == (stop == "plateau")
+            assert (got[3]["repairs"] > 0) == (distinct is not None)
 
 
 def test_public_functions_ignore_point_layout():
