@@ -8,11 +8,10 @@ small linear-algebra kernels the optimizers are built on.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterable, TextIO
+from typing import IO, TYPE_CHECKING, Iterable, TextIO
 
 import numpy as np
 
@@ -32,9 +31,6 @@ __all__ = [
 ]
 
 _MAX_NODE_ID = int(np.iinfo(np.int64).max)
-# Row blocks of the two-lane product A·x (``Graph._matmat_in_row_blocks``):
-# more blocks than lanes, so a lane that runs slow takes fewer.
-_ROW_BLOCKS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,56 +104,28 @@ class Graph:
                 f"operand has {x.shape[0]} rows, graph has {self.node_count} nodes")
         return self._csr @ x
 
-    @cached_property
-    def _row_blocks(self) -> tuple[tuple[int, int], ...]:
-        """Row ranges [start, stop) that cover [0, n) in order, at most
-        ``_ROW_BLOCKS`` of them, none empty, holding about equal numbers of
-        nonzeros."""
-        indptr = self._csr.indptr
-        shares = np.linspace(0, indptr[-1], _ROW_BLOCKS + 1)[1:-1]
-        cuts = np.unique(np.concatenate(
-            [[0], np.searchsorted(indptr, shares), [self.node_count]]))
-        return tuple(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
-
-    def _matmat_in_row_blocks(self, x: np.ndarray,
-                              both: Callable) -> np.ndarray:
-        """A @ x for an n×k matrix x, bit for bit, with its row blocks
-        shared out between the two lanes of ``both``.
-
-        ``both(first, second)`` runs two thunks, side by side or in turn.
-        Each lane takes the next pending block and writes that block's rows
-        of one output with scipy's kernel behind ``csr @ x``, reading the
-        CSR's own arrays.  So every row sums its neighbours in index order,
-        as ``csr @ x`` does, whichever lane ran it and whatever x's memory
-        order.
-        """
+    def _matmat_rows(self, x: np.ndarray, out: np.ndarray,
+                     start: int, stop: int) -> None:
+        """Write rows [start, stop) of A @ x, and no others, into ``out``
+        (C-ordered n×k float64 arrays) with the bits of ``csr @ x``: the
+        same kernel sums each row's neighbours in index order."""
         # scipy's private kernel: its public CSR constructor copies a row
-        # block's sliced arrays, and ``block @ x`` would allocate the
-        # block's rows apart from the output.
+        # range's sliced arrays, and ``rows @ x`` would allocate the range's
+        # rows apart from the output.
         from scipy.sparse._sparsetools import csr_matvecs
 
         csr, n = self._csr, self.node_count
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != n:
-            raise ValueError(f"operand shape {x.shape} is not n×k for n={n}")
-        k = x.shape[1]
+        if (x.ndim != 2 or x.shape[0] != n or out.shape != x.shape
+                or not 0 <= start <= stop <= n or not all(
+                    a.dtype == np.float64 and a.flags.c_contiguous
+                    for a in (x, out))):
+            raise ValueError(f"need C-ordered float64 n×k operand and output "
+                             f"and 0 <= start <= stop <= n={n}")
+        part = out[start:stop]
         # The kernel adds into its output rows, so they start at zero.
-        out = np.zeros((n, k))
-        pending = deque(self._row_blocks)
-
-        def lane():
-            while True:
-                # popleft is atomic, so each block runs on exactly one lane.
-                try:
-                    start, stop = pending.popleft()
-                except IndexError:
-                    return
-                csr_matvecs(stop - start, n, k, csr.indptr[start:stop + 1],
-                            csr.indices, csr.data, x.ravel(),
-                            out[start:stop].ravel())
-
-        both(lane, lane)
-        return out
+        part.fill(0.0)
+        csr_matvecs(stop - start, n, x.shape[1], csr.indptr[start:stop + 1],
+                    csr.indices, csr.data, x.ravel(), part.ravel())
 
     def to_dense(self) -> np.ndarray:
         """Dense n×n 0/1 adjacency matrix (test-scale graphs only)."""

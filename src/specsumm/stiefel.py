@@ -14,14 +14,14 @@ A·Z and ZᵀAZ behind an accepted step's objective give the next gradient
 without another sparse product, and the trial point's ZᵀZ the next
 system's Gram.
 
-``ocsa`` runs each iteration on two lanes, the calling thread and one
-worker thread, when the process's CPU affinity allows two CPUs or more
-(``taskset -c 0`` gives one lane) and the iterate is large enough to repay
-the hand-offs.  Side by side run: the row blocks of each A·Z, ZᵀAZ beside
-ZᵀZ, GᵀZ beside GᵀG, the lift's two products, and the two row halves of
-the elementwise rest of a trial point.  No GEMM is split, and each row of
-A·Z sums its neighbours in index order, so the bits do not depend on the
-lane count.
+Every n-row product is formed in the row halves [0, h) and [h, n),
+h = n // 2, and every n-row Gram XᵀY as X[:h]ᵀY[:h] + X[h:]ᵀY[h:].  An
+``ocsa`` iteration is three passes: one writes G and takes GᵀZ and GᵀG,
+one a trial point, and one its A·Z, taking ZᵀAZ and ZᵀZ.  The halves of
+a pass run on two lanes, the calling thread and one worker thread, when
+the process's CPU affinity allows two CPUs or more (``taskset -c 0``
+gives one lane) and the iterate is large enough to repay the hand-offs,
+else in turn, with the same bits; the public functions replay them.
 """
 
 from __future__ import annotations
@@ -159,24 +159,59 @@ def _lanes(entries: int) -> Iterator[Callable]:
         yield side_by_side
 
 
+def _halves(n: int) -> tuple[slice, slice]:
+    """The row halves [0, h) and [h, n), h = n // 2, of n rows."""
+    return slice(0, n // 2), slice(n // 2, n)
+
+
+def _on_halves(both: Callable, n: int, work: Callable) -> tuple:
+    """A pass: ``work(rows)`` on each row half, one per lane of ``both``,
+    and the sums (first half plus second) of the Grams it returns."""
+    first, second = _halves(n)
+    done = both(lambda: work(first), lambda: work(second))
+    return tuple(a + b for a, b in zip(*done))
+
+
+def _gram(X: np.ndarray, Y: np.ndarray, both: Callable = _in_turn
+          ) -> np.ndarray:
+    """XᵀY of two n-row arrays as X[:h]ᵀY[:h] + X[h:]ᵀY[h:]: the one form
+    of every n-row Gram (module docstring)."""
+    return _on_halves(both, len(X), lambda rows: (X[rows].T @ Y[rows],))[0]
+
+
 def _objective_parts(graph: Graph, Z: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, float]:
     """(A·Z, M = ZᵀAZ, F(Z) = ‖M‖²_F): one sparse product serves the
     objective and, as 4·(A·Z)·M, the gradient at Z."""
     AZ = graph.adjacency_matmat(Z)
-    M = Z.T @ AZ
+    M = _gram(Z, AZ)
     return AZ, M, float(np.sum(M * M))
 
 
 def _trial_parts(graph: Graph, Z: np.ndarray, both: Callable
                  ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """``_objective_parts`` of an ascent point and its Gram ZᵀZ, which the
-    next curve system takes when the search accepts the point.  On two
-    lanes A·Z runs in row blocks and ZᵀZ beside ZᵀAZ."""
-    AZ = (graph.adjacency_matmat(Z) if both is _in_turn
-          else graph._matmat_in_row_blocks(Z, both))
-    M, ZtZ = both(lambda: Z.T @ AZ, lambda: Z.T @ Z)
+    """The trial pass: ``_objective_parts`` of a C-ordered ascent point and
+    its Gram ZᵀZ, which the next curve system takes if it is accepted."""
+    AZ = np.empty_like(Z)
+
+    def rows_of(rows: slice) -> tuple:
+        graph._matmat_rows(Z, AZ, rows.start, rows.stop)
+        return Z[rows].T @ AZ[rows], Z[rows].T @ Z[rows]
+
+    M, ZtZ = _on_halves(both, len(Z), rows_of)
     return AZ, M, float(np.sum(M * M)), ZtZ
+
+
+def _gradient_parts(Z: np.ndarray, AZ: np.ndarray, M: np.ndarray,
+                    both: Callable) -> tuple:
+    """The gradient pass: G = 4·(A·Z)·M as ``gradient`` forms it, GᵀZ, GᵀG."""
+    G = np.empty_like(AZ)
+
+    def rows_of(rows: slice) -> tuple:
+        np.matmul(AZ[rows], 4.0 * M, out=G[rows])
+        return G[rows].T @ Z[rows], G[rows].T @ G[rows]
+
+    return (G, *_on_halves(both, len(G), rows_of))
 
 
 def trace_objective_relaxed(graph: Graph, Z: np.ndarray) -> float:
@@ -192,10 +227,13 @@ def trace_objective_relaxed(graph: Graph, Z: np.ndarray) -> float:
 
 
 def gradient(graph: Graph, Z: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of F: G = 4·A·Z·(ZᵀAZ)."""
+    """Euclidean gradient of F: G = 4·A·Z·(ZᵀAZ), in row halves."""
     AZ, M, _ = _objective_parts(graph, np.asarray(Z, dtype=np.float64))
-    # Scaling M, not the product, by 4 is exact and saves an n×k pass.
-    return AZ @ (4.0 * M)
+    G = np.empty_like(AZ)
+    for rows in _halves(len(G)):
+        # Scaling M, not the product, by 4 is exact and saves an n×k pass.
+        np.matmul(AZ[rows], 4.0 * M, out=G[rows])
+    return G
 
 
 def skew_direction(Z: np.ndarray, G: np.ndarray) -> SkewDirection:
@@ -219,53 +257,48 @@ class _CurveSystem(NamedTuple):
     gram: np.ndarray
     rhs: np.ndarray
 
-    def lift(self, coeff: np.ndarray) -> np.ndarray:
-        """B·coeff = U·coeff_top + V·coeff_bottom, without stacking B."""
+    def lift(self, coeff: np.ndarray, rows: slice = slice(None),
+             out: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``rows`` of B·coeff = U·coeff_top + V·coeff_bottom, without
+        stacking B, written into ``out`` when given."""
         k = self.left.shape[1]
-        out = self.left @ coeff[:k]
-        out += self.right @ coeff[k:]
+        out = np.matmul(self.left[rows], coeff[:k], out=out)
+        out += self.right[rows] @ coeff[k:]
         return out
 
     def point(self, Z: np.ndarray, tau: float,
               both: Callable = _in_turn) -> np.ndarray:
-        """Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ.  The lift's two products run
-        on the two lanes of ``both``; their sum, the scaling by τ, the
-        subtraction from Z and the finiteness check run in two row halves,
-        which split elementwise work without moving a bit."""
+        """Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ, one row half per lane of
+        ``both``, each checked finite."""
         S = np.eye(len(self.gram)) + (tau / 2.0) * self.gram
         try:
             coeff = np.linalg.solve(S, self.rhs)
         except np.linalg.LinAlgError as exc:
             raise CayleyStepError(f"singular curve system at tau={tau}") from exc
-        k = self.left.shape[1]
-        out, other = both(lambda: self.left @ coeff[:k],
-                          lambda: self.right @ coeff[k:])
+        out = np.empty(Z.shape)
 
-        def finish(rows: slice) -> bool:
-            part = out[rows]
-            part += other[rows]
+        def rows_of(rows: slice) -> tuple:
+            part = self.lift(coeff, rows, out[rows])
             part *= tau
             np.subtract(Z[rows], part, out=part)
-            return bool(np.isfinite(part).all())
+            if not np.isfinite(part).all():
+                raise CayleyStepError(f"non-finite curve point at tau={tau}")
+            return ()
 
-        half = len(out) // 2
-        if not all(both(lambda: finish(slice(half)),
-                        lambda: finish(slice(half, None)))):
-            raise CayleyStepError(f"non-finite curve point at tau={tau}")
+        _on_halves(both, len(out), rows_of)
         return out
 
 
-def _curve_system(Z: np.ndarray, W: SkewDirection, both: Callable = _in_turn,
-                  UtU: np.ndarray | None = None) -> _CurveSystem:
-    """Build CᵀB and CᵀZ from three k×k Grams (four when W.left is not Z:
-    then CᵀZ needs VᵀZ and UᵀZ of its own; when it is, CᵀZ is CᵀB's left
-    block column).  VᵀU and VᵀV run on the two lanes of ``both``; UᵀU is
-    formed here unless the caller has it."""
+def _curve_system(Z: np.ndarray, W: SkewDirection,
+                  grams: tuple | None = None) -> _CurveSystem:
+    """Build CᵀB and CᵀZ from the Grams VᵀU, VᵀV and UᵀU (``grams``, or
+    formed here), and VᵀZ and UᵀZ unless W.left is Z: then CᵀZ is CᵀB's
+    left block column."""
     U, V = W.left, W.right
     k = U.shape[1]
-    VtU, VtV = both(lambda: V.T @ U, lambda: V.T @ V)
-    if UtU is None:
-        UtU = U.T @ U
+    if grams is None:
+        grams = _gram(V, U), _gram(V, V), _gram(U, U)
+    VtU, VtV, UtU = grams
     gram = np.empty((2 * k, 2 * k))
     gram[:k, :k] = VtU
     gram[:k, k:] = VtV
@@ -274,7 +307,7 @@ def _curve_system(Z: np.ndarray, W: SkewDirection, both: Callable = _in_turn,
     if U is Z:
         rhs = gram[:, :k]
     else:
-        rhs = np.vstack([V.T @ Z, -(U.T @ Z)])
+        rhs = np.vstack([_gram(V, Z), -_gram(U, Z)])
     return _CurveSystem(U, V, gram, rhs)
 
 
@@ -285,8 +318,8 @@ def cayley_step(Z: np.ndarray, W: SkewDirection, tau: float) -> np.ndarray:
     collapses the n×n inverse to Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ.
     CᵀB and CᵀZ are assembled from the k×k Grams of U, V and Z, and B is
     never stacked: Z(τ) = Z − τ·(U·c_top + V·c_bottom), an O(nk² + k³)
-    computation.  The transform is orthogonal for skew W, so column
-    orthonormality is preserved to rounding.
+    computation in row halves.  The transform is orthogonal for skew W,
+    so column orthonormality is preserved to rounding.
 
     Raises
     ------
@@ -322,7 +355,7 @@ def _direction_slope(system: _CurveSystem, G: np.ndarray
 
 def _line_search(graph: Graph, Z: np.ndarray, G: np.ndarray, value: float,
                  tau0: float, both: Callable = _in_turn,
-                 ZtZ: np.ndarray | None = None) -> tuple | None:
+                 grams: tuple | None = None) -> tuple | None:
     """Armijo backtracking along the Cayley curve of W = Z·Gᵀ − G·Zᵀ.
 
     Tries τ₀, τ₀ρ, τ₀ρ², …, τ₀ρ³⁰ (ρ = ``OcsaConfig.contraction``) and
@@ -334,16 +367,16 @@ def _line_search(graph: Graph, Z: np.ndarray, G: np.ndarray, value: float,
     backtrack level fails the test.  A step whose curve system is singular
     counts as a failed level.
 
-    The curve system is built once, from the k×k Grams ZᵀZ (``ZtZ``, when
-    the caller has it), GᵀZ and GᵀG.  It gives ‖W·Z‖ and g₀ without
-    lifting the direction to n×k, except near a stationary point, where the
-    lifted direction decides both tests (``_direction_slope``), and its
-    trace of GᵀG gives ‖G‖.  Each trial step costs one 2k×2k solve, two
-    n×k·k×k products and one objective evaluation with its Gram.  ``both``
-    runs the independent halves of that work side by side or in turn
+    The curve system is built once, from the k×k Grams GᵀZ, GᵀG and ZᵀZ
+    (``grams``, in that order, when the caller has them).  It gives ‖W·Z‖
+    and g₀ without lifting the direction to n×k, except near a stationary
+    point, where the lifted direction decides both tests
+    (``_direction_slope``), and its trace of GᵀG gives ‖G‖.  Each trial
+    step costs one 2k×2k solve, a point pass and a trial pass (module
+    docstring), whose halves ``both`` runs side by side or in turn
     (``_lanes``).
     """
-    system = _curve_system(Z, skew_direction(Z, G), both, ZtZ)
+    system = _curve_system(Z, skew_direction(Z, G), grams)
     norm, g0 = _direction_slope(system, G)
     k = G.shape[1]
     if (norm <= _STATIONARY_REL * math.sqrt(np.trace(system.gram[:k, k:]))
@@ -399,27 +432,27 @@ def ocsa(graph: Graph, Z0: np.ndarray,
     objective history is non-decreasing and every iterate stays feasible.
     Each gradient 4·(A·Z)·(ZᵀAZ) reuses the A·Z and ZᵀAZ of the step the
     search accepted, so an iteration makes one sparse product per trial
-    step and no other.  A·Z is dropped once the gradient is formed, and
-    the search drops a rejected trial point before it makes the next, so
-    the ascent holds four n×k arrays at a time: the iterate, G, and the
-    lift's two products or a trial point and its A·Z.  Z0 is copied in C
-    order, never written, so its memory layout moves no bit.  The work
-    runs on one or two lanes (module docstring, ``_lanes``) with the same
-    bits.
+    step and no other: a gradient pass, then a point pass and a trial
+    pass per trial step (module docstring), on one or two lanes with the
+    same bits.  A·Z is dropped once the gradient is formed, and the
+    search drops a rejected trial point before it makes the next, so the
+    ascent holds four n×k arrays at a time: the iterate, G, and a trial
+    point with its halves' lift terms or its A·Z.  Z0 is copied in C
+    order, never written, so its memory layout moves no bit.
 
     Raises
     ------
     ParameterError
-        If Z0 has the wrong row count or is not column-orthonormal (a NaN
-        entry included).
+        If Z0 has the wrong row count, no columns or more than n, or is
+        not column-orthonormal (a NaN entry included).
     """
     config = config or OcsaConfig()
     Z = np.array(Z0, dtype=np.float64, order="C")
     if Z.ndim != 2 or Z.shape[0] != graph.node_count:
         raise ParameterError(
             f"Z0 shape {Z.shape} incompatible with n={graph.node_count}")
-    if Z.shape[1] > graph.node_count:
-        raise ParameterError("more columns than nodes")
+    if not 1 <= Z.shape[1] <= graph.node_count:
+        raise ParameterError(f"Z0 has {Z.shape[1]} columns; need 1 to n")
     if not orthonormality_defect(Z) <= FEASIBILITY_TOL:
         raise ParameterError("Z0 is not column-orthonormal")
 
@@ -430,12 +463,11 @@ def ocsa(graph: Graph, Z0: np.ndarray,
         AZ, M, value, ZtZ = _trial_parts(graph, Z, both)
         objectives.append(value)
         for _ in range(config.max_iterations):
-            # 4·(A·Z)·M, as ``gradient`` forms it.
-            G = AZ @ (4.0 * M)
+            G, GtZ, GtG = _gradient_parts(Z, AZ, M, both)
             # Only the gradient reads A·Z; the last search result holds it.
             AZ = found = None
             found = _line_search(graph, Z, G, value, config.initial_step,
-                                 both, ZtZ)
+                                 both, (GtZ, GtG, ZtZ))
             if found is None:
                 reason = "no-ascent-step"
                 break

@@ -582,12 +582,23 @@ class TestKernels:
     def _row_block_cases(rng):
         yield Graph.from_edges(1, [])
         yield Graph.from_edges(2, [(0, 1)])
+        yield Graph.from_edges(3, [(0, 2)])
         # Isolated nodes give empty rows: first, inner and last.
         yield Graph.from_edges(12, [(2, 5), (5, 6), (6, 9), (2, 9)])
         for n in (5, 40, 200):
             graph = random_graph(rng, n, p=0.1)
-            yield Graph.from_edges(n + 30, np.vstack(
+            yield Graph.from_edges(n + 31, np.vstack(
                 [graph.edge_pairs(), [[n + 3, n + 4]]]))
+
+    @staticmethod
+    def _in_ranges(graph, x, cuts, both):
+        """A @ x written as the row ranges between ``cuts``, each range on
+        a lane of ``both``."""
+        out = np.empty_like(x)
+        ranges = list(zip(cuts[:-1], cuts[1:]))
+        both(lambda: [graph._matmat_rows(x, out, *r) for r in ranges[0::2]],
+             lambda: [graph._matmat_rows(x, out, *r) for r in ranges[1::2]])
+        return out
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_row_block_product_matches_csr(self, rng, lanes, monkeypatch):
@@ -596,35 +607,41 @@ class TestKernels:
             assert (both is stiefel._in_turn) == (lanes == 1)
             for graph in self._row_block_cases(rng):
                 n = graph.node_count
-                blocks = graph._row_blocks
-                assert 1 <= len(blocks) <= graph_module._ROW_BLOCKS
-                assert [start for start, _ in blocks] == [0] + [
-                    stop for _, stop in blocks[:-1]]
-                assert blocks[-1][1] == n
-                assert all(start < stop for start, stop in blocks)
+                halves = [0, n // 2, n]
+                cuts = sorted(rng.integers(0, n + 1, size=4).tolist())
                 for k in (1, 3, 32):
                     x = rng.standard_normal((n, k))
-                    for operand in (x, np.asfortranarray(x)):
-                        got = graph._matmat_in_row_blocks(operand, both)
-                        assert got.shape == (n, k)
-                        assert np.array_equal(got, graph._csr @ operand)
-                        assert np.array_equal(
-                            got, graph.adjacency_matmat(operand))
+                    want = graph._csr @ x
+                    assert np.array_equal(want, graph.adjacency_matmat(
+                        np.asfortranarray(x)))
+                    for bounds in (halves, [0] + cuts + [n]):
+                        got = self._in_ranges(graph, x, bounds, both)
+                        assert np.array_equal(got, want)
+
+    def test_row_block_product_leaves_other_rows(self, rng):
+        graph = random_graph(rng, 30, p=0.2)
+        x = rng.standard_normal((30, 4))
+        out = np.full((30, 4), 7.0)
+        graph._matmat_rows(x, out, 10, 20)
+        assert np.array_equal(out[10:20], (graph._csr @ x)[10:20])
+        assert (out[:10] == 7.0).all() and (out[20:] == 7.0).all()
 
     def test_row_block_product_under_thread_stress(self, monkeypatch):
-        # A block run twice or never would break the equality: six threads
-        # on two lanes each, switching as often as the interpreter allows.
+        # A range written twice, half or never would break the equality:
+        # six threads on two lanes each, switching as often as the
+        # interpreter allows.
         use_lanes(monkeypatch, 2)
         graph, _ = generate_sbm(8, 50, 0.3, 0.02, seed=2)
-        x = np.random.default_rng(3).standard_normal((graph.node_count, 4))
+        n = graph.node_count
+        x = np.random.default_rng(3).standard_normal((n, 4))
         want = graph._csr @ x
         mismatches = []
 
         def hammer():
             with stiefel._lanes(1) as both:
                 for _ in range(40):
-                    if not np.array_equal(
-                            graph._matmat_in_row_blocks(x, both), want):
+                    got = self._in_ranges(graph, x, [0, n // 2, n], both)
+                    if not np.array_equal(got, want):
                         mismatches.append(1)
 
         interval = sys.getswitchinterval()
@@ -640,18 +657,19 @@ class TestKernels:
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
 
-    def test_row_blocks_share_out_the_nonzeros(self):
-        graph, _ = generate_sbm(8, 50, 0.3, 0.02, seed=1)
-        blocks = graph._row_blocks
-        assert len(blocks) == graph_module._ROW_BLOCKS
-        counts = [graph.indptr[stop] - graph.indptr[start]
-                  for start, stop in blocks]
-        assert max(counts) - min(counts) <= 2 * graph.degrees.max()
-
     def test_row_block_product_rejects_a_bad_operand(self, k3):
-        for bad in (np.ones(3), np.ones((4, 2))):
+        good = np.ones((3, 2))
+        for x, out, start, stop in (
+                (np.ones(3), np.ones(3), 0, 3),
+                (np.ones((4, 2)), np.ones((4, 2)), 0, 3),
+                (good, np.ones((3, 1)), 0, 3),
+                (good, np.ones((3, 2)), 2, 1),
+                (good, np.ones((3, 2)), 0, 4),
+                (np.asfortranarray(good), np.ones((3, 2)), 0, 3),
+                (good, np.asfortranarray(np.ones((3, 2))), 0, 3),
+                (good.astype(np.float32), np.ones((3, 2)), 0, 3)):
             with pytest.raises(ValueError):
-                k3._matmat_in_row_blocks(bad, stiefel._in_turn)
+                k3._matmat_rows(x, out, start, stop)
 
     def test_trace_sq_examples(self, k3, p3, two_triangles):
         assert adjacency_trace_sq(k3) == 6.0

@@ -193,8 +193,11 @@ class TestLineSearch:
         assert trial > value
         assert trial == trace_objective_relaxed(two_triangles, Z_new)
         assert np.array_equal(AZ, two_triangles.adjacency_matmat(Z_new))
-        assert np.array_equal(M, Z_new.T @ AZ)
-        assert np.array_equal(ZtZ, Z_new.T @ Z_new)
+        # Both Grams in the ascent's one form: first row half plus second.
+        assert np.array_equal(M, Z_new[:3].T @ AZ[:3] + Z_new[3:].T @ AZ[3:])
+        assert np.array_equal(ZtZ,
+                              Z_new[:3].T @ Z_new[:3] + Z_new[3:].T @ Z_new[3:])
+        np.testing.assert_allclose(M, Z_new.T @ AZ, rtol=0, atol=1e-14)
 
     @staticmethod
     def _count_lifts(monkeypatch):
@@ -298,6 +301,10 @@ class TestOcsa:
         with pytest.raises(ParameterError, match="orthonormal"):
             ocsa(two_triangles, Z0, OcsaConfig())
 
+    def test_rejects_a_start_without_columns(self, k3):
+        with pytest.raises(ParameterError, match="0 columns"):
+            ocsa(k3, np.zeros((3, 0)))
+
     def test_eigenvector_start_exits_at_once(self, rng):
         graph = random_graph(rng, 30)
         basis = lm_eigs(graph, 3, seed=0)
@@ -347,20 +354,22 @@ class TestOcsa:
         config = OcsaConfig(max_iterations=15, initial_step=1.0,
                             relative_tolerance=0.0)
         calls = []
-        matmat = Graph.adjacency_matmat
+        matmat_rows = Graph._matmat_rows
 
-        def counted(self, x):
-            calls.append(x.shape)
-            return matmat(self, x)
+        def counted(self, x, out, start, stop):
+            calls.append((start, stop))
+            return matmat_rows(self, x, out, start, stop)
 
-        monkeypatch.setattr(Graph, "adjacency_matmat", counted)
+        monkeypatch.setattr(Graph, "_matmat_rows", counted)
+        monkeypatch.setattr(Graph, "adjacency_matmat", None)
         _, trace = ocsa(graph, Z0, config)
         assert trace.reason == "max-iter"
         backtracks = np.rint(np.log2(config.initial_step / trace.step_sizes))
         assert backtracks.sum() > 0
-        # One product for the start, then one per trial step: the gradient
-        # reuses the accepted step's A·Z.
-        assert len(calls) == 1 + int(np.sum(backtracks + 1))
+        # One product for the start, then one per trial step, each made as
+        # its two row halves: the gradient reuses the accepted step's A·Z.
+        products = 1 + int(np.sum(backtracks + 1))
+        assert calls == [(0, 20), (20, 40)] * products
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -478,17 +487,19 @@ class TestTwoLanes:
     @staticmethod
     def _run(monkeypatch, lanes, graph, Z0, config):
         use_lanes(monkeypatch, lanes, floor=None)
-        blocked = []
-        matmat = Graph._matmat_in_row_blocks
+        calls = []
+        matmat_rows = Graph._matmat_rows
 
-        def counted(self, x, both):
-            blocked.append(x.shape)
-            return matmat(self, x, both)
+        def counted(self, x, out, start, stop):
+            calls.append((start > 0, threading.current_thread()
+                          is not threading.main_thread()))
+            return matmat_rows(self, x, out, start, stop)
 
-        monkeypatch.setattr(Graph, "_matmat_in_row_blocks", counted)
+        monkeypatch.setattr(Graph, "_matmat_rows", counted)
         Z, trace = ocsa(graph, Z0, config)
-        # Two lanes make every product in row blocks, one lane none.
-        assert bool(blocked) == (lanes == 2)
+        # Two lanes make the second half of every A·Z on the worker, one
+        # lane none.
+        assert set(calls) == {(False, False), (True, lanes == 2)}
         return Z, trace
 
     @pytest.mark.parametrize("initial_step, iterations",
@@ -533,10 +544,12 @@ class TestTwoLanes:
                 both(lambda: None, fail)
             assert both(lambda: 1, lambda: 2) == (1, 2)
 
-        def failing_matmat(self, x, both):
-            both(lambda: None, fail)
+        def failing_rows(self, x, out, start, stop):
+            # The second row half is the worker's.
+            if start > 0:
+                fail()
 
-        monkeypatch.setattr(Graph, "_matmat_in_row_blocks", failing_matmat)
+        monkeypatch.setattr(Graph, "_matmat_rows", failing_rows)
         graph = random_graph(rng, 40)
         before = threading.active_count()
         with pytest.raises(WorkerOnly):
@@ -550,6 +563,50 @@ class TestTwoLanes:
         use_lanes(monkeypatch, 2, floor=None)
         with stiefel._lanes(stiefel._TWO_LANE_MIN_ENTRIES - 1) as both:
             assert both is stiefel._in_turn
+
+
+def test_two_lane_steps_replay_through_the_public_functions(monkeypatch):
+    # c04's replay on two lanes, with the shipped work floor: n 4097 at
+    # k 32 is just above it, and odd, so the row halves are unequal.
+    use_lanes(monkeypatch, 2, floor=None)
+    graph = planted_graph(17, 241, 16.0, 4.0, seed=5)
+    assert graph.node_count % 2 == 1
+    Z0 = random_orthonormal_init(graph.node_count, 32, seed=3)
+    assert Z0.size >= stiefel._TWO_LANE_MIN_ENTRIES
+    with stiefel._lanes(Z0.size) as both:
+        assert both is not stiefel._in_turn
+    Z_final, trace = ocsa(graph, Z0, OcsaConfig(max_iterations=6,
+                                                initial_step=1.0,
+                                                relative_tolerance=0.0))
+    assert trace.iterations == 6
+    assert np.any(trace.step_sizes < 1.0)
+    Z = Z0
+    assert trace.objectives[0] == trace_objective_relaxed(graph, Z)
+    for t, tau in enumerate(trace.step_sizes):
+        Z = cayley_step(Z, skew_direction(Z, gradient(graph, Z)), float(tau))
+        assert trace.objectives[t + 1] == trace_objective_relaxed(graph, Z)
+    assert np.array_equal(Z, Z_final)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_gram_is_first_row_half_plus_second(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    X, Y = rng.standard_normal((2, n, 5))
+    h = n // 2
+    got = {}
+    for lanes in (1, 2):
+        use_lanes(monkeypatch, lanes)
+        with stiefel._lanes(1) as both:
+            assert (both is stiefel._in_turn) == (lanes == 1)
+            for name, x, y in (("xy", X, Y), ("xx", X, X),
+                               ("fortran", np.asfortranarray(X), Y)):
+                gram = stiefel._gram(x, y, both)
+                assert np.array_equal(gram,
+                                      x[:h].T @ y[:h] + x[h:].T @ y[h:])
+                np.testing.assert_allclose(gram, x.T @ y, rtol=0, atol=1e-13)
+                got[lanes, name] = gram
+    for name in ("xy", "xx", "fortran"):
+        assert np.array_equal(got[1, name], got[2, name])
 
 
 def test_ocsa_bits_do_not_depend_on_the_start_layout():
