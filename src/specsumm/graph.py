@@ -63,12 +63,21 @@ class Graph:
     def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from undirected edges over nodes [0, node_count).
 
-        Duplicate edges are collapsed; self-loops are rejected.
+        Duplicate edges are collapsed; self-loops are rejected, and so is
+        anything but integer (u, v) pairs.
         """
         if node_count < 1:
             raise ParameterError("node_count must be >= 1")
-        pairs = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                           dtype=np.int64).reshape(-1, 2)
+        message = "edges must be integer (u, v) pairs"
+        try:
+            pairs = np.asarray(edges if isinstance(edges, np.ndarray)
+                               else list(edges))
+        except ValueError:  # ragged pairs
+            raise ParameterError(message) from None
+        if pairs.size and (pairs.dtype.kind not in "iu"
+                           or pairs.shape[1:] != (2,)):
+            raise ParameterError(message)
+        pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
         if pairs.size:
             if pairs.min() < 0 or pairs.max() >= node_count:
                 raise ParameterError("edge endpoint out of range")
@@ -427,6 +436,8 @@ def generate_sbm(blocks: int, block_size: int, p_in: float, p_out: float,
         raise ParameterError("need 0 <= p_out <= p_in <= 1")
 
     n = blocks * block_size
+    if n > _MAX_NODES:
+        raise ParameterError(f"blocks * block_size must be <= {_MAX_NODES}")
     rng = make_generator(seed)
     rows = max(1, _SBM_PAIR_BUDGET // n)
     kept = []

@@ -180,14 +180,12 @@ class ReassignMove(NamedTuple):
     objective: float
 
 
-# Sampled nodes screened per window of _reassign, capped so each (B, k)
-# temporary of the screen stays within _BLOCK_FLOATS floats; the candidates
-# go to _block_move_deltas in chunks capped so each (B, k, k) temporary
-# stays within it too (one node per chunk once k² alone exceeds it).
+# Sampled nodes screened per window of _reassign: each (B, k) temporary of
+# the screen holds under 4096 floats below k = 64, and from there on no
+# more than one (k, k) temporary of _move_deltas or the counts matrix.
 _BLOCK_NODES = 64
-_BLOCK_FLOATS = 2 ** 18
 
-# Both delta forms, the screen and _block_move_deltas, are signed sums of
+# Both delta forms, the screen and _move_deltas, are signed sums of
 # terms like E²/(n_i·n_j) of exact integers (counts and sizes far below
 # 2⁵³, and their sums and differences), and every term meets at most
 # k + 11 roundings on its way to the delta: a few in forming it, k − 1 in
@@ -223,61 +221,55 @@ def _neighbor_counts(graph: Graph, assign: np.ndarray, nodes: np.ndarray,
     return np.bincount(keys, minlength=len(nodes) * k).reshape(-1, k)
 
 
-def _block_move_deltas(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
-                       a: np.ndarray) -> np.ndarray:
-    """Change in F when node r of a block moves from group a[r] to each
-    group b, every node against the same counts and sizes.
+def _move_deltas(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
+                 a: int) -> np.ndarray:
+    """Change in F when one node moves from group a to each group b.
 
-    nbr[r, j] counts node r's neighbors currently in group j.  Only the
-    rows and columns of a[r] and b change, so each delta is the difference
-    of those bands before and after.  All B nodes and k targets are
-    evaluated at once: entry (r, b) of the (B, k, k) arrays holds target
-    b's band for node r, with the same elementwise arithmetic as evaluating
-    that node and target alone, and every band sum reduces the contiguous
-    last axis, k terms long, as a 1-d sum does.  Entry (r, a[r]) (staying
+    nbr[j] counts the node's neighbors currently in group j.  Only the rows
+    and columns of a and b change, so each delta is the difference of those
+    bands before and after.  All k targets are evaluated at once: row b of
+    the (k, k) arrays holds target b's band, with the same elementwise
+    arithmetic as evaluating that target alone, and every band sum reduces
+    a contiguous row, k terms long, as a 1-d sum does.  Entry a (staying
     put) is -inf.
     """
-    nodes, k = nbr.shape
-    r = np.arange(nodes)
-    col = r[:, None]
+    k = len(sizes)
     diag = np.arange(k)
     fs = sizes.astype(np.float64)
     rows = counts.astype(np.float64)
     row_a = rows[a]
-    fs_a = fs[a][:, None]
-    nbr_a = nbr[r, a][:, None]
-    old = (2.0 * np.sum(row_a**2 / fs, axis=1, keepdims=True) / fs_a
+    old = (2.0 * np.sum(row_a**2 / fs) / fs[a]
            + 2.0 * np.sum(rows**2 / fs, axis=1) / fs
-           - (row_a[r, a][:, None]**2 / fs_a**2 + rows[diag, diag]**2 / fs**2
-              + 2.0 * row_a**2 / (fs_a * fs)))
+           - (row_a[a]**2 / fs[a]**2 + rows[diag, diag]**2 / fs**2
+              + 2.0 * row_a**2 / (fs[a] * fs)))
 
-    # Row b of new_a[r]/new_b[r]/ns[r]: group a[r]'s row, target b's row
-    # and the sizes after node r moves to b.
-    new_a = np.repeat((row_a - nbr)[:, None, :], k, axis=1)
-    new_a[r, :, a] = row_a[r, a][:, None] - 2.0 * nbr_a
-    new_a[col, diag, diag] = row_a - nbr + nbr_a
-    new_b = rows + nbr[:, None, :]
-    new_b[col, diag, diag] = rows[diag, diag] + 2.0 * nbr
-    new_b[r, :, a] = new_a[col, diag, diag]
-    ns_a = fs_a - 1.0
+    # Row b of new_a/new_b/ns: group a's row, target b's row and the sizes
+    # after the node moves to b.
+    new_a = np.broadcast_to(row_a - nbr, (k, k)).copy()
+    new_a[:, a] = row_a[a] - 2.0 * nbr[a]
+    new_a[diag, diag] = row_a - nbr + nbr[a]
+    new_b = rows + nbr
+    new_b[diag, diag] = rows[diag, diag] + 2.0 * nbr
+    new_b[:, a] = new_a[diag, diag]
+    ns_a = fs[a] - 1.0
     ns_b = fs + 1.0
-    ns = np.broadcast_to(fs, (nodes, k, k)).copy()
-    ns[r, :, a] = ns_a
-    ns[:, diag, diag] = ns_b
-    new = (2.0 * np.sum(new_a**2 / ns, axis=2) / ns_a
-           + 2.0 * np.sum(new_b**2 / ns, axis=2) / ns_b
-           - (new_a[r, :, a]**2 / ns_a**2 + new_b[col, diag, diag]**2 / ns_b**2
-              + 2.0 * new_a[col, diag, diag]**2 / (ns_a * ns_b)))
+    ns = np.broadcast_to(fs, (k, k)).copy()
+    ns[:, a] = ns_a
+    ns[diag, diag] = ns_b
+    new = (2.0 * np.sum(new_a**2 / ns, axis=1) / ns_a
+           + 2.0 * np.sum(new_b**2 / ns, axis=1) / ns_b
+           - (new_a[:, a]**2 / ns_a**2 + new_b[diag, diag]**2 / ns_b**2
+              + 2.0 * new_a[diag, diag]**2 / (ns_a * ns_b)))
     deltas = new - old
-    deltas[r, a] = -np.inf
+    deltas[a] = -np.inf
     return deltas
 
 
 def _screen_move_deltas(counts: np.ndarray, sizes: np.ndarray,
                         nbr: np.ndarray, a: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """``_block_move_deltas`` to within a rounding slack, in O(B·k) work
-    plus one (B, k)·(k, k) product, and that slack, one per node.
+    """``_move_deltas`` of B nodes to within a rounding slack, in O(B·k)
+    work plus one (B, k)·(k, k) product, and that slack, one per node.
 
     Moving node r from group a to group b changes F only in the bands of
     a and b: each band's entries outside {a, b} over its group's size,
@@ -344,18 +336,18 @@ def reassignment(graph: Graph, membership: Membership, counts: np.ndarray,
     recomputed exactly from the counts.
     Moves that would empty a supernode are skipped.
 
-    The visits are evaluated in windows: the next 64 sampled nodes (fewer
-    when k is in the thousands) against the current counts.  A screen
-    gives every move of every node in the window to within a rounding
-    slack, in O(B·k) work and one (B, k)·(k, k) product, and settles each
-    node whose best screened move plus its slack is at most zero: it has
-    no strictly improving move.  The other nodes, in sample order, get the
-    exact (B, k, k) array evaluation of the row/column band deltas, in
-    chunks, until one has an improving move.  That node's best move is
-    applied and the next window starts at the node after it, so every
-    node is evaluated against exactly the counts a one-node-at-a-time loop
-    would show it: the moves, the objectives logged and the result are
-    that loop's, bit for bit, whatever the BLAS thread count.
+    The visits are evaluated in windows: the next 64 sampled nodes against
+    the current counts.  A screen gives every move of every node in the
+    window to within a rounding slack, in O(B·k) work and one
+    (B, k)·(k, k) product, and settles each node whose best screened move
+    plus its slack is at most zero: it has no strictly improving move.
+    The other nodes, in sample order, get the exact evaluation of the
+    row/column band deltas, one node at a time, until one has an improving
+    move.  That node's best move is applied and the next window starts at
+    the node after it, so every node is evaluated against exactly the
+    counts a one-node-at-a-time loop would show it: the moves, the
+    objectives logged and the result are that loop's, bit for bit,
+    whatever the BLAS thread count.
 
     Returns the updated membership and a log of applied moves with the
     objective after each one.
@@ -371,13 +363,11 @@ def _reassign(graph: Graph, membership: Membership, counts: np.ndarray,
     membership, which the moves keep up to date.
 
     Each window of sampled nodes goes through two passes:
-    ``_screen_move_deltas`` over the whole window, whose (B, k)
-    temporaries stay within _BLOCK_FLOATS, then ``_block_move_deltas``
-    over the nodes the screen could not settle, in sample order and in
-    chunks whose (B, k, k) temporaries stay within it too.  A settled node
-    has exact deltas of at most its screened ones plus its slack, so none
-    of them is positive, and the first candidate with an exact improving
-    move is the window's first improving node.
+    ``_screen_move_deltas`` over the whole window, then ``_move_deltas``
+    over the nodes the screen could not settle, one at a time in sample
+    order.  A settled node has exact deltas of at most its screened ones
+    plus its slack, so none of them is positive, and the first candidate
+    with an exact improving move is the window's first improving node.
     """
     config = config or ReassignConfig()
     if membership.n != graph.node_count:
@@ -396,15 +386,13 @@ def _reassign(graph: Graph, membership: Membership, counts: np.ndarray,
     rng = make_generator(config.seed)
     n = graph.node_count
     moves: list[ReassignMove] = []
-    window_size = max(1, min(_BLOCK_NODES, _BLOCK_FLOATS // k))
-    chunk = max(1, _BLOCK_FLOATS // (k * k))
 
     for _ in range(config.rounds):
         sampled = rng.choice(n, size=min(config.samples_per_round, n),
                              replace=False)
         pos = 0
         while pos < len(sampled):
-            window = sampled[pos:pos + window_size]
+            window = sampled[pos:pos + _BLOCK_NODES]
             # Nodes alone in their group stay put.
             live = np.flatnonzero(sizes[assign[window]] > 1)
             nodes = window[live]
@@ -415,24 +403,19 @@ def _reassign(graph: Graph, membership: Membership, counts: np.ndarray,
             # that strictly improves F; NaN would keep a node a candidate.
             candidates = np.flatnonzero(
                 ~(screen.max(axis=1) + slack <= 0.0))
-            first = None
-            for start in range(0, len(candidates), chunk):
-                rows = candidates[start:start + chunk]
-                deltas = _block_move_deltas(counts, sizes, nbr[rows],
-                                            source[rows])
-                improving = np.flatnonzero(deltas.max(axis=1) > 0.0)
-                if len(improving):
-                    first = int(rows[improving[0]])
-                    best = deltas[improving[0]]
+            for first in candidates:
+                deltas = _move_deltas(counts, sizes, nbr[first],
+                                      int(source[first]))
+                if deltas.max() > 0.0:
                     break
-            if first is None:
+            else:
                 pos += len(window)
                 continue
             # The first improving node saw the counts the one-node-at-a-time
             # loop would show it; the nodes after it are evaluated again.
             pos += int(live[first]) + 1
             node, row = int(nodes[first]), nbr[first]
-            a, b = int(assign[node]), int(np.argmax(best))
+            a, b = int(assign[node]), int(np.argmax(deltas))
             counts[a, :] -= row
             counts[:, a] -= row
             counts[b, :] += row

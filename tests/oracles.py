@@ -288,9 +288,9 @@ def move_delta(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
 
 def move_deltas_reference(counts: np.ndarray, sizes: np.ndarray,
                           nbr: np.ndarray, a: int) -> np.ndarray:
-    """Change in F when one node moves from group a to each group b: the
-    one-node (k, k) form of ``summary._block_move_deltas``, the form the
-    block evaluation must reproduce row by row, bit for bit.
+    """Change in F when one node moves from group a to each group b, with
+    the arithmetic of ``summary._move_deltas``, kept here so that
+    ``reassign_reference`` replays reassignment without the shipped kernel.
 
     Row b of the (k, k) arrays holds target b's band, with the same
     elementwise arithmetic and the same per-row sums as ``move_delta``.

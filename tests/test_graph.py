@@ -418,6 +418,16 @@ class TestGraphStructure:
             Graph.from_edges(2, [(0, 2)])
         with pytest.raises(ParameterError):
             Graph.from_edges(2, [(1, 1)])
+        # Non-integer endpoints, pairs of the wrong width and ragged lists.
+        for edges in ([(0.5, 1)], np.array([[0.0, 1.0]]), [(True, False)],
+                      [0, 1, 2], [0, 1], [(0, 1, 2)], [(0, 1), (2,)],
+                      [(0, 1), (1, "a")]):
+            with pytest.raises(ParameterError, match="integer"):
+                Graph.from_edges(3, edges)
+        assert Graph.from_edges(3, []).edge_count == 0
+        for dtype in (np.int8, np.uint8, np.int32, np.uint64, np.int64):
+            graph = Graph.from_edges(3, np.array([[0, 1], [2, 1]], dtype=dtype))
+            assert graph.edge_pairs().tolist() == [[0, 1], [1, 2]]
 
     def test_neighbor_lists_sorted_and_symmetric(self, rng):
         graph = random_graph(rng, 24)
@@ -558,6 +568,17 @@ class TestGenerateSbm:
             generate_sbm(2, 3, 0.2, 0.5, seed=0)  # p_out > p_in
         with pytest.raises(ParameterError):
             generate_sbm(2, 3, 1.5, 0.1, seed=0)
+
+    def test_node_limit_checked_before_drawing(self, monkeypatch):
+        # At the real limit a draw would first allocate n-wide rows, so the
+        # bound is checked before any generator is made.
+        def no_draws(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(graph_module, "_MAX_NODES", 10)
+        monkeypatch.setattr(graph_module, "make_generator", no_draws)
+        with pytest.raises(ParameterError, match="block_size"):
+            generate_sbm(4, 5, 0.5, 0.1, seed=0)
 
 
 class TestKernels:

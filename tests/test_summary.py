@@ -11,7 +11,7 @@ from specsumm import (Graph, Membership, ParameterError, ReassignConfig,
 from specsumm.rng import make_generator
 
 import specsumm.summary as summary_module
-from specsumm.summary import (_block_move_deltas, _neighbor_counts, _reassign,
+from specsumm.summary import (_move_deltas, _neighbor_counts, _reassign,
                               _screen_move_deltas)
 
 from oracles import (best_single_move, dense_l2_loss, edge_counts_dense,
@@ -370,19 +370,22 @@ class TestMoveDeltas:
             assert np.array_equal(deltas, expected)
 
 
-def _block_rows_match_reference(counts, sizes, nbr, a):
-    """Row r of the block deltas is the one-node reference's deltas for
-    node r, bit for bit."""
-    deltas = _block_move_deltas(counts, sizes, nbr, a)
-    assert deltas.shape == nbr.shape
+def _rows_match_oracle(counts, sizes, nbr, a):
+    """The shipped one-node deltas of node r, nbr[r] its neighbor counts
+    and a[r] its group, are the per-target oracle's, bit for bit."""
+    k = len(sizes)
     for r in range(len(a)):
-        want = move_deltas_reference(counts, sizes, nbr[r], int(a[r]))
-        assert np.array_equal(deltas[r], want), r
+        source = int(a[r])
+        deltas = _move_deltas(counts, sizes, nbr[r], source)
+        want = [move_delta(counts, sizes, nbr[r], source, b) if b != source
+                else -np.inf for b in range(k)]
+        assert np.array_equal(deltas, want), r
 
 
 class TestBlockMoveDeltas:
-    """The (B, k, k) evaluation of a block of nodes against the one-node
-    (k, k) reference, row by row and bit for bit."""
+    """``_move_deltas``, the one exact form of reassignment, on each node
+    of a window's neighbor counts against the per-target oracle, bit for
+    bit."""
 
     def _check_graph(self, rng, graph, m):
         counts = supernode_edge_counts(graph, m)
@@ -393,8 +396,7 @@ class TestBlockMoveDeltas:
             for r, node in enumerate(nodes):
                 assert np.array_equal(nbr[r], np.bincount(
                     m.assign[graph.neighbors(node)], minlength=m.k))
-            _block_rows_match_reference(counts, m.sizes, nbr,
-                                        m.assign[nodes])
+            _rows_match_oracle(counts, m.sizes, nbr, m.assign[nodes])
 
     def test_matches_reference_on_random_graphs(self, rng):
         for _ in range(30):
@@ -418,26 +420,36 @@ class TestBlockMoveDeltas:
         counts = supernode_edge_counts(graph, m)
         nodes = np.flatnonzero(m.assign == 2)
         nbr = _neighbor_counts(graph, m.assign, nodes, 6)
-        _block_rows_match_reference(counts, m.sizes, nbr, m.assign[nodes])
+        _rows_match_oracle(counts, m.sizes, nbr, m.assign[nodes])
 
     def test_matches_reference_past_pairwise_block(self, rng):
         # numpy's pairwise summation splits sums of more than 128 terms, so
-        # k = 131 checks that the band sums over the last axis of the
-        # (B, k, k) arrays split as the one-node form's do
+        # k = 131 checks that the band sums over the rows of the (k, k)
+        # arrays split as the per-target form's 1-d sums do
         k = 131
         counts = rng.integers(0, 400, size=(k, k))
         counts = counts + counts.T
         sizes = rng.integers(2, 60, size=k)
         a = np.array([0, 64, 130, 64, 7, 130])
         nbr = rng.integers(0, 9, size=(len(a), k))
-        _block_rows_match_reference(counts, sizes, nbr, a)
+        _rows_match_oracle(counts, sizes, nbr, a)
 
-    def test_empty_block(self):
-        counts = np.array([[2, 1], [1, 0]])
-        deltas = _block_move_deltas(counts, np.array([2, 1]),
-                                    np.zeros((0, 2), dtype=np.int64),
-                                    np.zeros(0, dtype=np.int64))
-        assert deltas.shape == (0, 2)
+    def test_empty_block(self, rng, monkeypatch):
+        # Every node alone in its group: each window has no live node, so
+        # its neighbor counts are (0, k) and no node reaches the exact form.
+        graph = random_graph(rng, 8)
+        m = _mem(np.arange(8), 8)
+        assert _neighbor_counts(graph, m.assign, np.zeros(0, dtype=np.int64),
+                                8).shape == (0, 8)
+
+        def unreachable(*args):
+            raise AssertionError("a node alone in its group was evaluated")
+
+        monkeypatch.setattr(summary_module, "_move_deltas", unreachable)
+        out, moves, _ = _reassign(graph, m, supernode_edge_counts(graph, m),
+                                  ReassignConfig(rounds=2, seed=1))
+        assert moves == []
+        assert np.array_equal(out.assign, m.assign)
 
 
 def _move_bits(moves):
@@ -446,7 +458,7 @@ def _move_bits(moves):
 
 
 class TestBlockedReassign:
-    """``_reassign`` evaluates sampled nodes in blocks and resumes after
+    """``_reassign`` evaluates sampled nodes in windows and resumes after
     each accepted move; its move log, membership and counts are those of
     the one-node-at-a-time reference, bit for bit."""
 
@@ -526,53 +538,56 @@ class TestBlockedReassign:
         assert at == positions
 
     def test_block_size_bounds_the_temporaries(self, monkeypatch):
-        # The screen takes windows of up to _BLOCK_NODES nodes whose (B, k)
-        # temporaries stay within _BLOCK_FLOATS; the exact pass takes
-        # chunks whose (B, k, k) temporaries stay within it too, one node
-        # once k² alone exceeds it.  A screen with an infinite slack
-        # settles no node, so every live node reaches the exact pass and
-        # its chunks fill to their cap.
-        screened, evaluated = [], []
+        # The screen sees windows of up to _BLOCK_NODES nodes.  The exact
+        # pass gets one node per call, only nodes the screen could not
+        # settle, in sample order, and no call after the window's first
+        # improving node.  A screen with an infinite slack settles no
+        # node, so every live node is a candidate.
+        windows = []
         screen = summary_module._screen_move_deltas
-        evaluate = summary_module._block_move_deltas
+        evaluate = summary_module._move_deltas
 
         def recorded_screen(counts, sizes, nbr, a):
-            screened.append(len(nbr))
-            return screen(counts, sizes, nbr, a)
+            screened, slack = screen(counts, sizes, nbr, a)
+            unsettled = np.flatnonzero(~(screened.max(axis=1) + slack <= 0.0))
+            windows.append((len(nbr), [(nbr[r].tolist(), int(a[r]))
+                                       for r in unsettled], []))
+            return screened, slack
 
         def recorded(counts, sizes, nbr, a):
-            evaluated.append(len(nbr))
-            return evaluate(counts, sizes, nbr, a)
+            deltas = evaluate(counts, sizes, nbr, a)
+            assert nbr.shape == sizes.shape
+            windows[-1][2].append((nbr.tolist(), a, deltas.max() > 0.0))
+            return deltas
 
         monkeypatch.setattr(summary_module, "_screen_move_deltas",
                             recorded_screen)
-        monkeypatch.setattr(summary_module, "_block_move_deltas", recorded)
+        monkeypatch.setattr(summary_module, "_move_deltas", recorded)
         slack_factor = summary_module._SCREEN_SLACK_FACTOR
-        for floats, k, window, chunk in ((2 ** 18, 40, 64, 64),
-                                         (2 ** 18, 100, 64, 26),
-                                         (2 ** 18, 600, 64, 1),
-                                         (2 ** 12, 100, 40, 1)):
-            monkeypatch.setattr(summary_module, "_BLOCK_FLOATS", floats)
+        for k in (40, 100, 600):
             graph, planted = generate_sbm(k, 2, 0.9, 0.01, seed=k)
             for factor in (slack_factor, np.inf):
                 monkeypatch.setattr(summary_module, "_SCREEN_SLACK_FACTOR",
                                     factor)
-                screened.clear()
-                evaluated.clear()
+                windows.clear()
                 self._compare(graph, planted,
                               ReassignConfig(rounds=1, samples_per_round=70,
                                              seed=1))
-                assert max(screened) == window
-                assert all(rows * k <= floats for rows in screened)
-                assert all(rows <= chunk for rows in evaluated)
-                assert all(rows == 1 or rows * k * k <= floats
-                           for rows in evaluated)
-            assert max(evaluated) == chunk
+                assert max(size for size, _, _ in windows) == 64
+                for size, candidates, calls in windows:
+                    if factor == np.inf:
+                        assert len(candidates) == size
+                    assert [call[:2] for call in calls] == candidates[
+                        :len(calls)]
+                    improving = [call[2] for call in calls]
+                    assert not any(improving[:-1])
+                    if not any(improving):
+                        assert len(calls) == len(candidates)
 
 
 class TestScreen:
     """The O(B·k) screen of the move deltas: within its slack of the exact
-    (B, k, k) form, so the nodes it settles have no improving move."""
+    one-node form, so the nodes it settles have no improving move."""
 
     def test_slack_bounds_the_gap_to_the_exact_form(self, rng):
         # Groups of two (sizes after the move down to 1), k = 131 past
@@ -587,7 +602,9 @@ class TestScreen:
                 a = rng.integers(0, k, size=nodes)
                 nbr = rng.integers(0, high, size=(nodes, k))
                 screen, slack = _screen_move_deltas(counts, sizes, nbr, a)
-                exact = _block_move_deltas(counts, sizes, nbr, a)
+                exact = np.array([_move_deltas(counts, sizes, nbr[r],
+                                               int(a[r]))
+                                  for r in range(nodes)])
                 stay = np.zeros_like(exact, dtype=bool)
                 stay[np.arange(nodes), a] = True
                 assert np.all(screen[stay] == -np.inf)
@@ -618,7 +635,9 @@ class TestScreen:
         counts = supernode_edge_counts(graph, m)
         nodes = np.arange(16)
         nbr = _neighbor_counts(graph, m.assign, nodes, 3)
-        best = _block_move_deltas(counts, m.sizes, nbr, m.assign).max(axis=1)
+        best = np.array([_move_deltas(counts, m.sizes, nbr[r],
+                                      int(m.assign[r])).max()
+                         for r in nodes])
         screen, slack = _screen_move_deltas(counts, m.sizes, nbr, m.assign)
         ties = best == 0.0
         assert ties.sum() == 8
@@ -628,7 +647,8 @@ class TestScreen:
         assert moves == []
 
     def test_matches_reference_at_large_k(self):
-        # k = 600: one node per exact chunk, whole windows in the screen.
+        # k = 600: whole 64-node windows in the screen, whose (64, k)
+        # temporaries are smaller than the exact form's (k, k) ones.
         graph, planted = generate_sbm(600, 2, 0.9, 0.01, seed=600)
         # Swapping the labels of 150 node pairs keeps every group inhabited.
         swapped = np.random.default_rng(600).choice(graph.node_count,
