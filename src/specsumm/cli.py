@@ -140,17 +140,18 @@ def read_summary_file(path: str | Path) -> SummaryFile:
         raise ParseError("summary file nests JSON too deeply") from None
     if not isinstance(payload, dict):
         raise ParseError("summary file must hold a JSON object")
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version "
-                         f"{payload.get('format_version')!r}")
+    # Exact JSON types, no coercion: "000" is not a membership list, 0.9 is
+    # not a supernode id, and true and 1.0 are neither a count nor format
+    # version 1.  json.loads gives JSON integers the exact type int and
+    # booleans bool.
+    version = payload.get("format_version")
+    if not (type(version) is int and version == FORMAT_VERSION):
+        raise ParseError(f"unsupported format_version {version!r}")
     try:
         n, k = payload["n"], payload["k"]
         membership, densities = payload["membership"], payload["densities"]
     except KeyError as exc:
         raise ParseError(f"malformed summary file: missing {exc}") from None
-    # Exact JSON types, no coercion: "000" is not a membership list, 0.9 is
-    # not a supernode id and true is not a count.  json.loads gives JSON
-    # integers the exact type int and booleans bool.
     if not type(n) is type(k) is int:
         raise ParseError("n and k must be JSON integers")
     if not (isinstance(membership, list)

@@ -1,9 +1,9 @@
 """Mini-batch k-means over embedding rows.
 
 Greedy kmeans++ seeding, then Sculley-style running-mean updates on
-batches until their smoothed cost stops falling.  The output never leaves
-a cluster empty (downstream summaries need every group inhabited) and
-never costs more than the seeding it started from.
+batches until their smoothed cost stops falling, then one full pass of
+the trained centroids.  The output never leaves a cluster empty
+(downstream summaries need every group inhabited).
 
 Points are taken as one row-major float64 array whatever layout the
 caller passes, so every distance sums its d squares in one order and the
@@ -46,7 +46,7 @@ _MAX_ITERATIONS = 100
 # minimum of the smoothed batch cost (scikit-learn's max_no_improvement).
 _PATIENCE = 10
 # Above this many rows the seeding runs on a sorted uniform subsample of
-# that many (scikit-learn's init_size); the final passes still see every row.
+# that many (scikit-learn's init_size); the final pass still sees every row.
 _SEED_ROWS = 4 * _BATCH_SIZE
 
 
@@ -319,16 +319,15 @@ def _minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig
                       ) -> tuple[np.ndarray, np.ndarray, float, dict]:
     """``minibatch_kmeans``' result and a record of how it was reached, in
     plain JSON types: the batches run, why the loop stopped ("plateau" or
-    "cap"), which final pass won ("trained" or "seeded"), both passes'
-    costs, and the empty-cluster repairs the winner made."""
+    "cap"), the returned cost, and the empty-cluster repairs the final
+    pass made."""
     pts = _as_points(points)
     n = len(pts)
     if not 1 <= k <= n:
         raise ParameterError(f"k={k} out of range for n={n}")
 
     rng = make_generator(config.seed)
-    initial = _seeding(pts, k, rng)
-    centroids = initial.copy()
+    centroids = _seeding(pts, k, rng)
     counts = np.zeros(k, dtype=np.int64)
     # The batch costs' exponentially weighted average takes
     # scikit-learn's weight, a span of about one pass over the data.
@@ -352,15 +351,9 @@ def _minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig
                 stop = "plateau"
                 break
 
-    trained = _assign_with_repair(pts, centroids)
-    seeded = _assign_with_repair(pts, initial)
-    won = trained[2] <= seeded[2]
-    assign, centroids, cost, repairs = trained if won else seeded
+    assign, centroids, cost, repairs = _assign_with_repair(pts, centroids)
     return assign, centroids, cost, {
-        "batches": batches, "stop": stop,
-        "winner": "trained" if won else "seeded",
-        "seeded_cost": seeded[2], "trained_cost": trained[2],
-        "repairs": repairs}
+        "batches": batches, "stop": stop, "cost": cost, "repairs": repairs}
 
 
 def minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig | None = None
@@ -374,11 +367,11 @@ def minibatch_kmeans(points: np.ndarray, k: int, config: KmeansConfig | None = N
     mean exact distance to its assigned centroids, before the update, feeds
     an exponentially weighted average; the loop stops once _PATIENCE
     batches in a row set no new minimum of it, or after _MAX_ITERATIONS
-    batches.  Every nearest-centroid search, per batch and in the final
-    passes, is the GEMM screen of ``_nearest`` with its exact fallback, so
-    it returns the argmin of the exact distances.  A final full pass
-    defines the returned assignment; if the streamed centroids ended up
-    worse than the seeding, the seeding wins.
+    batches.  A final full pass of the trained centroids, with
+    empty-cluster repair (``_assign_with_repair``), defines the returned
+    assignment.  Every nearest-centroid search, per batch and in the final
+    pass, is the GEMM screen of ``_nearest`` with its exact fallback, so
+    it returns the argmin of the exact distances.
 
     Returns (assignment, centroids, cost); equidistant ties go to the
     lowest centroid index, and no cluster is left empty.

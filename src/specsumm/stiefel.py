@@ -179,19 +179,12 @@ def _gram(X: np.ndarray, Y: np.ndarray, both: Callable = _in_turn
     return _on_halves(both, len(X), lambda rows: (X[rows].T @ Y[rows],))[0]
 
 
-def _objective_parts(graph: Graph, Z: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(A·Z, M = ZᵀAZ, F(Z) = ‖M‖²_F): one sparse product serves the
-    objective and, as 4·(A·Z)·M, the gradient at Z."""
-    AZ = graph.adjacency_matmat(Z)
-    M = _gram(Z, AZ)
-    return AZ, M, float(np.sum(M * M))
-
-
 def _trial_parts(graph: Graph, Z: np.ndarray, both: Callable
                  ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """The trial pass: ``_objective_parts`` of a C-ordered ascent point and
-    its Gram ZᵀZ, which the next curve system takes if it is accepted."""
+    """The trial pass of a C-ordered point: A·Z, M = ZᵀAZ, F(Z) = ‖M‖²_F
+    and the Gram ZᵀZ, which the next curve system takes if the point is
+    accepted.  One sparse product serves the objective and, as
+    4·(A·Z)·M, the gradient at Z."""
     AZ = np.empty_like(Z)
 
     def rows_of(rows: slice) -> tuple:
@@ -223,12 +216,14 @@ def trace_objective_relaxed(graph: Graph, Z: np.ndarray) -> float:
     not here, so finite-difference probes at perturbed (infeasible) points
     remain legal.
     """
-    return _objective_parts(graph, np.asarray(Z, dtype=np.float64))[2]
+    return _trial_parts(graph, np.ascontiguousarray(Z, dtype=np.float64),
+                        _in_turn)[2]
 
 
 def gradient(graph: Graph, Z: np.ndarray) -> np.ndarray:
     """Euclidean gradient of F: G = 4·A·Z·(ZᵀAZ), in row halves."""
-    AZ, M, _ = _objective_parts(graph, np.asarray(Z, dtype=np.float64))
+    AZ, M, *_ = _trial_parts(
+        graph, np.ascontiguousarray(Z, dtype=np.float64), _in_turn)
     G = np.empty_like(AZ)
     for rows in _halves(len(G)):
         # Scaling M, not the product, by 4 is exact and saves an n×k pass.
@@ -269,10 +264,13 @@ class _CurveSystem(NamedTuple):
     def point(self, Z: np.ndarray, tau: float,
               both: Callable = _in_turn) -> np.ndarray:
         """Z(τ) = Z − τ·B·(I + τ/2·CᵀB)⁻¹·CᵀZ, one row half per lane of
-        ``both``, each checked finite."""
-        S = np.eye(len(self.gram)) + (tau / 2.0) * self.gram
+        ``both``, each checked finite.  A τ so large that the system
+        overflows gives a non-finite point, which raises like a singular
+        system and warns of nothing."""
         try:
-            coeff = np.linalg.solve(S, self.rhs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                S = np.eye(len(self.gram)) + (tau / 2.0) * self.gram
+                coeff = np.linalg.solve(S, self.rhs)
         except np.linalg.LinAlgError as exc:
             raise CayleyStepError(f"singular curve system at tau={tau}") from exc
         out = np.empty(Z.shape)

@@ -467,18 +467,17 @@ def minibatch_kmeans_reference(
     distance matrix, its cost is the mean of those minima, and it is
     updated by ``minibatch_running_mean``.  The loop ends after
     _MAX_ITERATIONS batches, or at the first batch whose last _PATIENCE
-    smoothed costs all lie at or above the lowest one before them.  Both
-    final passes go through ``assign_with_repair_reference``.  The
-    package's constants are read at call time.  Returns the result and the
-    batches run."""
+    smoothed costs all lie at or above the lowest one before them.  The
+    final pass of the trained centroids goes through
+    ``assign_with_repair_reference``.  The package's constants are read at
+    call time.  Returns the result and the batches run."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     n = len(points)
     rng = make_generator(config.seed)
     rows = max(kmeans._SEED_ROWS, k)
     sample = (points[np.sort(rng.choice(n, rows, replace=False))]
               if n > rows else points)
-    initial = kmeanspp_reference(sample, k, rng)
-    centroids = initial.copy()
+    centroids = kmeanspp_reference(sample, k, rng)
     counts = np.zeros(k, dtype=np.int64)
     alpha = min(1.0, 2.0 * kmeans._BATCH_SIZE / (n + 1))
     patience = kmeans._PATIENCE
@@ -494,9 +493,7 @@ def minibatch_kmeans_reference(
         if (len(smoothed) > patience
                 and min(smoothed[-patience:]) >= min(smoothed[:-patience])):
             break
-    trained = assign_with_repair_reference(points, centroids)
-    seeded = assign_with_repair_reference(points, initial)
-    return (*(trained if trained[2] <= seeded[2] else seeded), len(smoothed))
+    return (*assign_with_repair_reference(points, centroids), len(smoothed))
 
 
 def triangle_triple_loop(summary: Summary) -> float:

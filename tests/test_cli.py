@@ -185,10 +185,9 @@ class TestSummarize:
         assert code == 0
         assert out.endswith("\n") and out.count("\n") == 1
         cluster = json.loads(out, parse_constant=reject)["cluster"]
-        assert set(cluster) == {"batches", "stop", "winner", "seeded_cost",
-                                "trained_cost", "repairs"}
+        assert set(cluster) == {"batches", "stop", "cost", "repairs"}
         assert cluster["stop"] in ("plateau", "cap")
-        assert cluster["winner"] in ("trained", "seeded")
+        assert isinstance(cluster["cost"], float) and cluster["cost"] >= 0
         assert isinstance(cluster["batches"], int)
         assert isinstance(cluster["repairs"], int)
         # The record is specsumm()'s, through a float-exact round trip.
@@ -371,6 +370,23 @@ class TestEvaluate:
                                    "membership": [0] * 6, "densities": [0.1],
                                    "meta": {}}))
         assert main(["evaluate", graph_file, str(bad)]) == 1
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"],
+                             ids=["true", "1.0", "string"])
+    def test_format_version_must_be_the_integer_1(self, tmp_path, capsys,
+                                                  graph_file, version):
+        # true and 1.0 compare equal to 1 but are not the JSON integer 1.
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps({"format_version": version, "n": 6,
+                                   "k": 1, "membership": [0] * 6,
+                                   "densities": [0.1], "meta": {}}))
+        code = main(["evaluate", graph_file, str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: unsupported format_version")
+        with pytest.raises(specsumm.ParseError):
+            read_summary_file(bad)
 
 
 class TestRelax:

@@ -228,8 +228,9 @@ class TestGreedySeeding:
         greedy = kmeans._greedy_kmeanspp
 
         def recording(points, k, generator):
+            # minibatch_kmeans trains the seeding it gets in place.
             seen.append((len(points), greedy(points, k, generator)))
-            return seen[-1][1]
+            return seen[-1][1].copy()
 
         monkeypatch.setattr(kmeans, "_greedy_kmeanspp", recording)
         points = rng.standard_normal((1000, 5))
@@ -303,6 +304,16 @@ class TestMinibatchKmeans:
         assert np.array_equal(a[1], b[1])
         assert a[2] == b[2]
 
+    @pytest.mark.parametrize("n, d", [(1, 1), (5, 1), (30, 3), (300, 7)])
+    def test_k_equals_n_gives_each_point_its_own_cluster(self, rng, n, d):
+        # The trained centroids stay on their points up to rounding.
+        for seed in range(3):
+            points = rng.standard_normal((n, d))
+            assign, _, cost = minibatch_kmeans(points, n,
+                                               KmeansConfig(seed=seed))
+            assert np.array_equal(np.sort(assign), np.arange(n))
+            assert cost < 1e-20
+
     def test_k_too_large(self):
         with pytest.raises(ParameterError):
             minibatch_kmeans(np.zeros((2, 2)), 3, KmeansConfig(seed=0))
@@ -314,11 +325,12 @@ class TestStopRule:
         points = (np.repeat(centres, 400, axis=0)
                   + 0.01 * rng.standard_normal((3200, 5)))
         for seed in range(4):
-            assign, _, _, record = _minibatch_kmeans(points, 8,
-                                                     KmeansConfig(seed=seed))
+            assign, centroids, cost, record = _minibatch_kmeans(
+                points, 8, KmeansConfig(seed=seed))
             assert record["stop"] == "plateau"
             assert record["batches"] < kmeans._MAX_ITERATIONS
-            assert record["winner"] == "trained"
+            assert record["cost"] == cost
+            assert kmeans_cost(points, centroids, assign) == cost
             groups = assign.reshape(8, 400)
             assert np.all(groups == groups[:, :1])
             assert len(set(groups[:, 0].tolist())) == 8
@@ -342,10 +354,11 @@ class TestStopRule:
             assert np.array_equal(public[0], assign)
             assert np.array_equal(public[1], centroids)
             assert public[2] == cost
-            assert cost == min(record["seeded_cost"], record["trained_cost"])
-            assert record["winner"] == ("trained" if record["trained_cost"]
-                                        <= record["seeded_cost"] else "seeded")
+            assert set(record) == {"batches", "stop", "cost", "repairs"}
+            assert record["cost"] == cost
+            assert kmeans_cost(points, centroids, assign) == cost
             assert 1 <= record["batches"] <= kmeans._MAX_ITERATIONS
+            assert record["stop"] in ("plateau", "cap")
             assert {type(v) for v in record.values()} <= {int, float, str}
 
 

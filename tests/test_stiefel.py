@@ -165,6 +165,16 @@ class TestCayleyStep:
             np.testing.assert_allclose(out, expected, atol=1e-9)
             assert orthonormality_defect(out) <= 1e-10
 
+    def test_overflowing_system_raises_without_a_warning(self):
+        # At τ = 1e308, (τ/2)·CᵀB overflows: the step must fail as a
+        # CayleyStepError, which the search halves τ on, and warn of nothing.
+        Z = random_orthonormal_init(2, 1, seed=0)
+        W = skew_direction(Z, np.array([[4.0], [-3.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CayleyStepError):
+                cayley_step(Z, W, 1e308)
+
     def test_copy_of_z_takes_the_general_form(self, rng):
         Z = random_orthonormal_init(30, 4, seed=2)
         G = rng.standard_normal((30, 4))
