@@ -13,9 +13,10 @@ search is screened: one GEMM gives every squared distance as
 every centroid, and only rows where that bound cannot name a single
 winner are recomputed in the exact difference form Σ(x − c)² that the
 seeding's D², the fits, the batch costs and the final cost use.  The
-seeding's choice among its candidates is screened the same way, with the
-rows' slacks summed.  So every choice is the exact form's, bit for bit,
-whatever the BLAS thread count.
+seeding scores its draws by the same rule: a row whose screened distance
+to a draw, minus its slack, exceeds its D² keeps that D², and every other
+row takes its exact distance.  So every choice is the exact form's, bit
+for bit, whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -164,73 +165,33 @@ def _update_batch(centroids: np.ndarray, counts: np.ndarray,
                        / counts[hit, None])
 
 
-# A candidate's potential Σᵢ min(D²ᵢ, dᵢ²) moves by at most sᵢ in row i
-# when dᵢ² moves by sᵢ (min is 1-Lipschitz), so before their sums round,
-# the screened and the exact potentials differ by at most Σsᵢ.  A sum of n
-# terms in any order errs by at most γ_n times the sum of their magnitudes
-# (Higham §4.2), once for the screened sum and once for the exact one, whose
-# magnitudes sum to at most the screened ones' plus Σsᵢ.  The slack doubles
-# that total, which covers the rounding of the slack itself.
-def _screen_candidates(points: np.ndarray, row_sq: np.ndarray,
-                       best: np.ndarray, candidates: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  np.ndarray]:
-    """The GEMM-form distances (t, n) of the t candidate rows to every
-    point and each point's ``_row_slack``, given ``row_sq`` = ‖x‖²; then
-    each candidate's potential Σᵢ min(bestᵢ, approxᵢ) and a slack that
-    bounds its gap to the exact potential, the sum of np.minimum(best,
-    the candidate's ``_assigned_sq_dists`` column)."""
-    n = len(points)
-    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    cent_sq = np.einsum("td,td->t", candidates, candidates)
-    with np.errstate(over="ignore", invalid="ignore"):
-        approx = row_sq - 2.0 * (candidates @ points.T) + cent_sq[:, None]
-        slack = _row_slack(row_sq, cent_sq, points.shape[1])
-        reduced = np.minimum(best, approx)
-        total = slack.sum()
-        bound = 2.0 * (total + 2.0 * gamma
-                       * (np.abs(reduced).sum(axis=1) + total))
-        return approx, slack, reduced.sum(axis=1), bound
-
-
-def _exact_best_candidate(points: np.ndarray, best: np.ndarray,
-                          candidates: np.ndarray) -> tuple[int, np.ndarray]:
-    """The candidate with the lowest exact potential, the first on ties,
-    and D² with it added as a centroid."""
-    reduced = [np.minimum(best, _assigned_sq_dists(points, points[[c]]))
-               for c in candidates]
-    win = int(np.argmin([r.sum() for r in reduced]))
-    return int(candidates[win]), reduced[win]
-
-
 def _best_candidate(points: np.ndarray, row_sq: np.ndarray, best: np.ndarray,
                     drawn: np.ndarray) -> tuple[int, np.ndarray]:
     """The draw with the lowest exact potential, the first such on ties,
     and D² with it added as a centroid, bit for bit as the exact form
     gives them.
 
-    Repeated draws are scored once.  The screen settles the choice when
-    every screened distance is finite and its winner is the only draw that
-    its slack cannot rule out; any other outcome (a near or exact tie, an
-    overflow) sends every distinct draw to ``_exact_best_candidate``.  A
-    settled winner's exact distances are taken only on the rows whose
-    screened distance minus slack does not exceed their D², since only
-    they can come closer.
+    Repeated draws are scored once.  One GEMM gives every distinct draw's
+    screened distances to every row, and ``_row_slack`` each row's slack.
+    A row whose screened distance minus slack exceeds its D² provably keeps
+    it; every other row (NaN and overflow included) takes the minimum of
+    its D² and its exact ``_assigned_sq_dists`` distance, all draws' such
+    rows in one gathered call.  Each draw's potential is the sum of its
+    full updated D².
     """
     candidates = np.array(list(dict.fromkeys(drawn.tolist())))
-    approx, slack, potential, bound = _screen_candidates(
-        points, row_sq, best, points[candidates])
-    win = int(np.argmin(potential))
-    with np.errstate(invalid="ignore"):
-        rivals = ~(potential - bound > potential[win] + bound[win])
-        if np.count_nonzero(rivals) != 1 or not np.isfinite(approx).all():
-            return _exact_best_candidate(points, best, candidates)
-        near = np.flatnonzero(~(approx[win] - slack > best))
-    pick = int(candidates[win])
-    best = best.copy()
-    best[near] = np.minimum(best[near], _assigned_sq_dists(points[near],
-                                                           points[[pick]]))
-    return pick, best
+    drawn_points = points[candidates]
+    cent_sq = np.einsum("td,td->t", drawn_points, drawn_points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = row_sq - 2.0 * (drawn_points @ points.T) + cent_sq[:, None]
+        slack = _row_slack(row_sq, cent_sq, points.shape[1])
+        near = ~(approx - slack > best)
+    draw, rows = np.divmod(np.flatnonzero(near), len(points))
+    reduced = np.repeat(best[None, :], len(candidates), axis=0)
+    reduced[draw, rows] = np.minimum(best[rows], _assigned_sq_dists(
+        points[rows], drawn_points, draw))
+    win = int(np.argmin([r.sum() for r in reduced]))
+    return int(candidates[win]), reduced[win]
 
 
 def _greedy_kmeanspp(points: np.ndarray, k: int,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .graph import Graph, adjacency_trace_sq
-from .kmeans import KmeansConfig, _minibatch_kmeans
+from .kmeans import _UNIT_ROUNDOFF, KmeansConfig, _minibatch_kmeans
 from .rng import derive_seeds, make_generator
 from .spectral import lm_eigs
 from .stiefel import ocsa, random_orthonormal_init
@@ -40,11 +40,17 @@ class Membership:
 
     def __post_init__(self):
         # copy so freezing never reaches back into the caller's buffer
-        assign = np.array(self.assign, dtype=np.int64)
+        assign = np.array(self.assign)
         if assign.ndim != 1 or assign.size == 0:
             raise ParameterError("assignment must be a non-empty 1-d array")
+        if assign.dtype.kind not in "iu":
+            raise ParameterError("assignment labels must be integers")
+        if (isinstance(self.k, bool)
+                or not isinstance(self.k, (int, np.integer))):
+            raise ParameterError("k must be an integer")
         if self.k < 1:
             raise ParameterError("k must be >= 1")
+        assign = assign.astype(np.int64, copy=False)
         if assign.min() < 0 or assign.max() >= self.k:
             raise ParameterError("assignment labels must lie in [0, k)")
         sizes = np.bincount(assign, minlength=self.k)
@@ -204,7 +210,6 @@ _BLOCK_NODES = 64
 # term is subnormal: a nonzero numerator is at least 1 and a denominator
 # at most n².
 _SCREEN_SLACK_FACTOR = 8.0
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _neighbor_counts(graph: Graph, assign: np.ndarray, nodes: np.ndarray,

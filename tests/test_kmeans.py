@@ -8,8 +8,7 @@ from specsumm import (KmeansConfig, ParameterError, generate_sbm, kmeans_cost,
                       random_orthonormal_init)
 from specsumm import kmeans
 from specsumm.kmeans import (_assign_with_repair, _assigned_sq_dists,
-                             _best_candidate, _exact_best_candidate,
-                             _minibatch_kmeans, _nearest, _screen_candidates,
+                             _best_candidate, _minibatch_kmeans, _nearest,
                              _update_batch)
 from specsumm.rng import make_generator
 
@@ -95,24 +94,6 @@ class TestGreedySeeding:
     """The screened greedy choice against the exact one: the oracle reads
     every potential off full exact distance matrices."""
 
-    @staticmethod
-    def _fallbacks(monkeypatch):
-        """A list that grows by one entry per exact fallback."""
-        calls = []
-        exact = kmeans._exact_best_candidate
-
-        def counting(*args):
-            calls.append(len(args[2]))
-            return exact(*args)
-
-        monkeypatch.setattr(kmeans, "_exact_best_candidate", counting)
-        return calls
-
-    @staticmethod
-    def _exact_potentials(points, best, candidates):
-        return np.array([np.minimum(best, _assigned_sq_dists(points, c)).sum()
-                         for c in candidates])
-
     @pytest.mark.parametrize("n, d, k", [(1, 1, 1), (7, 2, 7), (300, 4, 6),
                                          (1500, 9, 40), (2500, 40, 12)])
     def test_equals_reference(self, rng, n, d, k):
@@ -124,39 +105,49 @@ class TestGreedySeeding:
             for layout in _layouts(points):
                 assert np.array_equal(kmeanspp_init(layout, k, seed), want)
 
-    def test_duplicated_rows_tie_and_take_the_exact_path(self, monkeypatch):
+    def test_duplicated_rows_tie_and_take_the_exact_path(self):
         # Every row appears 8 times, so draws at different indices of the
         # same row tie exactly: only the exact potentials order them, and
         # the first such draw must win.
-        calls = self._fallbacks(monkeypatch)
         local = np.random.default_rng(11)
         points = np.repeat(local.standard_normal((30, 3)), 8, axis=0)
         for seed in range(5):
             want = kmeanspp_reference(points, 20, make_generator(seed))
             assert np.array_equal(kmeanspp_init(points, 20, seed), want)
-        assert len(calls) > 5
 
-    def test_orthonormal_embedding_needs_no_fallback(self, monkeypatch):
-        # The slack must stay tight enough that an embedding like the
-        # pipeline's settles every choice from the GEMM alone.
-        calls = self._fallbacks(monkeypatch)
+    def test_overflowing_gemm_form_takes_the_exact_path(self, rng):
+        # ‖x‖² overflows near 1.3e154 while the differences stay finite:
+        # every screened distance reads inf - inf, so every row of every
+        # draw takes its exact distance, and no warning escapes.
+        points = 1e155 + 1e150 * rng.standard_normal((300, 3))
+        assert np.all(np.isfinite(sq_dists(points, points[:5])))
+        for seed in range(4):
+            want = kmeanspp_reference(points, 8, make_generator(seed))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.array_equal(kmeanspp_init(points, 8, seed), want)
+
+    def test_orthonormal_embedding_settles_most_rows_from_the_gemm(
+            self, monkeypatch):
+        # The slack must stay tight enough that, on an embedding like the
+        # pipeline's, the draws after the first centroid get their exact
+        # distances on few of the rows: each call measures its rows
+        # against one or more distinct draws.
+        rows, draws = [], []
+        column = kmeans._assigned_sq_dists
+
+        def counting(p, c, assign=None):
+            rows.append(len(p))
+            draws.append(len(c))
+            return column(p, c, assign)
+
+        monkeypatch.setattr(kmeans, "_assigned_sq_dists", counting)
         points = random_orthonormal_init(4000, 40, seed=5)
         want = kmeanspp_reference(np.ascontiguousarray(points), 40,
                                   make_generator(3))
         assert np.array_equal(kmeanspp_init(points, 40, 3), want)
-        assert calls == []
-
-    def _screen_errors(self, points, best, candidates):
-        """Screened minus exact potentials, the potential slacks, and the
-        same for every distance and its row slack."""
-        row_sq = np.einsum("nd,nd->n", points, points)
-        approx, slack, potential, bound = _screen_candidates(
-            points, row_sq, best, candidates)
-        exact = self._exact_potentials(points, best, candidates)
-        columns = np.vstack([_assigned_sq_dists(points, c)
-                             for c in candidates])
-        return (np.abs(potential - exact), bound,
-                np.abs(approx - columns), slack)
+        assert rows[0] == len(points)
+        assert sum(rows[1:]) <= sum(draws[1:]) * len(points) // 10
 
     def _cases(self, rng):
         """Points with a large common offset (the GEMM form keeps few
@@ -168,39 +159,47 @@ class TestGreedySeeding:
             -3, 4, size=(n, 1))
         yield np.ascontiguousarray(random_orthonormal_init(n, 40, seed=2))
 
+    @staticmethod
+    def _row_errors(points, candidates):
+        """Each screened distance's gap to the exact one, and its row's
+        slack."""
+        row_sq = np.einsum("nd,nd->n", points, points)
+        cent_sq = np.einsum("td,td->t", candidates, candidates)
+        approx = row_sq[:, None] - 2.0 * (points @ candidates.T) + cent_sq
+        return (np.abs(approx - sq_dists(points, candidates)),
+                kmeans._row_slack(row_sq, cent_sq, points.shape[1]))
+
     def test_slack_bounds_the_screen(self, rng, monkeypatch):
-        cases = [(points, _assigned_sq_dists(points, points[0]),
-                  points[rng.choice(len(points), 6, replace=False)])
+        cases = [(points, points[rng.choice(len(points), 6, replace=False)])
                  for points in self._cases(rng)]
-        for points, best, candidates in cases:
-            gap, bound, row_gap, row_slack = self._screen_errors(
-                points, best, candidates)
-            assert np.all(gap <= bound)
-            assert np.all(row_gap <= row_slack)
+        for points, candidates in cases:
+            row_gap, row_slack = self._row_errors(points, candidates)
+            assert np.all(row_gap <= row_slack[:, None])
         # Without the per-row slack the offset case breaks the bound, so
-        # the assertions above test it.
+        # the assertion above tests it.
         monkeypatch.setattr(kmeans, "_SLACK_FACTOR", 0.0)
-        gap, bound, _, _ = self._screen_errors(*cases[0])
-        assert np.any(gap > bound)
+        row_gap, row_slack = self._row_errors(*cases[0])
+        assert np.any(row_gap > row_slack[:, None])
 
     def test_settled_choice_and_update_equal_the_exact_ones(self, rng):
         # _best_candidate recomputes the exact distances only on the rows
-        # the new centroid may bring closer; D² must still be the exact
-        # update's, bit for bit.
+        # a draw may bring closer; its choice and D² must still be the
+        # oracle's, bit for bit.
         for points in self._cases(rng):
             row_sq = np.einsum("nd,nd->n", points, points)
             best = _assigned_sq_dists(points, points[0])
             for _ in range(5):
                 drawn = rng.choice(len(points), 5, p=best / best.sum())
                 got = _best_candidate(points, row_sq, best, drawn)
-                want = _exact_best_candidate(points, best,
-                                             np.array(list(dict.fromkeys(
-                                                 drawn.tolist()))))
-                assert got[0] == want[0]
-                assert np.array_equal(got[1], want[1])
+                # Each draw's D² update, as kmeanspp_reference forms it.
+                reduced = [np.minimum(best, column) for column
+                           in sq_dists(points, points[drawn]).T]
+                win = int(np.argmin([r.sum() for r in reduced]))
+                assert got[0] == drawn[win]
+                assert np.array_equal(got[1], reduced[win])
                 best = got[1]
 
-    def test_near_ties_get_the_exact_update(self, rng):
+    def test_near_ties_get_the_exact_update(self, rng, monkeypatch):
         # Rows on the bisector of a and b, nudged toward b by 1e-16 to 1e-9
         # of |b − a|, at a common offset of 100: the GEMM form misjudges
         # which side of the bisector hundreds of them lie on, so only the
@@ -219,6 +218,10 @@ class TestGreedySeeding:
         pick, updated = _best_candidate(points, row_sq, best, np.array([1]))
         assert pick == 1
         assert np.array_equal(updated, np.minimum(best, exact))
+        # Without the slack those rows keep their old D².
+        monkeypatch.setattr(kmeans, "_SLACK_FACTOR", 0.0)
+        _, updated = _best_candidate(points, row_sq, best, np.array([1]))
+        assert not np.array_equal(updated, np.minimum(best, exact))
 
     def test_minibatch_kmeans_seeds_on_the_subsample(self, rng, monkeypatch):
         # Above _SEED_ROWS rows kmeanspp_init returns the seeding that

@@ -44,6 +44,18 @@ class TestMembership:
         with pytest.raises(ParameterError):
             _mem([], 1)
 
+    def test_rejects_non_integer_labels(self):
+        # Fractional labels would truncate and strings would parse.
+        for labels in (np.array([0.5, 1.5]), ["0", "1"], [True, False]):
+            with pytest.raises(ParameterError):
+                Membership(labels, 2)
+
+    def test_rejects_non_integer_k(self):
+        for k in (2.5, 2.0, True):
+            with pytest.raises(ParameterError):
+                Membership(np.array([0, 1]), k)
+        assert Membership(np.array([0, 1], np.uint8), np.int32(2)).k == 2
+
     def test_assign_is_read_only(self):
         m = _mem([0, 1], 2)
         with pytest.raises(ValueError):
