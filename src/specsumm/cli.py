@@ -292,6 +292,7 @@ def cmd_relax(args: argparse.Namespace) -> int:
     _print_json({"F": float(trace.objectives[-1]),
                  "initial_F": float(trace.objectives[0]),
                  "iterations": trace.iterations, "reason": trace.reason,
+                 "backtracks": trace.backtracks,
                  "n": n, "k": args.k, "init": args.init,
                  "seconds": seconds["ascent"]})
     return 0
@@ -340,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reassign-rounds", type=int, default=0,
                    help="greedy refinement rounds (0 disables)")
     p.add_argument("--reassign-samples", type=int, default=500,
-                   help="nodes sampled per refinement round")
+                   help="nodes sampled per refinement round; n or more "
+                        "sweeps every node and stops at a local optimum")
     p.add_argument("--lcc", action="store_true",
                    help="summarize only the largest connected component")
     p.add_argument("--seed", type=int, default=None)
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="lm-eigvecs")
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--tau", type=float, default=0.001,
-                   help="initial step size")
+                   help="first trial step of the first iteration")
     p.add_argument("--tol", type=float, default=0.001,
                    help="relative-gain stopping tolerance")
     p.add_argument("--seed", type=int, default=None)

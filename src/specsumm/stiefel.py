@@ -3,8 +3,11 @@
 The relaxed problem maximizes F(Z) = tr((ZᵀAZ)²) over n×k matrices with
 orthonormal columns.  Ascent stays feasible by moving along Cayley-transform
 curves of a skew-symmetric direction built from the gradient, with an
-Armijo backtracking search choosing the step size.  All heavy inverses are
-reduced to 2k×2k solves via the Sherman–Morrison–Woodbury identity.
+Armijo backtracking search choosing the step size.  Each search after the
+first starts from the step the last one accepted, doubled when that step
+passed at its first trial and earned at least half the gain its slope
+predicted.  All heavy inverses are reduced to 2k×2k solves via the
+Sherman–Morrison–Woodbury identity.
 
 The 2k×2k system comes from the k×k Grams ZᵀZ, GᵀZ and GᵀG, built once
 per iteration and shared by every trial step.  The same Grams give the
@@ -58,6 +61,9 @@ _STATIONARY_REL = 1e-8
 # the first trial step before it gives up.
 _SUFFICIENT_INCREASE = 1e-4
 _MAX_BACKTRACKS = 30
+# A step accepted at its first trial that gained at least this fraction of
+# τ·g₀, the gain its slope predicted, starts the next search at twice τ.
+_EXPAND_RATIO = 0.5
 # The search takes ‖W·Z‖² from the curve system's Grams, whose rounding
 # error is about 1e-16·‖G‖²; at or below this fraction of ‖G‖² it lifts
 # the direction instead.
@@ -73,9 +79,9 @@ class CayleyStepError(RuntimeError):
 
 @dataclass(frozen=True)
 class OcsaConfig:
-    """Ascent-loop knobs: iteration budget, first trial step and stop
-    tolerance.  ``contraction`` is not a knob: every rejected trial step
-    is halved."""
+    """Ascent-loop knobs: iteration budget, the first iteration's first
+    trial step and stop tolerance.  ``contraction`` is not a knob: every
+    rejected trial step is halved."""
 
     contraction: ClassVar[float] = 0.5
 
@@ -99,12 +105,15 @@ class AscentTrace:
 
     ``objectives[0]`` is the starting value; entry t is the objective after
     the t-th accepted step, whose size is ``step_sizes[t-1]``.  ``reason``
-    is one of "tolerance", "max-iter", "no-ascent-step".
+    is one of "tolerance", "max-iter", "no-ascent-step".  ``backtracks``
+    counts the rejected trial points of the whole run, those of a search
+    that found no step and those whose curve system was singular included.
     """
 
     objectives: np.ndarray
     step_sizes: np.ndarray
     reason: str
+    backtracks: int
 
     @property
     def iterations(self) -> int:
@@ -353,17 +362,20 @@ def _direction_slope(system: _CurveSystem, G: np.ndarray
 
 def _line_search(graph: Graph, Z: np.ndarray, G: np.ndarray, value: float,
                  tau0: float, both: Callable = _in_turn,
-                 grams: tuple | None = None) -> tuple | None:
+                 grams: tuple | None = None) -> tuple[int, tuple | None]:
     """Armijo backtracking along the Cayley curve of W = Z·Gᵀ − G·Zᵀ.
 
     Tries τ₀, τ₀ρ, τ₀ρ², …, τ₀ρ³⁰ (ρ = ``OcsaConfig.contraction``) and
     accepts the first (largest) step with F(Z(τ)) ≥ F(Z) + 1e-4·τ·g₀, where
     F(Z) = ``value`` and g₀ = ⟨G, −W·Z⟩ is the analytic curve derivative at
-    τ = 0.  Returns (τ, Z(τ), F(Z(τ)), A·Z(τ), Z(τ)ᵀA·Z(τ), Z(τ)ᵀZ(τ)), or
-    None when the direction offers no ascent: g₀ ≤ 0, the direction is
-    stationary relative to the gradient scale (‖W·Z‖ ≤ 1e-8·‖G‖), or every
-    backtrack level fails the test.  A step whose curve system is singular
-    counts as a failed level.
+    τ = 0.  Returns the number of rejected trial points and the accepted
+    step (τ, Z(τ), F(Z(τ)), A·Z(τ), Z(τ)ᵀA·Z(τ), Z(τ)ᵀZ(τ), g₀), or None
+    in its place when the direction offers no ascent: g₀ ≤ 0, the
+    direction is stationary relative to the gradient scale
+    (‖W·Z‖ ≤ 1e-8·‖G‖; no point is tried), or every backtrack level fails
+    the test.  A step whose curve system is singular counts as a failed
+    level and a rejected point.  ``ocsa`` picks τ₀ from the last search's
+    outcome.
 
     The curve system is built once, from the k×k Grams GᵀZ, GᵀG and ZᵀZ
     (``grams``, in that order, when the caller has them).  It gives ‖W·Z‖
@@ -379,10 +391,10 @@ def _line_search(graph: Graph, Z: np.ndarray, G: np.ndarray, value: float,
     k = G.shape[1]
     if (norm <= _STATIONARY_REL * math.sqrt(np.trace(system.gram[:k, k:]))
             or g0 <= 0):
-        return None
+        return 0, None
 
     tau = tau0
-    for _ in range(_MAX_BACKTRACKS + 1):
+    for rejected in range(_MAX_BACKTRACKS + 1):
         try:
             candidate = system.point(Z, tau, both)
         except CayleyStepError:
@@ -390,10 +402,10 @@ def _line_search(graph: Graph, Z: np.ndarray, G: np.ndarray, value: float,
             continue
         AZ, M, trial, gram = _trial_parts(graph, candidate, both)
         if trial >= value + _SUFFICIENT_INCREASE * tau * g0:
-            return tau, candidate, trial, AZ, M, gram
+            return rejected, (tau, candidate, trial, AZ, M, gram, g0)
         candidate = AZ = None
         tau *= OcsaConfig.contraction
-    return None
+    return _MAX_BACKTRACKS + 1, None
 
 
 def random_orthonormal_init(n: int, k: int, seed: int | None) -> np.ndarray:
@@ -428,6 +440,10 @@ def ocsa(graph: Graph, Z0: np.ndarray,
     until the relative objective gain drops to ``relative_tolerance``, the
     search finds no ascent step, or ``max_iterations`` is exhausted.  The
     objective history is non-decreasing and every iterate stays feasible.
+    The first search starts at ``initial_step``.  Each later one starts
+    at the τ the last accepted, doubled when that τ passed at its first
+    trial and F rose by at least ½·τ·g₀ (the ratio test of trust
+    regions), so step sizes may exceed ``initial_step``.
     Each gradient 4·(A·Z)·(ZᵀAZ) reuses the A·Z and ZᵀAZ of the step the
     search accepted, so an iteration makes one sparse product per trial
     step and no other: a gradient pass, then a point pass and a trial
@@ -457,6 +473,8 @@ def ocsa(graph: Graph, Z0: np.ndarray,
     objectives: list[float] = []
     steps: list[float] = []
     reason = "max-iter"
+    backtracks = 0
+    tau0 = config.initial_step
     with _lanes(Z.size) as both:
         AZ, M, value, ZtZ = _trial_parts(graph, Z, both)
         objectives.append(value)
@@ -464,14 +482,18 @@ def ocsa(graph: Graph, Z0: np.ndarray,
             G, GtZ, GtG = _gradient_parts(Z, AZ, M, both)
             # Only the gradient reads A·Z; the last search result holds it.
             AZ = found = None
-            found = _line_search(graph, Z, G, value, config.initial_step,
-                                 both, (GtZ, GtG, ZtZ))
+            rejected, found = _line_search(graph, Z, G, value, tau0, both,
+                                           (GtZ, GtG, ZtZ))
+            backtracks += rejected
             if found is None:
                 reason = "no-ascent-step"
                 break
-            tau, Z, trial, AZ, M, ZtZ = found
+            tau, Z, trial, AZ, M, ZtZ, g0 = found
             objectives.append(trial)
             steps.append(tau)
+            tau0 = tau
+            if rejected == 0 and trial - value >= _EXPAND_RATIO * tau * g0:
+                tau0 = tau / OcsaConfig.contraction
             # value > 0: F = 0 gives G = 0, which the search rejects as
             # stationary.
             relative_gain = (trial - value) / value
@@ -482,5 +504,5 @@ def ocsa(graph: Graph, Z0: np.ndarray,
 
     trace = AscentTrace(objectives=np.asarray(objectives, dtype=np.float64),
                         step_sizes=np.asarray(steps, dtype=np.float64),
-                        reason=reason)
+                        reason=reason, backtracks=backtracks)
     return Z, trace

@@ -561,11 +561,13 @@ def ocsa_reference(graph: Graph, Z0: np.ndarray,
                    config: OcsaConfig) -> tuple[np.ndarray, AscentTrace]:
     """The ascent loop with a fresh gradient (its own A·Z) every iteration
     and the curve system rebuilt from n-long products at every trial step:
-    the same Armijo rule, stop tests and trace as ``ocsa``, with the
-    package's Armijo constant and backtrack limit read at call time."""
+    the same Armijo rule, step-size carry, stop tests and trace as
+    ``ocsa``, with the package's Armijo constant, backtrack limit and
+    expand ratio read at call time."""
     Z = np.array(Z0, dtype=np.float64)
     value = trace_objective_relaxed(graph, Z)
     objectives, steps, reason = [value], [], "max-iter"
+    backtracks, tau0 = 0, config.initial_step
     for _ in range(config.max_iterations):
         G = gradient(graph, Z)
         W = skew_direction(Z, G)
@@ -575,24 +577,30 @@ def ocsa_reference(graph: Graph, Z0: np.ndarray,
                 or g0 <= 0):
             reason = "no-ascent-step"
             break
-        tau, accepted = config.initial_step, None
+        tau, accepted, rejected = tau0, None, 0
         for _ in range(stiefel._MAX_BACKTRACKS + 1):
             try:
                 candidate = cayley_step_reference(Z, W, tau)
             except CayleyStepError:
                 tau *= config.contraction
+                rejected += 1
                 continue
             trial = trace_objective_relaxed(graph, candidate)
             if trial >= value + stiefel._SUFFICIENT_INCREASE * tau * g0:
                 accepted = candidate, trial
                 break
             tau *= config.contraction
+            rejected += 1
+        backtracks += rejected
         if accepted is None:
             reason = "no-ascent-step"
             break
         Z, trial = accepted
         objectives.append(trial)
         steps.append(tau)
+        expand = (rejected == 0
+                  and trial - value >= stiefel._EXPAND_RATIO * tau * g0)
+        tau0 = tau / config.contraction if expand else tau
         gain = (trial - value) / value if value > 0 else (
             np.inf if trial > 0 else 0.0)
         value = trial
@@ -600,4 +608,5 @@ def ocsa_reference(graph: Graph, Z0: np.ndarray,
             reason = "tolerance"
             break
     return Z, AscentTrace(objectives=np.asarray(objectives),
-                          step_sizes=np.asarray(steps), reason=reason)
+                          step_sizes=np.asarray(steps), reason=reason,
+                          backtracks=backtracks)

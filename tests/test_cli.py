@@ -398,6 +398,7 @@ class TestRelax:
         assert code == 0
         assert report["reason"] == "no-ascent-step"
         assert report["iterations"] == 0
+        assert report["backtracks"] == 0
         assert report["F"] == report["initial_F"]
 
         lines = trace_path.read_text().splitlines()
@@ -436,6 +437,28 @@ class TestRelax:
         assert len(values) == report["iterations"] + 1
         assert values[-1] == report["F"]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_report_and_trace_are_the_ascents(self, tmp_path, graph_file,
+                                              capsys):
+        # --tau is the first iteration's first trial; later steps start from
+        # the last accepted one, so a trace's tau may exceed it.
+        trace_path = tmp_path / "t.tsv"
+        code, report = _run(capsys, ["relax", graph_file, "--k", "2",
+                                     "--init", "random", "--iters", "40",
+                                     "--tol", "0", "--seed", "123",
+                                     "--trace", str(trace_path)])
+        assert code == 0
+        graph = Graph.from_edges(6, [tuple(map(int, line.split()))
+                                     for line in TWO_TRIANGLES.splitlines()])
+        _, trace = specsumm.ocsa(
+            graph, specsumm.random_orthonormal_init(6, 2, 123),
+            specsumm.OcsaConfig(max_iterations=40, relative_tolerance=0.0))
+        assert type(report["backtracks"]) is int
+        assert report["backtracks"] == trace.backtracks > 0
+        taus = [float(row.split("\t")[2])
+                for row in trace_path.read_text().splitlines()[2:]]
+        assert taus == trace.step_sizes.tolist()
+        assert taus[0] == 0.001 < max(taus)
 
     def test_k_out_of_range(self, graph_file):
         assert main(["relax", graph_file, "--k", "7"]) == 2

@@ -189,18 +189,23 @@ class TestLineSearch:
     def test_zero_direction_returns_none(self, k3):
         Z = np.ones((3, 1)) / np.sqrt(3.0)
         value = trace_objective_relaxed(k3, Z)
+        # A stationary direction is refused before any point is tried.
         assert stiefel._line_search(k3, Z, np.zeros((3, 1)), value,
-                                    0.001) is None
+                                    0.001) == (0, None)
 
     def test_ascent_on_two_triangles(self, two_triangles):
         Z = random_orthonormal_init(6, 2, seed=17)
         value = trace_objective_relaxed(two_triangles, Z)
-        got = stiefel._line_search(two_triangles, Z,
-                                   gradient(two_triangles, Z), value, 0.001)
+        G = gradient(two_triangles, Z)
+        rejected, got = stiefel._line_search(two_triangles, Z, G, value,
+                                             0.001)
         assert got is not None
-        tau, Z_new, trial, AZ, M, ZtZ = got
-        assert tau > 0
+        tau, Z_new, trial, AZ, M, ZtZ, g0 = got
+        assert tau == 0.001 * 0.5 ** rejected
         assert trial > value
+        # The slope the search tested against: the lifted reference's.
+        assert g0 == pytest.approx(direction_slope_reference(Z, G)[1],
+                                   rel=1e-12, abs=0)
         assert trial == trace_objective_relaxed(two_triangles, Z_new)
         assert np.array_equal(AZ, two_triangles.adjacency_matmat(Z_new))
         # Both Grams in the ascent's one form: first row half plus second.
@@ -262,9 +267,9 @@ class TestLineSearch:
             stiefel._direction_slope(
                 stiefel._curve_system(Z, skew_direction(Z, G)), G)
             assert len(lifts) == lifted
-            got = stiefel._line_search(graph, Z, G,
-                                       trace_objective_relaxed(graph, Z),
-                                       OcsaConfig.initial_step)
+            _, got = stiefel._line_search(graph, Z, G,
+                                          trace_objective_relaxed(graph, Z),
+                                          OcsaConfig.initial_step)
             Z_ref, ref = ocsa_reference(graph, Z, OcsaConfig(max_iterations=1))
             assert (got is None) == (ref.iterations == 0)
             if got is None:
@@ -374,11 +379,10 @@ class TestOcsa:
         monkeypatch.setattr(Graph, "adjacency_matmat", None)
         _, trace = ocsa(graph, Z0, config)
         assert trace.reason == "max-iter"
-        backtracks = np.rint(np.log2(config.initial_step / trace.step_sizes))
-        assert backtracks.sum() > 0
+        assert trace.backtracks > 0
         # One product for the start, then one per trial step, each made as
         # its two row halves: the gradient reuses the accepted step's A·Z.
-        products = 1 + int(np.sum(backtracks + 1))
+        products = 1 + trace.iterations + trace.backtracks
         assert calls == [(0, 20), (20, 40)] * products
 
     def test_config_validation(self):
@@ -398,6 +402,83 @@ class TestOcsa:
         assert OcsaConfig().contraction == OcsaConfig.contraction == 0.5
         with pytest.raises(TypeError):
             OcsaConfig(contraction=0.25)
+
+
+class TestStepRule:
+    """Each search starts at the τ the last one accepted, doubled after a
+    first-trial step that earned half its predicted gain τ·g₀."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Spy on the ascent's searches and on every curve point tried."""
+        searches, points = [], []
+        line_search, point = stiefel._line_search, stiefel._CurveSystem.point
+
+        def searched(graph, Z, G, value, tau0, *args):
+            rejected, found = line_search(graph, Z, G, value, tau0, *args)
+            searches.append((value, tau0, rejected, found))
+            return rejected, found
+
+        def pointed(self, Z, tau, *args):
+            points.append(tau)
+            return point(self, Z, tau, *args)
+
+        monkeypatch.setattr(stiefel, "_line_search", searched)
+        monkeypatch.setattr(stiefel._CurveSystem, "point", pointed)
+        return searches, points
+
+    @pytest.mark.parametrize("initial_step", [1e-3, 1.0])
+    def test_next_first_trial_follows_the_last_step(self, initial_step,
+                                                    monkeypatch):
+        searches, points = self._record(monkeypatch)
+        graph, _ = generate_sbm(8, 25, 0.3, 0.02, seed=3)
+        seen = set()
+        for seed in range(4):
+            searches.clear()
+            points.clear()
+            Z0 = random_orthonormal_init(graph.node_count, 4, seed=seed)
+            _, trace = ocsa(graph, Z0, OcsaConfig(
+                max_iterations=40, initial_step=initial_step,
+                relative_tolerance=0.0))
+            assert points[0] == searches[0][1] == initial_step
+            assert trace.backtracks == sum(s[2] for s in searches)
+            for (value, _, rejected, found), (_, tau0, *_) in zip(
+                    searches, searches[1:]):
+                tau, _, trial, *_, g0 = found
+                expand = rejected == 0 and trial - value >= 0.5 * tau * g0
+                assert tau0 == (2 * tau if expand else tau)
+                seen.add((expand, rejected > 0))
+        # Doubled, kept after a first-trial step that earned less than half
+        # its predicted gain, and kept after a backtrack.
+        if initial_step == 1.0:
+            assert seen >= {(True, False), (False, True)}
+        else:
+            assert seen >= {(True, False), (False, False)}
+
+    @pytest.mark.parametrize("initial_step, limit, reason", [
+        (1e-3, 30, "max-iter"), (1.0, 30, "max-iter"),
+        (1e307, 200, "max-iter"), (1e3, 0, "no-ascent-step")])
+    def test_backtracks_are_points_tried_minus_steps(
+            self, initial_step, limit, reason, monkeypatch):
+        # 1e307 overflows the curve system, whose failed points count as
+        # rejected (ρ = 0.01 lets the retries reach a working τ); with no
+        # backtrack allowed, a rejected 1e3 ends the run and its point
+        # counts too.
+        _, points = self._record(monkeypatch)
+        monkeypatch.setattr(stiefel, "_MAX_BACKTRACKS", limit)
+        if initial_step > 1e300:
+            monkeypatch.setattr(OcsaConfig, "contraction", 0.01)
+        rng = np.random.default_rng(78)
+        graph = random_graph(rng, 30, p=0.3)
+        Z0 = random_orthonormal_init(30, 3, seed=5)
+        with np.errstate(all="ignore"):
+            _, trace = ocsa(graph, Z0, OcsaConfig(
+                max_iterations=12, initial_step=initial_step,
+                relative_tolerance=0.0))
+        assert trace.reason == reason
+        assert trace.backtracks == len(points) - trace.iterations
+        # Even from 1e-3 the doubled steps overshoot and backtrack.
+        assert trace.backtracks > 0
 
 
 class TestOcsaNoAliasing:
@@ -642,6 +723,7 @@ class TestOcsaMatchesReference:
         Z_ref, ref = ocsa_reference(graph, Z0, config)
         assert trace.iterations == ref.iterations
         assert trace.reason == ref.reason
+        assert trace.backtracks == ref.backtracks
         assert np.array_equal(trace.step_sizes, ref.step_sizes)
         np.testing.assert_allclose(trace.objectives, ref.objectives,
                                    rtol=1e-10, atol=0)
