@@ -341,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reassign-rounds", type=int, default=0,
                    help="greedy refinement rounds (0 disables)")
     p.add_argument("--reassign-samples", type=int, default=500,
-                   help="nodes sampled per refinement round; n or more "
-                        "sweeps every node and stops at a local optimum")
+                   help="nodes sampled per refinement round")
     p.add_argument("--lcc", action="store_true",
                    help="summarize only the largest connected component")
     p.add_argument("--seed", type=int, default=None)

@@ -3,11 +3,13 @@
 The relaxed problem maximizes F(Z) = tr((ZᵀAZ)²) over n×k matrices with
 orthonormal columns.  Ascent stays feasible by moving along Cayley-transform
 curves of a skew-symmetric direction built from the gradient, with an
-Armijo backtracking search choosing the step size.  Each search after the
-first starts from the step the last one accepted, doubled when that step
-passed at its first trial and earned at least half the gain its slope
-predicted.  All heavy inverses are reduced to 2k×2k solves via the
-Sherman–Morrison–Woodbury identity.
+Armijo backtracking search choosing the step size by the ratio test of
+trust regions: a trial step that earns less than a quarter of the gain
+τ·g₀ its slope predicts is halved, and each search after the first starts
+from the step the last one accepted, doubled when that step passed at its
+first trial and earned at least half the predicted gain.  All heavy
+inverses are reduced to 2k×2k solves via the Sherman–Morrison–Woodbury
+identity.
 
 The 2k×2k system comes from the k×k Grams ZᵀZ, GᵀZ and GᵀG, built once
 per iteration and shared by every trial step.  The same Grams give the
@@ -58,11 +60,13 @@ __all__ = [
 FEASIBILITY_TOL = 1e-8
 _STATIONARY_REL = 1e-8
 # Armijo constant c of the line search, and the backtracks it makes after
-# the first trial step before it gives up.
-_SUFFICIENT_INCREASE = 1e-4
+# the first trial step before it gives up.  A trial step must earn this
+# fraction of τ·g₀, the gain its slope predicted: a carried step that
+# overshoots the curve's peak is halved, not taken.
+_SUFFICIENT_INCREASE = 0.25
 _MAX_BACKTRACKS = 30
 # A step accepted at its first trial that gained at least this fraction of
-# τ·g₀, the gain its slope predicted, starts the next search at twice τ.
+# τ·g₀ starts the next search at twice τ.
 _EXPAND_RATIO = 0.5
 # The search takes ‖W·Z‖² from the curve system's Grams, whose rounding
 # error is about 1e-16·‖G‖²; at or below this fraction of ‖G‖² it lifts
@@ -366,7 +370,7 @@ def _line_search(graph: Graph, Z: np.ndarray, G: np.ndarray, value: float,
     """Armijo backtracking along the Cayley curve of W = Z·Gᵀ − G·Zᵀ.
 
     Tries τ₀, τ₀ρ, τ₀ρ², …, τ₀ρ³⁰ (ρ = ``OcsaConfig.contraction``) and
-    accepts the first (largest) step with F(Z(τ)) ≥ F(Z) + 1e-4·τ·g₀, where
+    accepts the first (largest) step with F(Z(τ)) ≥ F(Z) + ¼·τ·g₀, where
     F(Z) = ``value`` and g₀ = ⟨G, −W·Z⟩ is the analytic curve derivative at
     τ = 0.  Returns the number of rejected trial points and the accepted
     step (τ, Z(τ), F(Z(τ)), A·Z(τ), Z(τ)ᵀA·Z(τ), Z(τ)ᵀZ(τ), g₀), or None
@@ -440,10 +444,11 @@ def ocsa(graph: Graph, Z0: np.ndarray,
     until the relative objective gain drops to ``relative_tolerance``, the
     search finds no ascent step, or ``max_iterations`` is exhausted.  The
     objective history is non-decreasing and every iterate stays feasible.
-    The first search starts at ``initial_step``.  Each later one starts
-    at the τ the last accepted, doubled when that τ passed at its first
-    trial and F rose by at least ½·τ·g₀ (the ratio test of trust
-    regions), so step sizes may exceed ``initial_step``.
+    The step follows the ratio test of trust regions: the search halves a
+    trial step that raises F by less than ¼·τ·g₀, and only the first
+    search starts at ``initial_step``.  Each later one starts at the τ the
+    last accepted, doubled when that τ passed at its first trial and F
+    rose by at least ½·τ·g₀, so step sizes may exceed ``initial_step``.
     Each gradient 4·(A·Z)·(ZᵀAZ) reuses the A·Z and ZᵀAZ of the step the
     search accepted, so an iteration makes one sparse product per trial
     step and no other: a gradient pass, then a point pass and a trial

@@ -339,11 +339,7 @@ def reassignment(graph: Graph, membership: Membership, counts: np.ndarray,
     strictly increases it.  Moves update a private copy of ``counts`` (the
     caller's array is left as it was), and the objective is then
     recomputed exactly from the counts.
-    Moves that would empty a supernode are skipped.  When
-    ``samples_per_round`` ≥ n, every round visits every node, and a round
-    that makes no move ends the rounds: no node has an improving move, so
-    the membership is a local optimum and later rounds would change
-    nothing.  Rounds of fewer samples never stop early.
+    Moves that would empty a supernode are skipped.
 
     The visits are evaluated in windows: the next 64 sampled nodes against
     the current counts.  A screen gives every move of every node in the
@@ -397,7 +393,6 @@ def _reassign(graph: Graph, membership: Membership, counts: np.ndarray,
     moves: list[ReassignMove] = []
 
     for _ in range(config.rounds):
-        made = len(moves)
         sampled = rng.choice(n, size=min(config.samples_per_round, n),
                              replace=False)
         pos = 0
@@ -435,10 +430,6 @@ def _reassign(graph: Graph, membership: Membership, counts: np.ndarray,
             assign[node] = b
             moves.append(ReassignMove(node, a, b,
                                       _objective_from_counts(counts, sizes)))
-        # A round that visited every node and moved none ends at a local
-        # optimum: every later round would move none either.
-        if config.samples_per_round >= n and len(moves) == made:
-            break
     return Membership(assign, k), moves, counts
 
 

@@ -405,8 +405,10 @@ class TestOcsa:
 
 
 class TestStepRule:
-    """Each search starts at the τ the last one accepted, doubled after a
-    first-trial step that earned half its predicted gain τ·g₀."""
+    """The ratio test of trust regions on the predicted gain τ·g₀: a trial
+    step that earns less than a quarter of it is halved, and each search
+    starts at the τ the last one accepted, doubled after a first-trial
+    step that earned half of it."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -445,6 +447,7 @@ class TestStepRule:
             for (value, _, rejected, found), (_, tau0, *_) in zip(
                     searches, searches[1:]):
                 tau, _, trial, *_, g0 = found
+                assert trial - value >= 0.25 * tau * g0
                 expand = rejected == 0 and trial - value >= 0.5 * tau * g0
                 assert tau0 == (2 * tau if expand else tau)
                 seen.add((expand, rejected > 0))
@@ -454,6 +457,29 @@ class TestStepRule:
             assert seen >= {(True, False), (False, True)}
         else:
             assert seen >= {(True, False), (False, False)}
+
+    def test_a_step_short_of_a_quarter_of_its_gain_is_halved(self):
+        # A first trial past the curve's peak still raises F, by less than
+        # ¼·τ·g₀: the search rejects it, though an Armijo constant of 1e-4
+        # would take it.
+        graph = random_graph(np.random.default_rng(78), 30, p=0.3)
+        Z = random_orthonormal_init(30, 3, seed=5)
+        value = trace_objective_relaxed(graph, Z)
+        G = gradient(graph, Z)
+        W = skew_direction(Z, G)
+        g0 = direction_slope_reference(Z, G)[1]
+
+        def ratio(tau):
+            point = cayley_step(Z, W, tau)
+            gain = trace_objective_relaxed(graph, point) - value
+            return gain / (tau * g0)
+
+        tau0 = next(tau for tau in 1e-3 * 2.0 ** np.arange(20)
+                    if 1e-3 < ratio(tau) < 0.25)
+        rejected, (tau, *_) = stiefel._line_search(graph, Z, G, value, tau0)
+        assert rejected >= 1
+        assert tau == tau0 * 0.5 ** rejected
+        assert ratio(tau) >= 0.25
 
     @pytest.mark.parametrize("initial_step, limit, reason", [
         (1e-3, 30, "max-iter"), (1.0, 30, "max-iter"),

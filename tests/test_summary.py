@@ -534,60 +534,6 @@ class TestBlockedReassign:
                                              seed=seed))
         assert len(moves) > 100
 
-    @staticmethod
-    def _count_rounds(monkeypatch):
-        """Count the rounds ``_reassign`` samples, one ``choice`` each."""
-        rounds = []
-
-        class Counted:
-            def __init__(self, seed):
-                self._rng = make_generator(seed)
-
-            def choice(self, *args, **kwargs):
-                rounds.append(kwargs["size"])
-                return self._rng.choice(*args, **kwargs)
-
-        monkeypatch.setattr(summary_module, "make_generator", Counted)
-        return rounds
-
-    def test_full_sweeps_stop_at_a_local_optimum(self, monkeypatch):
-        rounds = self._count_rounds(monkeypatch)
-        for seed in (1, 2, 3):
-            graph, planted = generate_sbm(8, 30, 0.3, 0.05, seed)
-            n = graph.node_count
-            start = random_membership(np.random.default_rng(seed), n, 8)
-            counts = supernode_edge_counts(graph, start)
-            for samples in (n, 2 * n):
-                rounds.clear()
-                big = _reassign(graph, start, counts, ReassignConfig(
-                    rounds=1000, samples_per_round=samples, seed=seed))
-                needed = len(rounds)
-                # Sweeps that move, then one that moves none.
-                assert 2 < needed < 1000
-                config = ReassignConfig(rounds=needed,
-                                        samples_per_round=samples, seed=seed)
-                exact = _reassign(graph, start, counts, config)
-                assert _move_bits(big[1]) == _move_bits(exact[1])
-                assert np.array_equal(big[0].assign, exact[0].assign)
-                assert np.array_equal(big[2], exact[2])
-                # The reference, which never stops early, agrees.
-                moves = self._compare(graph, start, config)
-                assert _move_bits(moves) == _move_bits(big[1])
-                # No node of the result has an improving move.
-                assert best_single_move(graph, big[0])[1] is None
-
-    def test_partial_rounds_never_stop_early(self, monkeypatch):
-        rounds = self._count_rounds(monkeypatch)
-        graph, planted = generate_sbm(4, 30, 0.9, 0.02, seed=0)
-        n = graph.node_count
-        counts = supernode_edge_counts(graph, planted)
-        for samples, want in ((n - 1, 7), (n, 1)):
-            rounds.clear()
-            _, moves, _ = _reassign(graph, planted, counts, ReassignConfig(
-                rounds=7, samples_per_round=samples, seed=5))
-            assert moves == []
-            assert len(rounds) == want
-
     def test_moves_at_consecutive_positions_and_block_end(self):
         # Sample positions 5 and 6 hold misplaced nodes, and so does the
         # last slot of the block that starts after them.
