@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .graph import Graph, adjacency_trace_sq
-from .kmeans import _UNIT_ROUNDOFF, KmeansConfig, _minibatch_kmeans
+from .kmeans import KmeansConfig, _minibatch_kmeans
 from .rng import derive_seeds, make_generator
 from .spectral import lm_eigs
 from .stiefel import ocsa, random_orthonormal_init
@@ -186,30 +186,30 @@ class ReassignMove(NamedTuple):
     objective: float
 
 
-# Sampled nodes screened per window of _reassign: each (B, k) temporary of
-# the screen holds under 4096 floats below k = 64, and from there on no
-# more than one (k, k) temporary of _move_deltas or the counts matrix.
+# Sampled nodes evaluated per window of _reassign: each (B, k) temporary
+# of _move_deltas holds under 4096 floats below k = 64, and from there on
+# no more than a (k, k) one of the counts.
 _BLOCK_NODES = 64
 
-# Both delta forms, the screen and _move_deltas, are signed sums of
-# terms like E²/(n_i·n_j) of exact integers (counts and sizes far below
-# 2⁵³, and their sums and differences), and every term meets at most
-# k + 11 roundings on its way to the delta: a few in forming it, k − 1 in
-# a band sum of any order (BLAS or not, FMA or not), and the scalings and
-# combinations after it.  So each form lies within γ_{k+11}·M of the true
-# delta, M the sum of its terms' absolute values (Higham, "Accuracy and
-# Stability of Numerical Algorithms", §3.1).  Every term is bounded
-# through a band sum: an entry a band drops is one of the band's own
-# terms, 2·|E_bj·c_j| ≤ E_bj² + c_j², and each subtracted entry of the
-# exact form is a term of its band over the group's size.  So the two M
-# add up to at most 5P, and the forms differ by at most 5γ_{k+11}·P,
-# where P = 2X/n'_a + 4(R_b + C)/n'_b + I + 2R_a/n_a + 2R_b/n_b, with
+# Each move delta is a signed sum of terms like E²/(n_i·n_j) of exact
+# integers (counts and sizes far below 2⁵³, and their sums and
+# differences), and every term meets at most k + 11 roundings on its way
+# to the delta: a few in forming it, k − 1 in a band sum of any order
+# (FMA or not), and the scalings and combinations after it.  So each delta
+# lies within γ_{k+11}·M of the true change in F, M the sum of its terms'
+# absolute values (Higham, "Accuracy and Stability of Numerical
+# Algorithms", §3.1).  Every term is bounded through a band sum: an entry
+# a band drops is one of the band's own terms, and
+# 2·|E_bj·c_j| ≤ E_bj² + c_j².  So M ≤ 5P, where
+# P = 2X/n'_a + 4(R_b + C)/n'_b + I + 2R_a/n_a + 2R_b/n_b, with
 # X = Σⱼ (E_aj − c_j)²/n_j, C = Σⱼ c_j²/n_j, I the three entries inside
 # {a, b} after the move and n' the sizes after it.  The slack
-# 8γ_{k+16}·max_b P, one per node, leaves room for the rounding of P.  No
+# 8γ_{k+16}·max_b P, one per node, exceeds 5γ_{k+11}·P with room for the
+# rounding of P: a delta above its node's slack is a move that raises F,
+# and a node whose best true change is within rounding of zero stays.  No
 # term is subnormal: a nonzero numerator is at least 1 and a denominator
 # at most n².
-_SCREEN_SLACK_FACTOR = 8.0
+_SLACK_FACTOR = 8.0
 
 
 def _neighbor_counts(graph: Graph, assign: np.ndarray, nodes: np.ndarray,
@@ -227,64 +227,20 @@ def _neighbor_counts(graph: Graph, assign: np.ndarray, nodes: np.ndarray,
 
 
 def _move_deltas(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
-                 a: int) -> np.ndarray:
-    """Change in F when one node moves from group a to each group b.
+                 a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Change in F when node r of B moves from its group a[r] to each group
+    b, in O(B·k) work plus one (B, k)·(k, k) product, and a rounding slack
+    per node that bounds each delta's gap to the true change.
 
-    nbr[j] counts the node's neighbors currently in group j.  Only the rows
-    and columns of a and b change, so each delta is the difference of those
-    bands before and after.  All k targets are evaluated at once: row b of
-    the (k, k) arrays holds target b's band, with the same elementwise
-    arithmetic as evaluating that target alone, and every band sum reduces
-    a contiguous row, k terms long, as a 1-d sum does.  Entry a (staying
-    put) is -inf.
-    """
-    k = len(sizes)
-    diag = np.arange(k)
-    fs = sizes.astype(np.float64)
-    rows = counts.astype(np.float64)
-    row_a = rows[a]
-    old = (2.0 * np.sum(row_a**2 / fs) / fs[a]
-           + 2.0 * np.sum(rows**2 / fs, axis=1) / fs
-           - (row_a[a]**2 / fs[a]**2 + rows[diag, diag]**2 / fs**2
-              + 2.0 * row_a**2 / (fs[a] * fs)))
-
-    # Row b of new_a/new_b/ns: group a's row, target b's row and the sizes
-    # after the node moves to b.
-    new_a = np.broadcast_to(row_a - nbr, (k, k)).copy()
-    new_a[:, a] = row_a[a] - 2.0 * nbr[a]
-    new_a[diag, diag] = row_a - nbr + nbr[a]
-    new_b = rows + nbr
-    new_b[diag, diag] = rows[diag, diag] + 2.0 * nbr
-    new_b[:, a] = new_a[diag, diag]
-    ns_a = fs[a] - 1.0
-    ns_b = fs + 1.0
-    ns = np.broadcast_to(fs, (k, k)).copy()
-    ns[:, a] = ns_a
-    ns[diag, diag] = ns_b
-    new = (2.0 * np.sum(new_a**2 / ns, axis=1) / ns_a
-           + 2.0 * np.sum(new_b**2 / ns, axis=1) / ns_b
-           - (new_a[:, a]**2 / ns_a**2 + new_b[diag, diag]**2 / ns_b**2
-              + 2.0 * new_a[diag, diag]**2 / (ns_a * ns_b)))
-    deltas = new - old
-    deltas[a] = -np.inf
-    return deltas
-
-
-def _screen_move_deltas(counts: np.ndarray, sizes: np.ndarray,
-                        nbr: np.ndarray, a: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """``_move_deltas`` of B nodes to within a rounding slack, in O(B·k)
-    work plus one (B, k)·(k, k) product, and that slack, one per node.
-
-    Moving node r from group a to group b changes F only in the bands of
-    a and b: each band's entries outside {a, b} over its group's size,
-    plus the three entries inside.  With c = nbr[r], target b's band after
-    the move, Σⱼ (E_bj + c_j)²/n_j, expands as
-    R_b + 2·(E·(c/n))_b + Σⱼ c_j²/n_j, where R_b = Σⱼ E_bj²/n_j is shared
-    by every node; group a's, Σⱼ (E_aj − c_j)²/n_j, is one sum per node.
-    Each then drops its a and b entries.  Entry (r, a[r]) is -inf, as in
-    the exact form, and |screen − exact| is at most the row's slack in
-    every other entry (see _SCREEN_SLACK_FACTOR).
+    nbr[r, j] counts node r's neighbors in group j.  Moving it from a to b
+    changes F only in the bands of a and b: each band's entries outside
+    {a, b} over its group's size, plus the three entries inside.  With
+    c = nbr[r], target b's band after the move, Σⱼ (E_bj + c_j)²/n_j,
+    expands as R_b + 2·(E·(c/n))_b + Σⱼ c_j²/n_j, where R_b = Σⱼ E_bj²/n_j
+    is shared by every node; group a's, Σⱼ (E_aj − c_j)²/n_j, is one sum
+    per node.  Each then drops its a and b entries.  Entry (r, a[r]),
+    staying put, is -inf.  No step calls BLAS, and each row's bits depend
+    only on its own node, not on B or the other rows.
     """
     nodes, k = nbr.shape
     r = np.arange(nodes)
@@ -293,7 +249,7 @@ def _screen_move_deltas(counts: np.ndarray, sizes: np.ndarray,
     inv = 1.0 / fs
     inv_b = 1.0 / (fs + 1.0)
     e_bb = np.diagonal(rows)
-    bands = rows**2 @ inv
+    bands = np.sum(rows**2 * inv, axis=1)
     doubled = 2.0 * bands * inv
     stay = doubled - (e_bb * inv)**2
 
@@ -310,22 +266,22 @@ def _screen_move_deltas(counts: np.ndarray, sizes: np.ndarray,
     scaled = c * inv
     shared = bands + np.sum(c * scaled, axis=1, keepdims=True)
     across = e_bb + c
-    band_b = (shared + 2.0 * (scaled @ rows) - (row_a + c_a)**2 * inv_a
-              - across**2 * inv)
+    band_b = (shared + 2.0 * np.einsum("bj,jc->bc", scaled, rows)
+              - (row_a + c_a)**2 * inv_a - across**2 * inv)
     inside = (((row_a[r, a][:, None] - 2.0 * c_a) * inv_na)**2
               + ((across + c) * inv_b)**2
               + 2.0 * (left + c_a)**2 * (inv_na * inv_b))
     # The bands of a and b before the move, F's part that the move changes.
     before = stay[a][:, None] + stay - 2.0 * row_a**2 * (inv_a * inv)
-    screen = (2.0 * inv_na * band_a + band_b * (2.0 * inv_b) + inside
+    deltas = (2.0 * inv_na * band_a + band_b * (2.0 * inv_b) + inside
               - before)
-    screen[r, a] = -np.inf
+    deltas[r, a] = -np.inf
     positive = (2.0 * inv_na * left_full + shared * (4.0 * inv_b) + inside
                 + doubled + doubled[a][:, None])
-    m = (k + 16) * _UNIT_ROUNDOFF
-    slack = _SCREEN_SLACK_FACTOR * m / (1.0 - m) * positive.max(
-        axis=1, initial=0.0)
-    return screen, slack
+    # γ_{k+16}, with the unit roundoff 2⁻⁵³ of float64.
+    m = (k + 16) * 2.0 ** -53
+    slack = _SLACK_FACTOR * m / (1.0 - m) * positive.max(axis=1, initial=0.0)
+    return deltas, slack
 
 
 def reassignment(graph: Graph, membership: Membership, counts: np.ndarray,
@@ -334,23 +290,21 @@ def reassignment(graph: Graph, membership: Membership, counts: np.ndarray,
     """Greedy node moves that strictly increase the trace objective.
 
     Each round samples nodes without replacement and visits them in
-    sample order; a visited node moves to the supernode that most
-    increases the objective (ties to the lowest target index), if any move
-    strictly increases it.  Moves update a private copy of ``counts`` (the
-    caller's array is left as it was), and the objective is then
-    recomputed exactly from the counts.
+    sample order; a visited node moves to the supernode with its largest
+    move delta (ties to the lowest target index) if that delta exceeds the
+    node's rounding slack, which bounds each delta's gap to the true change
+    in F, so every move raises F.  Moves update a private copy of
+    ``counts`` (the caller's array is left as it was), and the objective is
+    then recomputed exactly from the counts.
     Moves that would empty a supernode are skipped.
 
     The visits are evaluated in windows: the next 64 sampled nodes against
-    the current counts.  A screen gives every move of every node in the
-    window to within a rounding slack, in O(B·k) work and one
-    (B, k)·(k, k) product, and settles each node whose best screened move
-    plus its slack is at most zero: it has no strictly improving move.
-    The other nodes, in sample order, get the exact evaluation of the
-    row/column band deltas, one node at a time, until one has an improving
-    move.  That node's best move is applied and the next window starts at
+    the current counts, every move of every node in O(B·k) work plus one
+    (B, k)·(k, k) product, without BLAS.  The window's first node whose
+    best delta exceeds its slack is moved, and the next window starts at
     the node after it, so every node is evaluated against exactly the
-    counts a one-node-at-a-time loop would show it: the moves, the
+    counts a one-node-at-a-time loop would show it.  Each node's deltas do
+    not depend on the other nodes of its window, so the moves, the
     objectives logged and the result are that loop's, bit for bit,
     whatever the BLAS thread count.
 
@@ -365,15 +319,7 @@ def _reassign(graph: Graph, membership: Membership, counts: np.ndarray,
               config: ReassignConfig | None
               ) -> tuple[Membership, list[ReassignMove], np.ndarray]:
     """``reassignment``, also returning the edge counts of the final
-    membership, which the moves keep up to date.
-
-    Each window of sampled nodes goes through two passes:
-    ``_screen_move_deltas`` over the whole window, then ``_move_deltas``
-    over the nodes the screen could not settle, one at a time in sample
-    order.  A settled node has exact deltas of at most its screened ones
-    plus its slack, so none of them is positive, and the first candidate
-    with an exact improving move is the window's first improving node.
-    """
+    membership, which the moves keep up to date."""
     config = config or ReassignConfig()
     if membership.n != graph.node_count:
         raise ParameterError("membership length must match graph order")
@@ -402,25 +348,17 @@ def _reassign(graph: Graph, membership: Membership, counts: np.ndarray,
             live = np.flatnonzero(sizes[assign[window]] > 1)
             nodes = window[live]
             nbr = _neighbor_counts(graph, assign, nodes, k)
-            source = assign[nodes]
-            screen, slack = _screen_move_deltas(counts, sizes, nbr, source)
-            # A node whose screened best plus slack is <= 0 has no move
-            # that strictly improves F; NaN would keep a node a candidate.
-            candidates = np.flatnonzero(
-                ~(screen.max(axis=1) + slack <= 0.0))
-            for first in candidates:
-                deltas = _move_deltas(counts, sizes, nbr[first],
-                                      int(source[first]))
-                if deltas.max() > 0.0:
-                    break
-            else:
+            deltas, slack = _move_deltas(counts, sizes, nbr, assign[nodes])
+            movers = np.flatnonzero(deltas.max(axis=1) > slack)
+            if len(movers) == 0:
                 pos += len(window)
                 continue
-            # The first improving node saw the counts the one-node-at-a-time
-            # loop would show it; the nodes after it are evaluated again.
+            # The first mover saw the counts the one-node-at-a-time loop
+            # would show it; the nodes after it are evaluated again.
+            first = movers[0]
             pos += int(live[first]) + 1
             node, row = int(nodes[first]), nbr[first]
-            a, b = int(assign[node]), int(np.argmax(deltas))
+            a, b = int(assign[node]), int(np.argmax(deltas[first]))
             counts[a, :] -= row
             counts[:, a] -= row
             counts[b, :] += row

@@ -1,8 +1,10 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specsumm
 from specsumm import Graph, stiefel
 
 
@@ -63,3 +65,12 @@ def planted_graph(blocks: int, size: int, deg_in: float, deg_out: float,
                         rng.integers(n, size=anywhere)])
     keep = u != v
     return Graph.from_edges(n, np.column_stack([u[keep], v[keep]]))
+
+
+def fresh_env(**extra: str) -> dict:
+    """Environment for a fresh interpreter that imports this checkout's
+    specsumm."""
+    src = str(Path(specsumm.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}

@@ -25,7 +25,7 @@ from specsumm.queries import _pair_matrix
 from specsumm.rng import make_generator
 from specsumm.spectral import _dense_basis
 from specsumm.stiefel import CayleyStepError
-from specsumm.summary import _objective_from_counts
+from specsumm.summary import _move_deltas, _objective_from_counts
 
 _ORACLE_LIMIT = 1500
 _DENSE_ORACLE_LIMIT = 512
@@ -289,8 +289,8 @@ def move_delta(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
 def move_deltas_reference(counts: np.ndarray, sizes: np.ndarray,
                           nbr: np.ndarray, a: int) -> np.ndarray:
     """Change in F when one node moves from group a to each group b, with
-    the arithmetic of ``summary._move_deltas``, kept here so that
-    ``reassign_reference`` replays reassignment without the shipped kernel.
+    ``move_delta``'s arithmetic for all k targets at once: the exact form
+    that the shipped window form must lie within its slack of.
 
     Row b of the (k, k) arrays holds target b's band, with the same
     elementwise arithmetic and the same per-row sums as ``move_delta``.
@@ -329,8 +329,10 @@ def move_deltas_reference(counts: np.ndarray, sizes: np.ndarray,
 def reassign_reference(graph: Graph, membership: Membership,
                        counts: np.ndarray, config: ReassignConfig):
     """``summary._reassign`` one sampled node at a time: each node's
-    neighbor counts from its own bincount and its deltas from
-    ``move_deltas_reference``.  Returns (assign, moves, counts, sizes)."""
+    neighbor counts from its own bincount, and its deltas and slack from
+    ``summary._move_deltas`` on that one row; the node moves to its best
+    target when that delta exceeds the slack.  Returns (assign, moves,
+    counts, sizes)."""
     counts = np.array(counts, dtype=np.int64)
     assign = membership.assign.copy()
     sizes = membership.sizes.copy()
@@ -346,9 +348,10 @@ def reassign_reference(graph: Graph, membership: Membership,
             if sizes[a] == 1:
                 continue
             nbr = np.bincount(assign[graph.neighbors(node)], minlength=k)
-            deltas = move_deltas_reference(counts, sizes, nbr, a)
-            b = int(np.argmax(deltas))
-            if deltas[b] <= 0.0:
+            deltas, slack = _move_deltas(counts, sizes, nbr[None, :],
+                                         np.array([a]))
+            b = int(np.argmax(deltas[0]))
+            if not deltas[0, b] > slack[0]:
                 continue
             counts[a, :] -= nbr
             counts[:, a] -= nbr
@@ -360,6 +363,16 @@ def reassign_reference(graph: Graph, membership: Membership,
             moves.append(ReassignMove(int(node), a, b,
                                       _objective_from_counts(counts, sizes)))
     return assign, moves, counts, sizes
+
+
+def objective_exact(graph: Graph, membership: Membership) -> Fraction:
+    """F = Σ E_ij²/(n_i·n_j) in exact rational arithmetic, from the counts
+    of ``edge_counts_dense``."""
+    counts = edge_counts_dense(graph, membership).tolist()
+    sizes = membership.sizes.tolist()
+    return sum((Fraction(e * e, sizes[i] * sizes[j])
+                for i, row in enumerate(counts) for j, e in enumerate(row)),
+               Fraction(0))
 
 
 def minibatch_replay(centroids: np.ndarray, counts: np.ndarray,

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -16,6 +15,8 @@ from specsumm import (Graph, Membership, build_summary, generate_sbm,
 from specsumm import cli
 from specsumm import summary as summary_module
 from specsumm.cli import SummaryFile, main, read_summary_file
+
+from conftest import fresh_env
 
 TWO_TRIANGLES = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
 K3 = "0 1\n0 2\n1 2\n"
@@ -690,15 +691,6 @@ def test_negative_seed_is_parameter_error(tmp_path, graph_file, capsys, argv):
     assert not (tmp_path / "out.membership").exists()
 
 
-def _fresh_env(**extra: str) -> dict:
-    """Environment for a fresh interpreter that imports this checkout's
-    specsumm."""
-    src = str(Path(specsumm.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
-
-
 @pytest.mark.parametrize("method_args", [
     ["--method", "lm", "--reassign-rounds", "2"],
     ["--method", "ocsa"],
@@ -711,7 +703,7 @@ def test_summary_bytes_do_not_depend_on_blas_threads(tmp_path, method_args):
     written = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.json"
-        env = _fresh_env(OPENBLAS_NUM_THREADS=threads)
+        env = fresh_env(OPENBLAS_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-m", "specsumm.cli", "summarize",
                         str(edges), "--k", "20", "--seed", "0", *method_args,
                         "--out", str(out)],
@@ -773,7 +765,7 @@ class TestScipyLoadedOnlyWhenCalled:
         argv, loads_scipy = self.CASES[case]
         argv = [a.format_map(files) for a in argv]
         done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
-                              env=_fresh_env(), capture_output=True,
+                              env=fresh_env(), capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         *reports, loaded = done.stdout.splitlines()

@@ -115,6 +115,27 @@ class TestGreedySeeding:
             want = kmeanspp_reference(points, 20, make_generator(seed))
             assert np.array_equal(kmeanspp_init(points, 20, seed), want)
 
+    def test_mirrored_draws_keep_the_summation_order(self):
+        # Row i and row n - 1 - i mirror each other across the x axis, with
+        # 20 copies of the origin at either end.  From a first centroid at
+        # the origin, the far pair's updated D² are each other's reverse:
+        # their potentials tie exactly, and their float sums differ only in
+        # the order of the terms.  Seeds 14, 16, 18 and 29 draw that pair
+        # after the origin, so a potential summed in any order but the
+        # reference's picks the other row of the pair.
+        local = np.random.default_rng(0)
+        top = np.vstack([np.zeros((20, 2)), local.standard_normal((20, 2)),
+                         [[10.0, 3.0]]])
+        points = np.vstack([top, (top * [1.0, -1.0])[::-1]])
+        best = sq_dists(points, points[:1])[:, 0]
+        far, mirror = (np.minimum(best, sq_dists(points, points[[row]])[:, 0])
+                       for row in (40, 41))
+        assert np.array_equal(mirror, far[::-1])
+        assert far.sum() != mirror.sum()
+        for seed in range(30):
+            want = kmeanspp_reference(points, 2, make_generator(seed))
+            assert np.array_equal(kmeanspp_init(points, 2, seed), want)
+
     def test_overflowing_gemm_form_takes_the_exact_path(self, rng):
         # ‖x‖² overflows near 1.3e154 while the differences stay finite:
         # every screened distance reads inf - inf, so every row of every

@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +15,13 @@ from specsumm import (Graph, Membership, ParameterError, ReassignConfig,
 from specsumm.rng import make_generator
 
 import specsumm.summary as summary_module
-from specsumm.summary import (_move_deltas, _neighbor_counts, _reassign,
-                              _screen_move_deltas)
+from specsumm.summary import _move_deltas, _neighbor_counts, _reassign
 
+from conftest import fresh_env
 from oracles import (best_single_move, dense_l2_loss, edge_counts_dense,
                      membership_to_normalized, move_delta,
-                     move_deltas_reference, random_graph, random_membership,
-                     reassign_reference)
+                     move_deltas_reference, objective_exact, random_graph,
+                     random_membership, reassign_reference)
 
 
 def _mem(labels, k):
@@ -383,21 +387,28 @@ class TestMoveDeltas:
 
 
 def _rows_match_oracle(counts, sizes, nbr, a):
-    """The shipped one-node deltas of node r, nbr[r] its neighbor counts
-    and a[r] its group, are the per-target oracle's, bit for bit."""
+    """Row r of the window form, nbr[r] node r's neighbor counts and a[r]
+    its group, is the form of that row alone, bit for bit, and lies within
+    its slack of the per-target oracle."""
     k = len(sizes)
+    deltas, slack = _move_deltas(counts, sizes, nbr, a)
     for r in range(len(a)):
+        alone, alone_slack = _move_deltas(counts, sizes, nbr[r:r + 1],
+                                          a[r:r + 1])
+        assert np.array_equal(alone[0], deltas[r]), r
+        assert alone_slack[0] == slack[r], r
         source = int(a[r])
-        deltas = _move_deltas(counts, sizes, nbr[r], source)
-        want = [move_delta(counts, sizes, nbr[r], source, b) if b != source
-                else -np.inf for b in range(k)]
-        assert np.array_equal(deltas, want), r
+        assert deltas[r, source] == -np.inf
+        for b in range(k):
+            if b != source:
+                exact = move_delta(counts, sizes, nbr[r], source, b)
+                assert abs(deltas[r, b] - exact) <= slack[r], (r, b)
 
 
 class TestBlockMoveDeltas:
-    """``_move_deltas``, the one exact form of reassignment, on each node
-    of a window's neighbor counts against the per-target oracle, bit for
-    bit."""
+    """``_move_deltas``, the one delta form of reassignment, on a window's
+    neighbor counts: each row is that of its node alone, bit for bit, and
+    within its slack of the per-target oracle."""
 
     def _check_graph(self, rng, graph, m):
         counts = supernode_edge_counts(graph, m)
@@ -436,8 +447,8 @@ class TestBlockMoveDeltas:
 
     def test_matches_reference_past_pairwise_block(self, rng):
         # numpy's pairwise summation splits sums of more than 128 terms, so
-        # k = 131 checks that the band sums over the rows of the (k, k)
-        # arrays split as the per-target form's 1-d sums do
+        # k = 131 checks that each row's band sums split alike whatever
+        # the window holds.
         k = 131
         counts = rng.integers(0, 400, size=(k, k))
         counts = counts + counts.T
@@ -448,20 +459,24 @@ class TestBlockMoveDeltas:
 
     def test_empty_block(self, rng, monkeypatch):
         # Every node alone in its group: each window has no live node, so
-        # its neighbor counts are (0, k) and no node reaches the exact form.
+        # the form only ever sees (0, k) neighbor counts.
         graph = random_graph(rng, 8)
         m = _mem(np.arange(8), 8)
         assert _neighbor_counts(graph, m.assign, np.zeros(0, dtype=np.int64),
                                 8).shape == (0, 8)
+        shapes = []
+        evaluate = summary_module._move_deltas
 
-        def unreachable(*args):
-            raise AssertionError("a node alone in its group was evaluated")
+        def recorded(counts, sizes, nbr, a):
+            shapes.append(nbr.shape)
+            return evaluate(counts, sizes, nbr, a)
 
-        monkeypatch.setattr(summary_module, "_move_deltas", unreachable)
+        monkeypatch.setattr(summary_module, "_move_deltas", recorded)
         out, moves, _ = _reassign(graph, m, supernode_edge_counts(graph, m),
                                   ReassignConfig(rounds=2, seed=1))
         assert moves == []
         assert np.array_equal(out.assign, m.assign)
+        assert shapes and set(shapes) == {(0, 8)}
 
 
 def _move_bits(moves):
@@ -550,61 +565,72 @@ class TestBlockedReassign:
         assert at == positions
 
     def test_block_size_bounds_the_temporaries(self, monkeypatch):
-        # The screen sees windows of up to _BLOCK_NODES nodes.  The exact
-        # pass gets one node per call, only nodes the screen could not
-        # settle, in sample order, and no call after the window's first
-        # improving node.  A screen with an infinite slack settles no
-        # node, so every live node is a candidate.
-        windows = []
-        screen = summary_module._screen_move_deltas
+        # The form sees windows of up to _BLOCK_NODES nodes, each row with
+        # all k targets.
+        shapes = []
         evaluate = summary_module._move_deltas
 
-        def recorded_screen(counts, sizes, nbr, a):
-            screened, slack = screen(counts, sizes, nbr, a)
-            unsettled = np.flatnonzero(~(screened.max(axis=1) + slack <= 0.0))
-            windows.append((len(nbr), [(nbr[r].tolist(), int(a[r]))
-                                       for r in unsettled], []))
-            return screened, slack
-
         def recorded(counts, sizes, nbr, a):
-            deltas = evaluate(counts, sizes, nbr, a)
-            assert nbr.shape == sizes.shape
-            windows[-1][2].append((nbr.tolist(), a, deltas.max() > 0.0))
-            return deltas
+            shapes.append(nbr.shape)
+            return evaluate(counts, sizes, nbr, a)
 
-        monkeypatch.setattr(summary_module, "_screen_move_deltas",
-                            recorded_screen)
         monkeypatch.setattr(summary_module, "_move_deltas", recorded)
-        slack_factor = summary_module._SCREEN_SLACK_FACTOR
         for k in (40, 100, 600):
             graph, planted = generate_sbm(k, 2, 0.9, 0.01, seed=k)
-            for factor in (slack_factor, np.inf):
-                monkeypatch.setattr(summary_module, "_SCREEN_SLACK_FACTOR",
-                                    factor)
-                windows.clear()
-                self._compare(graph, planted,
-                              ReassignConfig(rounds=1, samples_per_round=70,
-                                             seed=1))
-                assert max(size for size, _, _ in windows) == 64
-                for size, candidates, calls in windows:
-                    if factor == np.inf:
-                        assert len(candidates) == size
-                    assert [call[:2] for call in calls] == candidates[
-                        :len(calls)]
-                    improving = [call[2] for call in calls]
-                    assert not any(improving[:-1])
-                    if not any(improving):
-                        assert len(calls) == len(candidates)
+            shapes.clear()
+            self._compare(graph, planted,
+                          ReassignConfig(rounds=1, samples_per_round=70,
+                                         seed=1))
+            assert max(rows for rows, _ in shapes) == 64
+            assert {cols for _, cols in shapes} == {k}
+
+
+# Builds k = 600 groups, two large ones and 598 singletons, on a random
+# graph, reassigns them, and prints the move log as JSON.
+_SINGLETON_REASSIGN = """
+import json
+import numpy as np
+from specsumm import Graph, Membership, ReassignConfig, supernode_edge_counts
+from specsumm.summary import _reassign
+rng = np.random.default_rng(600)
+n, k = 1200, 600
+upper = np.triu_indices(n, k=1)
+keep = rng.random(len(upper[0])) < 0.01
+graph = Graph.from_edges(n, list(zip(upper[0][keep].tolist(),
+                                     upper[1][keep].tolist())))
+labels = rng.integers(0, 2, size=n)
+labels[rng.choice(n, size=k - 2, replace=False)] = np.arange(2, k)
+m = Membership(labels, k)
+_, moves, _ = _reassign(graph, m, supernode_edge_counts(graph, m),
+                        ReassignConfig(rounds=1, samples_per_round=400,
+                                       seed=3))
+print(json.dumps([[mv.node, mv.source, mv.target, mv.objective.hex()]
+                  for mv in moves]))
+"""
+
+
+def test_move_log_does_not_depend_on_blas_threads():
+    # About one in fifty rows that clear their slack here has its best
+    # delta at two or more targets with equal bits, so the lowest-index
+    # rule must see the same bits at either thread count.
+    logs = [subprocess.run([sys.executable, "-c", _SINGLETON_REASSIGN],
+                           env=fresh_env(OPENBLAS_NUM_THREADS=threads),
+                           check=True, capture_output=True, text=True,
+                           timeout=300).stdout
+            for threads in ("1", "2")]
+    assert len(json.loads(logs[0])) > 0
+    assert logs[0] == logs[1]
 
 
 class TestScreen:
-    """The O(B·k) screen of the move deltas: within its slack of the exact
-    one-node form, so the nodes it settles have no improving move."""
+    """The slack that every move must clear: it bounds each delta's gap to
+    the exact change, so no move that does not raise F passes."""
 
     def test_slack_bounds_the_gap_to_the_exact_form(self, rng):
         # Groups of two (sizes after the move down to 1), k = 131 past
         # numpy's pairwise block, and counts up to 2⁴⁰, whose squares
-        # round; neighbor counts are drawn independently of them.
+        # round; neighbor counts are drawn independently of them.  The
+        # exact form is move_delta's arithmetic for all targets at once.
         k, nodes = 131, 40
         largest = 0.0
         for high in (2 ** 8, 2 ** 24, 2 ** 40):
@@ -613,15 +639,15 @@ class TestScreen:
                 counts = counts + counts.T
                 a = rng.integers(0, k, size=nodes)
                 nbr = rng.integers(0, high, size=(nodes, k))
-                screen, slack = _screen_move_deltas(counts, sizes, nbr, a)
-                exact = np.array([_move_deltas(counts, sizes, nbr[r],
-                                               int(a[r]))
+                deltas, slack = _move_deltas(counts, sizes, nbr, a)
+                exact = np.array([move_deltas_reference(counts, sizes,
+                                                        nbr[r], int(a[r]))
                                   for r in range(nodes)])
                 stay = np.zeros_like(exact, dtype=bool)
                 stay[np.arange(nodes), a] = True
-                assert np.all(screen[stay] == -np.inf)
+                assert np.all(deltas[stay] == -np.inf)
                 assert np.all(np.isfinite(exact[~stay]))
-                gap = np.abs(np.subtract(screen, exact, where=~stay,
+                gap = np.abs(np.subtract(deltas, exact, where=~stay,
                                          out=np.zeros_like(exact)))
                 assert np.all(gap <= slack[:, None])
                 largest = max(largest, float(gap.max()))
@@ -629,38 +655,15 @@ class TestScreen:
         assert largest > 0.0
 
     def test_empty_window(self):
-        screen, slack = _screen_move_deltas(
+        deltas, slack = _move_deltas(
             np.array([[2, 1], [1, 0]]), np.array([2, 1]),
             np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64))
-        assert screen.shape == (0, 2)
+        assert deltas.shape == (0, 2)
         assert slack.shape == (0,)
 
-    def test_exact_zero_ties_reach_the_exact_pass(self):
-        # Eight disjoint edges, each split between group 0 and group 1 or
-        # 2: moving a node of groups 1 and 2 changes F by exactly zero, a
-        # move the strict rule rejects.  No slack can settle those nodes,
-        # so the exact pass sees them and the result is the reference's.
-        graph = Graph.from_edges(16, [(2 * i, 2 * i + 1) for i in range(8)])
-        labels = np.zeros(16, dtype=np.int64)
-        labels[1::2] = 1 + np.arange(8) % 2
-        m = _mem(labels, 3)
-        counts = supernode_edge_counts(graph, m)
-        nodes = np.arange(16)
-        nbr = _neighbor_counts(graph, m.assign, nodes, 3)
-        best = np.array([_move_deltas(counts, m.sizes, nbr[r],
-                                      int(m.assign[r])).max()
-                         for r in nodes])
-        screen, slack = _screen_move_deltas(counts, m.sizes, nbr, m.assign)
-        ties = best == 0.0
-        assert ties.sum() == 8
-        assert np.all(screen.max(axis=1)[ties] + slack[ties] > 0.0)
-        moves = TestBlockedReassign._compare(
-            graph, m, ReassignConfig(rounds=2, samples_per_round=16, seed=3))
-        assert moves == []
-
     def test_matches_reference_at_large_k(self):
-        # k = 600: whole 64-node windows in the screen, whose (64, k)
-        # temporaries are smaller than the exact form's (k, k) ones.
+        # k = 600: whole 64-node windows, whose (64, k) temporaries are
+        # smaller than the (k, k) counts.
         graph, planted = generate_sbm(600, 2, 0.9, 0.01, seed=600)
         # Swapping the labels of 150 node pairs keeps every group inhabited.
         swapped = np.random.default_rng(600).choice(graph.node_count,
@@ -673,6 +676,88 @@ class TestScreen:
             graph, _mem(labels, 600),
             ReassignConfig(rounds=1, samples_per_round=200, seed=6))
         assert len(moves) > 0
+
+
+def _exact_gains(graph, m, config):
+    """The exact rational change in F of each move reassignment logs."""
+    _, log = reassignment(graph, m, supernode_edge_counts(graph, m), config)
+    assign = m.assign.copy()
+    before = objective_exact(graph, m)
+    gains = []
+    for mv in log:
+        assign[mv.node] = mv.target
+        after = objective_exact(graph, Membership(assign, m.k))
+        gains.append(after - before)
+        before = after
+    return gains
+
+
+def _disjoint_copies(shape, size, copies):
+    """``copies`` disjoint copies of an edge, clique, cycle or star."""
+    one = {"edge": [(0, 1)],
+           "clique": [(u, v) for u in range(size) for v in range(u + 1, size)],
+           "cycle": [(u, (u + 1) % size) for u in range(size)],
+           "star": [(0, v) for v in range(1, size)]}[shape]
+    size = 2 if shape == "edge" else size
+    return Graph.from_edges(size * copies, [(u + c * size, v + c * size)
+                                            for c in range(copies)
+                                            for u, v in one])
+
+
+class TestExactGain:
+    """Every logged move raises F in exact rational arithmetic: the
+    "strictly increase" contract of ``reassignment``, on graphs whose
+    symmetry makes many moves change F by exactly zero."""
+
+    @staticmethod
+    def _sweeps(rng, graph):
+        # Three sweeps of n samples from random or round-robin labels.
+        n = graph.node_count
+        k = int(rng.integers(2, min(n, 9) + 1))
+        if rng.random() < 0.5:
+            m = random_membership(rng, n, k)
+        else:
+            m = _mem(np.arange(n) % k, k)
+        return _exact_gains(graph, m, ReassignConfig(
+            rounds=3, samples_per_round=n, seed=int(rng.integers(2**31))))
+
+    @pytest.mark.parametrize("shape", ["edge", "clique", "cycle", "star"])
+    def test_symmetric_graphs(self, rng, shape):
+        gains = []
+        for _ in range(60):
+            size = int(rng.integers(3, 6))
+            graph = _disjoint_copies(shape, size, int(rng.integers(2, 10)))
+            gains += self._sweeps(rng, graph)
+        assert gains and min(gains) > 0
+
+    def test_random_graphs(self, rng):
+        gains = []
+        for _ in range(60):
+            n = int(rng.integers(3, 41))
+            gains += self._sweeps(rng, random_graph(
+                rng, n, p=float(rng.uniform(0.05, 0.9))))
+        assert gains and min(gains) > 0
+
+    def test_exact_zero_ties_do_not_move(self):
+        # Eight disjoint edges, each split between group 0 and group 1 or
+        # 2: moving a node of groups 1 and 2 changes F by exactly zero, a
+        # move the strict rule rejects, and every other move lowers F.
+        graph = _disjoint_copies("edge", 2, 8)
+        labels = np.zeros(16, dtype=np.int64)
+        labels[1::2] = 1 + np.arange(8) % 2
+        m = _mem(labels, 3)
+        counts = supernode_edge_counts(graph, m)
+        nodes = np.arange(16)
+        nbr = _neighbor_counts(graph, m.assign, nodes, 3)
+        best = np.array([move_deltas_reference(counts, m.sizes, nbr[r],
+                                               int(m.assign[r])).max()
+                         for r in nodes])
+        assert (best == 0.0).sum() == 8 and best.max() == 0.0
+        deltas, slack = _move_deltas(counts, m.sizes, nbr, m.assign)
+        assert np.all(deltas.max(axis=1) <= slack)
+        moves = TestBlockedReassign._compare(
+            graph, m, ReassignConfig(rounds=2, samples_per_round=16, seed=3))
+        assert moves == []
 
 
 class TestPipeline:
