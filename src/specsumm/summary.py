@@ -189,7 +189,7 @@ class ReassignMove(NamedTuple):
 # Sampled nodes evaluated per window of _reassign: each (B, k) temporary
 # of _move_deltas holds under 4096 floats below k = 64, and from there on
 # no more than a (k, k) one of the counts.
-_BLOCK_NODES = 64
+_WINDOW_NODES = 64
 
 # Each move delta is a signed sum of terms like E²/(n_i·n_j) of exact
 # integers (counts and sizes far below 2⁵³, and their sums and
@@ -343,7 +343,7 @@ def _reassign(graph: Graph, membership: Membership, counts: np.ndarray,
                              replace=False)
         pos = 0
         while pos < len(sampled):
-            window = sampled[pos:pos + _BLOCK_NODES]
+            window = sampled[pos:pos + _WINDOW_NODES]
             # Nodes alone in their group stay put.
             live = np.flatnonzero(sizes[assign[window]] > 1)
             nodes = window[live]

@@ -255,8 +255,8 @@ def best_single_move(graph: Graph, membership: Membership
 def move_delta(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
                a: int, b: int) -> float:
     """Change in F when one node moves from group a to group b, one target
-    at a time (the per-target form the all-targets array evaluation must
-    reproduce bit for bit).
+    at a time: the reference that ``summary._move_deltas`` must lie within
+    its rounding slack of.
 
     nbr[j] counts the node's neighbors currently in group j.  Only the rows
     and columns of a and b change, so the delta is the difference of those
@@ -284,46 +284,6 @@ def move_delta(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
            - (new_a[a]**2 / ns[a]**2 + new_b[b]**2 / ns[b]**2
               + 2.0 * new_a[b]**2 / (ns[a] * ns[b])))
     return new - old
-
-
-def move_deltas_reference(counts: np.ndarray, sizes: np.ndarray,
-                          nbr: np.ndarray, a: int) -> np.ndarray:
-    """Change in F when one node moves from group a to each group b, with
-    ``move_delta``'s arithmetic for all k targets at once: the exact form
-    that the shipped window form must lie within its slack of.
-
-    Row b of the (k, k) arrays holds target b's band, with the same
-    elementwise arithmetic and the same per-row sums as ``move_delta``.
-    Entry a (staying put) is -inf.
-    """
-    k = len(sizes)
-    diag = np.arange(k)
-    fs = sizes.astype(np.float64)
-    rows = counts.astype(np.float64)
-    row_a = rows[a]
-    old = (2.0 * np.sum(row_a**2 / fs) / fs[a]
-           + 2.0 * np.sum(rows**2 / fs, axis=1) / fs
-           - (row_a[a]**2 / fs[a]**2 + rows[diag, diag]**2 / fs**2
-              + 2.0 * row_a**2 / (fs[a] * fs)))
-
-    new_a = np.broadcast_to(row_a - nbr, (k, k)).copy()
-    new_a[:, a] = row_a[a] - 2.0 * nbr[a]
-    new_a[diag, diag] = row_a - nbr + nbr[a]
-    new_b = rows + nbr
-    new_b[diag, diag] = rows[diag, diag] + 2.0 * nbr
-    new_b[:, a] = new_a[diag, diag]
-    ns_a = fs[a] - 1.0
-    ns_b = fs + 1.0
-    ns = np.broadcast_to(fs, (k, k)).copy()
-    ns[:, a] = ns_a
-    ns[diag, diag] = ns_b
-    new = (2.0 * np.sum(new_a**2 / ns, axis=1) / ns_a
-           + 2.0 * np.sum(new_b**2 / ns, axis=1) / ns_b
-           - (new_a[:, a]**2 / ns_a**2 + new_b[diag, diag]**2 / ns_b**2
-              + 2.0 * new_a[diag, diag]**2 / (ns_a * ns_b)))
-    deltas = new - old
-    deltas[a] = -np.inf
-    return deltas
 
 
 def reassign_reference(graph: Graph, membership: Membership,

@@ -19,9 +19,8 @@ from specsumm.summary import _move_deltas, _neighbor_counts, _reassign
 
 from conftest import fresh_env
 from oracles import (best_single_move, dense_l2_loss, edge_counts_dense,
-                     membership_to_normalized, move_delta,
-                     move_deltas_reference, objective_exact, random_graph,
-                     random_membership, reassign_reference)
+                     membership_to_normalized, move_delta, objective_exact,
+                     random_graph, random_membership, reassign_reference)
 
 
 def _mem(labels, k):
@@ -261,8 +260,11 @@ class TestReassignment:
         assert (best, move) == (8.0, (3, 1))
         # seed 6 samples node 3 before the triangle nodes 0-2, whose own
         # greedy moves (F 4.25 -> 40/9) would derail the one-move path
+        given = counts.copy()
         out, log = reassignment(two_triangles, m, counts,
                                 ReassignConfig(rounds=1, seed=6))
+        # The moves update a private copy of the counts.
+        assert np.array_equal(counts, given)
         assert objective_integer(two_triangles, out) == pytest.approx(8.0)
         assert len(log) == 1
         assert (log[0].node, log[0].source, log[0].target) == (3, 0, 1)
@@ -301,6 +303,18 @@ class TestReassignment:
         with pytest.raises(ParameterError):
             reassignment(two_triangles, m, bad, ReassignConfig(seed=0))
 
+    def test_rejects_counts_not_k_by_k_or_asymmetric(self, two_triangles):
+        # Both keep the sum: a zero row and column padded on, and one edge
+        # end moved across the diagonal.
+        m = _mem([0, 0, 0, 0, 1, 1], 2)
+        counts = supernode_edge_counts(two_triangles, m)
+        padded = np.zeros((3, 3), dtype=np.int64)
+        padded[:2, :2] = counts
+        skewed = counts + np.array([[0, 1], [-1, 0]])
+        for bad in (padded, skewed):
+            with pytest.raises(ParameterError):
+                reassignment(two_triangles, m, bad, ReassignConfig(seed=0))
+
     def test_logged_objectives_match_scratch_replay(self, rng):
         for _ in range(6):
             n = int(rng.integers(10, 60))
@@ -319,7 +333,7 @@ class TestReassignment:
                 assert assign[mv.node] == mv.source
                 assign[mv.node] = mv.target
                 replayed = objective_integer(graph, Membership(assign, k))
-                assert mv.objective == pytest.approx(replayed, abs=1e-9)
+                assert mv.objective == replayed
                 assert mv.objective > prev
                 prev = mv.objective
             assert np.array_equal(out.assign, assign)
@@ -333,65 +347,14 @@ class TestReassignment:
         assert out.sizes.min() >= 1
 
 
-class TestMoveDeltas:
-    """The one-node all-targets reference against the per-target oracle,
-    bit for bit, off the staying-put entry."""
-
-    def _check(self, graph, m):
-        counts = supernode_edge_counts(graph, m)
-        checked = 0
-        for node in range(m.n):
-            a = int(m.assign[node])
-            if m.sizes[a] == 1:
-                continue
-            nbr = np.bincount(m.assign[graph.neighbors(node)], minlength=m.k)
-            deltas = move_deltas_reference(counts, m.sizes, nbr, a)
-            assert deltas[a] == -np.inf
-            for b in range(m.k):
-                if b != a:
-                    assert np.array_equal(
-                        deltas[b], move_delta(counts, m.sizes, nbr, a, b))
-            checked += 1
-        return checked
-
-    def test_matches_oracle_on_random_graphs(self, rng):
-        for _ in range(40):
-            n = int(rng.integers(4, 60))
-            k = int(rng.integers(2, min(n - 1, 20) + 1))
-            graph = random_graph(rng, n, p=float(rng.uniform(0.05, 0.6)))
-            assert self._check(graph, random_membership(rng, n, k)) > 0
-
-    def test_matches_oracle_with_tiny_groups(self, rng):
-        # groups of one and two nodes, so moves out of (and into) the
-        # smallest bands are covered
-        for k in (2, 3, 6):
-            graph = random_graph(rng, 14, p=0.4)
-            labels = np.concatenate([np.arange(k), np.arange(k),
-                                     np.zeros(14 - 2 * k, np.int64)])
-            labels[k - 1] = 0  # group k-1 keeps a single node
-            assert self._check(graph, _mem(labels, k)) > 0
-
-    def test_matches_oracle_past_pairwise_block(self, rng):
-        # numpy's pairwise summation splits sums of more than 128 terms, so
-        # k = 131 checks that the row sums split the same way as 1-D sums
-        k = 131
-        counts = rng.integers(0, 400, size=(k, k))
-        counts = counts + counts.T
-        sizes = rng.integers(2, 60, size=k)
-        for a in (0, 64, 130):
-            nbr = rng.integers(0, 9, size=k)
-            deltas = move_deltas_reference(counts, sizes, nbr, a)
-            expected = [move_delta(counts, sizes, nbr, a, b) if b != a
-                        else -np.inf for b in range(k)]
-            assert np.array_equal(deltas, expected)
-
-
 def _rows_match_oracle(counts, sizes, nbr, a):
     """Row r of the window form, nbr[r] node r's neighbor counts and a[r]
-    its group, is the form of that row alone, bit for bit, and lies within
-    its slack of the per-target oracle."""
+    its group, is the form of that row alone, bit for bit; its source
+    entry is -inf and every other target lies within the row's slack of
+    ``move_delta``.  Returns the largest such gap."""
     k = len(sizes)
     deltas, slack = _move_deltas(counts, sizes, nbr, a)
+    largest = 0.0
     for r in range(len(a)):
         alone, alone_slack = _move_deltas(counts, sizes, nbr[r:r + 1],
                                           a[r:r + 1])
@@ -401,14 +364,31 @@ def _rows_match_oracle(counts, sizes, nbr, a):
         assert deltas[r, source] == -np.inf
         for b in range(k):
             if b != source:
-                exact = move_delta(counts, sizes, nbr[r], source, b)
-                assert abs(deltas[r, b] - exact) <= slack[r], (r, b)
+                gap = abs(deltas[r, b]
+                          - move_delta(counts, sizes, nbr[r], source, b))
+                assert gap <= slack[r], (r, b)
+                largest = max(largest, gap)
+    return largest
 
 
-class TestBlockMoveDeltas:
+def _record_window_shapes(monkeypatch):
+    """Log the (B, k) neighbor counts of every window ``_reassign`` hands
+    to the delta form."""
+    shapes = []
+    evaluate = summary_module._move_deltas
+
+    def recorded(counts, sizes, nbr, a):
+        shapes.append(nbr.shape)
+        return evaluate(counts, sizes, nbr, a)
+
+    monkeypatch.setattr(summary_module, "_move_deltas", recorded)
+    return shapes
+
+
+class TestMoveDeltas:
     """``_move_deltas``, the one delta form of reassignment, on a window's
     neighbor counts: each row is that of its node alone, bit for bit, and
-    within its slack of the per-target oracle."""
+    within its slack of ``move_delta``, the per-target reference."""
 
     def _check_graph(self, rng, graph, m):
         counts = supernode_edge_counts(graph, m)
@@ -421,15 +401,15 @@ class TestBlockMoveDeltas:
                     m.assign[graph.neighbors(node)], minlength=m.k))
             _rows_match_oracle(counts, m.sizes, nbr, m.assign[nodes])
 
-    def test_matches_reference_on_random_graphs(self, rng):
+    def test_matches_oracle_on_random_graphs(self, rng):
         for _ in range(30):
             n = int(rng.integers(4, 90))
             k = int(rng.integers(2, min(n - 1, 20) + 1))
             graph = random_graph(rng, n, p=float(rng.uniform(0.05, 0.6)))
             self._check_graph(rng, graph, random_membership(rng, n, k))
 
-    def test_blocks_mixing_singleton_groups(self, rng):
-        # Groups 1..k-1 hold one node each: every block moves nodes of
+    def test_matches_oracle_with_tiny_groups(self, rng):
+        # Groups 1..k-1 hold one node each: every window moves nodes of
         # group 0 next to, and into, singleton groups.
         for k in (2, 5, 12):
             graph = random_graph(rng, 40, p=0.3)
@@ -445,33 +425,39 @@ class TestBlockMoveDeltas:
         nbr = _neighbor_counts(graph, m.assign, nodes, 6)
         _rows_match_oracle(counts, m.sizes, nbr, m.assign[nodes])
 
-    def test_matches_reference_past_pairwise_block(self, rng):
+    @pytest.mark.parametrize("high", [2 ** 8, 2 ** 24, 2 ** 40],
+                             ids=["2^8", "2^24", "2^40"])
+    @pytest.mark.parametrize("sizes", ["two", "random"])
+    def test_slack_bounds_the_gap_past_pairwise_block(self, rng, sizes,
+                                                      high):
         # numpy's pairwise summation splits sums of more than 128 terms, so
         # k = 131 checks that each row's band sums split alike whatever
-        # the window holds.
+        # the window holds.  Groups of two leave sizes down to 1 after the
+        # move, and counts up to 2⁴⁰ have squares that round; neighbor
+        # counts are drawn independently of them.
         k = 131
-        counts = rng.integers(0, 400, size=(k, k))
+        sizes = (np.full(k, 2) if sizes == "two"
+                 else rng.integers(2, 50, size=k))
+        counts = rng.integers(0, high, size=(k, k))
         counts = counts + counts.T
-        sizes = rng.integers(2, 60, size=k)
-        a = np.array([0, 64, 130, 64, 7, 130])
-        nbr = rng.integers(0, 9, size=(len(a), k))
-        _rows_match_oracle(counts, sizes, nbr, a)
+        a = np.concatenate([[0, 64, 130, 64], rng.integers(0, k, size=36)])
+        nbr = rng.integers(0, high, size=(len(a), k))
+        # The two forms round differently, so a zero slack would fail.
+        assert _rows_match_oracle(counts, sizes, nbr, a) > 0.0
 
-    def test_empty_block(self, rng, monkeypatch):
+    def test_empty_window(self, rng, monkeypatch):
+        deltas, slack = _move_deltas(
+            np.array([[2, 1], [1, 0]]), np.array([2, 1]),
+            np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert deltas.shape == (0, 2)
+        assert slack.shape == (0,)
         # Every node alone in its group: each window has no live node, so
         # the form only ever sees (0, k) neighbor counts.
         graph = random_graph(rng, 8)
         m = _mem(np.arange(8), 8)
         assert _neighbor_counts(graph, m.assign, np.zeros(0, dtype=np.int64),
                                 8).shape == (0, 8)
-        shapes = []
-        evaluate = summary_module._move_deltas
-
-        def recorded(counts, sizes, nbr, a):
-            shapes.append(nbr.shape)
-            return evaluate(counts, sizes, nbr, a)
-
-        monkeypatch.setattr(summary_module, "_move_deltas", recorded)
+        shapes = _record_window_shapes(monkeypatch)
         out, moves, _ = _reassign(graph, m, supernode_edge_counts(graph, m),
                                   ReassignConfig(rounds=2, seed=1))
         assert moves == []
@@ -484,7 +470,7 @@ def _move_bits(moves):
             for mv in moves]
 
 
-class TestBlockedReassign:
+class TestReassignWindows:
     """``_reassign`` evaluates sampled nodes in windows and resumes after
     each accepted move; its move log, membership and counts are those of
     the one-node-at-a-time reference, bit for bit."""
@@ -501,10 +487,10 @@ class TestBlockedReassign:
         assert np.array_equal(got_counts, want_counts)
         return want_moves
 
-    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    @pytest.mark.parametrize("window", [1, 2, 7, 64])
     def test_matches_reference_on_random_graphs(self, rng, monkeypatch,
-                                                block):
-        monkeypatch.setattr(summary_module, "_BLOCK_NODES", block)
+                                                window):
+        monkeypatch.setattr(summary_module, "_WINDOW_NODES", window)
         moved = 0
         for _ in range(12):
             n = int(rng.integers(5, 90))
@@ -517,7 +503,7 @@ class TestBlockedReassign:
                                        config))
         assert moved > 0
 
-    def test_singleton_groups_in_blocks(self, rng):
+    def test_singleton_groups_in_windows(self, rng):
         # Two large groups and k - 2 singletons: nodes skipped as the only
         # members of their groups sit between the ones evaluated, so a
         # resume point off by the skipped count re-evaluates nodes against
@@ -549,11 +535,11 @@ class TestBlockedReassign:
                                              seed=seed))
         assert len(moves) > 100
 
-    def test_moves_at_consecutive_positions_and_block_end(self):
+    def test_moves_at_consecutive_positions_and_window_end(self):
         # Sample positions 5 and 6 hold misplaced nodes, and so does the
-        # last slot of the block that starts after them.
-        block = summary_module._BLOCK_NODES
-        positions = [5, 6, 7 + block - 1]
+        # last slot of the window that starts after them.
+        window = summary_module._WINDOW_NODES
+        positions = [5, 6, 7 + window - 1]
         graph, planted = generate_sbm(4, 30, 0.9, 0.02, seed=0)
         config = ReassignConfig(rounds=1, samples_per_round=120, seed=11)
         sampled = make_generator(config.seed).choice(
@@ -564,23 +550,25 @@ class TestBlockedReassign:
         at = [int(np.flatnonzero(sampled == mv.node)[0]) for mv in moves]
         assert at == positions
 
-    def test_block_size_bounds_the_temporaries(self, monkeypatch):
-        # The form sees windows of up to _BLOCK_NODES nodes, each row with
-        # all k targets.
-        shapes = []
-        evaluate = summary_module._move_deltas
-
-        def recorded(counts, sizes, nbr, a):
-            shapes.append(nbr.shape)
-            return evaluate(counts, sizes, nbr, a)
-
-        monkeypatch.setattr(summary_module, "_move_deltas", recorded)
+    def test_window_size_bounds_the_temporaries(self, monkeypatch):
+        # The form sees windows of up to _WINDOW_NODES nodes, each row with
+        # all k targets; at k = 600 the (64, k) temporaries are smaller
+        # than the (k, k) counts.  Swapping the labels of node pairs keeps
+        # every group of two inhabited and gives the windows moves.
+        shapes = _record_window_shapes(monkeypatch)
         for k in (40, 100, 600):
             graph, planted = generate_sbm(k, 2, 0.9, 0.01, seed=k)
+            swapped = np.random.default_rng(k).choice(
+                graph.node_count, size=(2, k // 4), replace=False)
+            labels = planted.assign.copy()
+            labels[swapped[0]], labels[swapped[1]] = (labels[swapped[1]],
+                                                      labels[swapped[0]])
             shapes.clear()
-            self._compare(graph, planted,
-                          ReassignConfig(rounds=1, samples_per_round=70,
-                                         seed=1))
+            moves = self._compare(graph, _mem(labels, k),
+                                  ReassignConfig(rounds=1,
+                                                 samples_per_round=70,
+                                                 seed=1))
+            assert len(moves) > 0
             assert max(rows for rows, _ in shapes) == 64
             assert {cols for _, cols in shapes} == {k}
 
@@ -620,62 +608,6 @@ def test_move_log_does_not_depend_on_blas_threads():
             for threads in ("1", "2")]
     assert len(json.loads(logs[0])) > 0
     assert logs[0] == logs[1]
-
-
-class TestScreen:
-    """The slack that every move must clear: it bounds each delta's gap to
-    the exact change, so no move that does not raise F passes."""
-
-    def test_slack_bounds_the_gap_to_the_exact_form(self, rng):
-        # Groups of two (sizes after the move down to 1), k = 131 past
-        # numpy's pairwise block, and counts up to 2⁴⁰, whose squares
-        # round; neighbor counts are drawn independently of them.  The
-        # exact form is move_delta's arithmetic for all targets at once.
-        k, nodes = 131, 40
-        largest = 0.0
-        for high in (2 ** 8, 2 ** 24, 2 ** 40):
-            for sizes in (np.full(k, 2), rng.integers(2, 50, size=k)):
-                counts = rng.integers(0, high, size=(k, k))
-                counts = counts + counts.T
-                a = rng.integers(0, k, size=nodes)
-                nbr = rng.integers(0, high, size=(nodes, k))
-                deltas, slack = _move_deltas(counts, sizes, nbr, a)
-                exact = np.array([move_deltas_reference(counts, sizes,
-                                                        nbr[r], int(a[r]))
-                                  for r in range(nodes)])
-                stay = np.zeros_like(exact, dtype=bool)
-                stay[np.arange(nodes), a] = True
-                assert np.all(deltas[stay] == -np.inf)
-                assert np.all(np.isfinite(exact[~stay]))
-                gap = np.abs(np.subtract(deltas, exact, where=~stay,
-                                         out=np.zeros_like(exact)))
-                assert np.all(gap <= slack[:, None])
-                largest = max(largest, float(gap.max()))
-        # The forms round differently, so a zero slack would fail.
-        assert largest > 0.0
-
-    def test_empty_window(self):
-        deltas, slack = _move_deltas(
-            np.array([[2, 1], [1, 0]]), np.array([2, 1]),
-            np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64))
-        assert deltas.shape == (0, 2)
-        assert slack.shape == (0,)
-
-    def test_matches_reference_at_large_k(self):
-        # k = 600: whole 64-node windows, whose (64, k) temporaries are
-        # smaller than the (k, k) counts.
-        graph, planted = generate_sbm(600, 2, 0.9, 0.01, seed=600)
-        # Swapping the labels of 150 node pairs keeps every group inhabited.
-        swapped = np.random.default_rng(600).choice(graph.node_count,
-                                                    size=(2, 150),
-                                                    replace=False)
-        labels = planted.assign.copy()
-        labels[swapped[0]], labels[swapped[1]] = (labels[swapped[1]],
-                                                  labels[swapped[0]])
-        moves = TestBlockedReassign._compare(
-            graph, _mem(labels, 600),
-            ReassignConfig(rounds=1, samples_per_round=200, seed=6))
-        assert len(moves) > 0
 
 
 def _exact_gains(graph, m, config):
@@ -749,13 +681,13 @@ class TestExactGain:
         counts = supernode_edge_counts(graph, m)
         nodes = np.arange(16)
         nbr = _neighbor_counts(graph, m.assign, nodes, 3)
-        best = np.array([move_deltas_reference(counts, m.sizes, nbr[r],
-                                               int(m.assign[r])).max()
-                         for r in nodes])
+        best = np.array([max(move_delta(counts, m.sizes, nbr[r], a, b)
+                             for b in range(3) if b != a)
+                         for r, a in enumerate(m.assign.tolist())])
         assert (best == 0.0).sum() == 8 and best.max() == 0.0
         deltas, slack = _move_deltas(counts, m.sizes, nbr, m.assign)
         assert np.all(deltas.max(axis=1) <= slack)
-        moves = TestBlockedReassign._compare(
+        moves = TestReassignWindows._compare(
             graph, m, ReassignConfig(rounds=2, samples_per_round=16, seed=3))
         assert moves == []
 
