@@ -331,6 +331,10 @@ def _line_ids(data: str | bytes) -> np.ndarray:
         if len(tokens) != 2:
             raise ParseError(f"expected two integers, got {len(tokens)} tokens", lineno)
         try:
+            # ASCII digits after an optional sign only: int() alone would
+            # also take "_" between digits and digits of other scripts.
+            if "_" in line or not (tokens[0] + tokens[1]).isascii():
+                raise ValueError
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ParseError(f"malformed integer in {tokens!r}", lineno) from None
@@ -345,8 +349,9 @@ def _line_ids(data: str | bytes) -> np.ndarray:
 def load_edge_list(source: str | Path | IO) -> tuple[Graph, np.ndarray]:
     """Parse a whitespace-separated "u v" edge list into a Graph.
 
-    Node ids are integers in [0, 2**63 - 1] and are relabeled densely to
-    [0, n) in ascending original-id order.  Returns the graph and the
+    Node ids are integers in [0, 2**63 - 1], written as ASCII digits after
+    an optional '+' or '-' sign, and are relabeled densely to [0, n) in
+    ascending original-id order.  Returns the graph and the
     sorted int64 array of original ids, so node i of the graph is original
     id ``ids[i]``.  Lines starting with '#' or '%' are comments; blank
     lines are ignored.  Repeated edges collapse to one and self-loops are

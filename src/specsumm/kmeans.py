@@ -73,72 +73,77 @@ _SCREEN_BLOCK = 1024
 # the norms and of the screen itself; the smallest normal float on top
 # covers products that underflow.
 _SLACK_FACTOR = 4.0
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _row_slack(row_sq: np.ndarray, cent_sq: np.ndarray,
-               d: int) -> np.ndarray:
-    """Each row's slack, given its ‖x‖² and every centroid's ‖c‖²: a bound
-    on the gap between the GEMM form ‖x‖² − 2x·c + ‖c‖² and the exact form
-    Σ(x − c)² of its distance to every centroid.  Overflow gives inf."""
-    m = (d + 4) * _UNIT_ROUNDOFF
-    scale = _SLACK_FACTOR * m / (1.0 - m)
-    with np.errstate(over="ignore"):
-        return (scale * (np.sqrt(row_sq) + np.sqrt(cent_sq.max())) ** 2
-                + np.finfo(np.float64).tiny)
+def _gamma(m: int) -> float:
+    """Higham's γ_m = m·u/(1 − m·u), with the unit roundoff u = 2⁻⁵³ of
+    float64: the relative error bound of m roundings in a row."""
+    mu = m * 2.0 ** -53
+    return mu / (1.0 - mu)
+
+
+def _screened_sq_dists(rows: np.ndarray, row_sq: np.ndarray,
+                       centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The GEMM form ‖x‖² − 2x·c + ‖c‖² of every row's squared distance to
+    each centroid, one centroid per row of the result, given the rows'
+    ‖x‖², and each row's slack: a bound on the gap between that form and
+    the exact form Σ(x − c)² to every centroid.  Overflow gives inf, and
+    inf − inf NaN."""
+    cent_sq = np.einsum("kd,kd->k", centroids, centroids)
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = cent_sq[:, None] - 2.0 * (centroids @ rows.T) + row_sq
+        slack = (_SLACK_FACTOR * _gamma(rows.shape[1] + 4)
+                 * (np.sqrt(row_sq) + np.sqrt(cent_sq.max())) ** 2
+                 + np.finfo(np.float64).tiny)
+    return approx, slack
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Each row's argmin of its exact distances Σ(x − c)², bit for bit.
 
-    Each block of rows gets approximate distances from one GEMM,
-    ‖x‖² − 2x·cᵀ + ‖c‖², and each row one slack s_i (``_row_slack``) that
-    bounds their gap to the exact ones in every column.  A row is settled
-    by its approximate argmin b when column b is its only candidate, that
-    is, the only j with approx_ij − s_i ≤ approx_ib + s_i: every other
-    column is then provably farther.  Rows with another count of
-    candidates (exact or near ties; overflow or NaN, which give none or all
-    k) are re-solved alone, one ``_assigned_sq_dists`` column per centroid,
-    and argmin'd, so ties still go to the lowest index.
+    Each block of rows gets its screened distances and slacks s_i
+    (``_screened_sq_dists``).  Row i is settled by its screened argmin b
+    when centroid b is its only candidate, that is, the only j with
+    approx_ji − s_i ≤ approx_bi + s_i: every other centroid is then
+    provably farther.  Rows with another count of candidates (exact or
+    near ties; overflow or NaN, which give none or all k) take their exact
+    distance to every centroid from ``_assigned_sq_dists``, gathered over
+    their (row, centroid) pairs, and the argmin of those, so ties still go
+    to the lowest index.
     """
-    cent_sq = np.einsum("kd,kd->k", centroids, centroids)
+    k = len(centroids)
     nearest = np.empty(len(points), dtype=np.int64)
     ties = []
     for start in range(0, len(points), _SCREEN_BLOCK):
         rows = points[start:start + _SCREEN_BLOCK]
-        row_sq = np.einsum("nd,nd->n", rows, rows)
-        # Overflow and inf - inf only ever widen or void the candidate
-        # test, which sends the row to the exact recomputation.
+        approx, slack = _screened_sq_dists(
+            rows, np.einsum("nd,nd->n", rows, rows), centroids)
+        best = np.argmin(approx, axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
-            approx = row_sq[:, None] - 2.0 * (rows @ centroids.T) + cent_sq
-            best = np.argmin(approx, axis=1)
-            slack = _row_slack(row_sq, cent_sq, points.shape[1])
-            upper = approx[np.arange(len(rows)), best] + slack
-            candidate = approx - slack[:, None] <= upper[:, None]
+            upper = approx[best, np.arange(len(rows))] + slack
+            candidate = approx - slack <= upper
         nearest[start:start + len(rows)] = best
         ties.append(start + np.flatnonzero(
-            np.count_nonzero(candidate, axis=1) != 1))
+            np.count_nonzero(candidate, axis=0) != 1))
     ties = np.concatenate(ties)
-    # Most calls tie no row; k column calls on zero rows would add about a
-    # third to the screen of a 1024-row batch at k = 40.
-    if len(ties):
-        tied = points[ties]
-        nearest[ties] = np.argmin(np.column_stack(
-            [_assigned_sq_dists(tied, c) for c in centroids]), axis=1)
+    # Each call gathers the rows of at most max(_SCREEN_BLOCK, k) pairs.
+    step = max(1, _SCREEN_BLOCK // k)
+    for start in range(0, len(ties), step):
+        tied = ties[start:start + step]
+        exact = _assigned_sq_dists(np.repeat(points[tied], k, axis=0),
+                                   centroids, np.tile(np.arange(k), len(tied)))
+        nearest[tied] = np.argmin(exact.reshape(-1, k), axis=1)
     return nearest
 
 
 def _assigned_sq_dists(points: np.ndarray, centroids: np.ndarray,
-                       assign: np.ndarray | None = None) -> np.ndarray:
+                       assign: np.ndarray) -> np.ndarray:
     """Entry (i, assign[i]) of the exact distances Σ(x − c)², taken in row
-    blocks so the differences stay at _SCREEN_BLOCK rows.  Without
-    ``assign``, centroids is one row that every point is measured against
-    by broadcasting, with the same bits as an all-zero assignment."""
+    blocks so the differences stay at _SCREEN_BLOCK rows."""
     out = np.empty(len(points))
     for start in range(0, len(points), _SCREEN_BLOCK):
         rows = slice(start, start + _SCREEN_BLOCK)
-        diff = points[rows] - (centroids if assign is None
-                               else centroids[assign[rows]])
+        diff = points[rows] - centroids[assign[rows]]
         out[rows] = np.einsum("nd,nd->n", diff, diff)
     return out
 
@@ -171,20 +176,17 @@ def _best_candidate(points: np.ndarray, row_sq: np.ndarray, best: np.ndarray,
     and D² with it added as a centroid, bit for bit as the exact form
     gives them.
 
-    Repeated draws are scored once.  One GEMM gives every distinct draw's
-    screened distances to every row, and ``_row_slack`` each row's slack.
-    A row whose screened distance minus slack exceeds its D² provably keeps
-    it; every other row (NaN and overflow included) takes the minimum of
-    its D² and its exact ``_assigned_sq_dists`` distance, all draws' such
-    rows in one gathered call.  Each draw's potential is the sum of its
-    full updated D².
+    Repeated draws are scored once, each against every row's screened
+    distance and slack (``_screened_sq_dists``).  A row whose screened
+    distance minus slack exceeds its D² provably keeps it; every other row
+    (NaN and overflow included) takes the minimum of its D² and its exact
+    ``_assigned_sq_dists`` distance, all draws' such rows in one gathered
+    call.  Each draw's potential is the sum of its full updated D².
     """
     candidates = np.array(list(dict.fromkeys(drawn.tolist())))
     drawn_points = points[candidates]
-    cent_sq = np.einsum("td,td->t", drawn_points, drawn_points)
+    approx, slack = _screened_sq_dists(points, row_sq, drawn_points)
     with np.errstate(over="ignore", invalid="ignore"):
-        approx = row_sq - 2.0 * (drawn_points @ points.T) + cent_sq[:, None]
-        slack = _row_slack(row_sq, cent_sq, points.shape[1])
         near = ~(approx - slack > best)
     draw, rows = np.divmod(np.flatnonzero(near), len(points))
     reduced = np.repeat(best[None, :], len(candidates), axis=0)
@@ -205,7 +207,8 @@ def _greedy_kmeanspp(points: np.ndarray, k: int,
     row_sq = np.einsum("nd,nd->n", points, points)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    best = _assigned_sq_dists(points, points[chosen[:1]])
+    best = _assigned_sq_dists(points, points[chosen[:1]],
+                              np.zeros(n, dtype=np.int64))
     for j in range(1, k):
         total = best.sum()
         if total > 0:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .graph import Graph, adjacency_trace_sq
-from .kmeans import KmeansConfig, _minibatch_kmeans
+from .kmeans import KmeansConfig, _gamma, _minibatch_kmeans
 from .rng import derive_seeds, make_generator
 from .spectral import lm_eigs
 from .stiefel import ocsa, random_orthonormal_init
@@ -278,9 +278,7 @@ def _move_deltas(counts: np.ndarray, sizes: np.ndarray, nbr: np.ndarray,
     deltas[r, a] = -np.inf
     positive = (2.0 * inv_na * left_full + shared * (4.0 * inv_b) + inside
                 + doubled + doubled[a][:, None])
-    # γ_{k+16}, with the unit roundoff 2⁻⁵³ of float64.
-    m = (k + 16) * 2.0 ** -53
-    slack = _SLACK_FACTOR * m / (1.0 - m) * positive.max(axis=1, initial=0.0)
+    slack = _SLACK_FACTOR * _gamma(k + 16) * positive.max(axis=1, initial=0.0)
     return deltas, slack
 
 

@@ -365,6 +365,16 @@ class TestEvaluate:
         bad.write_text("{not json")
         assert main(["evaluate", graph_file, str(bad)]) == 1
 
+    @pytest.mark.parametrize("name", ["missing.json", "."],
+                             ids=["missing", "directory"])
+    def test_unreadable_summary_path_exits_1(self, tmp_path, capsys,
+                                             graph_file, name):
+        code = main(["evaluate", graph_file, str(tmp_path / name)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read summary file")
+
     def test_wrong_format_version(self, tmp_path, graph_file):
         bad = tmp_path / "v9.json"
         bad.write_text(json.dumps({"format_version": 9, "n": 6, "k": 1,

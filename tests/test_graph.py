@@ -62,6 +62,23 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="line 2"):
             load_edge_list(io.StringIO("0 1\n1 x\n"))
 
+    @pytest.mark.parametrize("token", ["1_0", "１", "٣", "+-1", "+"],
+                             ids=["underscore", "full-width", "arabic-indic",
+                                  "two-signs", "sign-only"])
+    def test_id_must_be_ascii_digits(self, token):
+        # int() alone reads 1_0 as 10 and the two other scripts' digits
+        # as 1 and 3.
+        text = f"1 2\n2 3\n3 {token}\n"
+        with pytest.raises(ParseError, match="line 3: malformed integer"):
+            load_edge_list(io.StringIO(text))
+        with pytest.raises(ParseError, match="line 3: malformed integer"):
+            load_edge_list(io.BytesIO(text.encode()))
+
+    def test_signed_ids_load(self):
+        graph, ids = load_edge_list(io.StringIO("+1 2\n2 -0\n"))
+        assert ids.tolist() == [0, 1, 2]
+        assert graph.edge_count == 2
+
     def test_wrong_token_count_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
             load_edge_list(io.StringIO("0 1\n1 2\n1 2 3\n"))

@@ -29,6 +29,13 @@ def _layouts(points):
             wide[:, ::2]]
 
 
+def _to_one_row(points, row):
+    """Every point's exact distance to one row, as the seeding takes D² to
+    its first centroid."""
+    return _assigned_sq_dists(points, row[None, :],
+                              np.zeros(len(points), dtype=np.int64))
+
+
 def _brute_force_cost(points, k):
     """Best Eq.-9-style cost over every surjective assignment (tiny n only)."""
     points = np.asarray(points, dtype=np.float64)
@@ -71,23 +78,6 @@ class TestKmeansppInit:
     def test_k_too_large(self):
         with pytest.raises(ParameterError):
             kmeanspp_init(np.zeros((3, 2)), 4, seed=0)
-
-    def test_one_row_distances_match_gathered_form(self, rng):
-        # kmeans++ measures every point against the newest centroid by
-        # broadcasting one row; 2500 rows cross _SCREEN_BLOCK boundaries
-        n = 2500
-        assert n > 2 * kmeans._SCREEN_BLOCK
-        for d in (1, 3, 40):
-            points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(
-                -3, 4, size=(n, 1))
-            for idx in (0, 1023, 1024, n - 1):
-                newest = points[[idx]]
-                broadcast = _assigned_sq_dists(points, newest)
-                gathered = _assigned_sq_dists(points, newest,
-                                              np.zeros(n, dtype=np.int64))
-                assert np.array_equal(broadcast, gathered)
-                assert np.array_equal(broadcast,
-                                      sq_dists(points, newest)[:, 0])
 
 
 class TestGreedySeeding:
@@ -157,7 +147,7 @@ class TestGreedySeeding:
         rows, draws = [], []
         column = kmeans._assigned_sq_dists
 
-        def counting(p, c, assign=None):
+        def counting(p, c, assign):
             rows.append(len(p))
             draws.append(len(c))
             return column(p, c, assign)
@@ -184,11 +174,9 @@ class TestGreedySeeding:
     def _row_errors(points, candidates):
         """Each screened distance's gap to the exact one, and its row's
         slack."""
-        row_sq = np.einsum("nd,nd->n", points, points)
-        cent_sq = np.einsum("td,td->t", candidates, candidates)
-        approx = row_sq[:, None] - 2.0 * (points @ candidates.T) + cent_sq
-        return (np.abs(approx - sq_dists(points, candidates)),
-                kmeans._row_slack(row_sq, cent_sq, points.shape[1]))
+        approx, slack = kmeans._screened_sq_dists(
+            points, np.einsum("nd,nd->n", points, points), candidates)
+        return np.abs(approx.T - sq_dists(points, candidates)), slack
 
     def test_slack_bounds_the_screen(self, rng, monkeypatch):
         cases = [(points, points[rng.choice(len(points), 6, replace=False)])
@@ -208,7 +196,7 @@ class TestGreedySeeding:
         # oracle's, bit for bit.
         for points in self._cases(rng):
             row_sq = np.einsum("nd,nd->n", points, points)
-            best = _assigned_sq_dists(points, points[0])
+            best = _to_one_row(points, points[0])
             for _ in range(5):
                 drawn = rng.choice(len(points), 5, p=best / best.sum())
                 got = _best_candidate(points, row_sq, best, drawn)
@@ -232,8 +220,8 @@ class TestGreedySeeding:
         nudge = 10.0 ** rng.uniform(-16, -9, size=(2000, 1))
         points = np.vstack([a, b, (a + b) / 2 + across + nudge * (b - a)])
         row_sq = np.einsum("nd,nd->n", points, points)
-        best = _assigned_sq_dists(points, a)
-        exact = _assigned_sq_dists(points, b)
+        best = _to_one_row(points, a)
+        exact = _to_one_row(points, b)
         approx = row_sq - 2.0 * (points @ b) + b @ b
         assert np.count_nonzero((exact < best) & (approx >= best)) > 100
         pick, updated = _best_candidate(points, row_sq, best, np.array([1]))
@@ -442,7 +430,8 @@ class TestReplayBatch:
 
 class TestSqDists:
     """The oracle's blocked distance matrix, and the package's per-centroid
-    columns against it: the tie fallback of ``_nearest`` relies on them
+    columns, gathered over every (row, centroid) pair as the tie fallback
+    of ``_nearest`` takes them, against it: that fallback relies on them
     being equal bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 5, DIST_BLOCK - 1, DIST_BLOCK,
@@ -463,8 +452,9 @@ class TestSqDists:
             scale = 10.0 ** local.uniform(-6, 6)
             points = scale * local.standard_normal((n, d))
             centroids = scale * local.standard_normal((k, d))
-            columns = np.column_stack(
-                [_assigned_sq_dists(points, c) for c in centroids])
+            columns = _assigned_sq_dists(
+                np.repeat(points, k, axis=0), centroids,
+                np.tile(np.arange(k), n)).reshape(n, k)
             assert np.array_equal(columns, sq_dists(points, centroids))
 
 
@@ -479,16 +469,16 @@ class TestNearest:
     @staticmethod
     def _resolved_rows(monkeypatch, points, centroids):
         """``_nearest``'s result and the number of rows its exact fallback
-        re-solved, which it measures against one centroid per call."""
+        re-solved, each measured against every centroid."""
         rows = [0]
-        column = kmeans._assigned_sq_dists
+        gathered = kmeans._assigned_sq_dists
 
-        def counting(p, c, assign=None):
-            rows.append(len(p))
-            return column(p, c, assign)
+        def counting(p, c, assign):
+            rows.append(len(p) // len(c))
+            return gathered(p, c, assign)
 
         monkeypatch.setattr(kmeans, "_assigned_sq_dists", counting)
-        return _nearest(points, centroids), max(rows)
+        return _nearest(points, centroids), sum(rows)
 
     @pytest.mark.parametrize("d", [1, 2, 7, 32, 40, 129])
     def test_equals_exact_argmin(self, rng, d):
@@ -719,3 +709,15 @@ def test_tie_breaks_to_lowest_centroid_index():
     d = np.abs(centroids.ravel() - 0.5)
     if d[0] == d[1]:
         assert mid == 0
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: minibatch_kmeans(np.array([[0.0], [np.nan], [1.0]]), 2),
+     "points must be finite"),
+    (lambda: kmeans_cost(np.zeros((3, 2)), np.zeros((1, 2)),
+                         np.zeros(2, dtype=np.int64)),
+     "assignment length must match point count"),
+], ids=["non-finite-points", "cost-assignment-length"])
+def test_rejects_malformed_input(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()

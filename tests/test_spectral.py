@@ -228,3 +228,12 @@ def test_complete_graph_ordering_tie_rule():
     # and keep repeated eigenvalues adjacent.
     basis = dense_eig_oracle(complete_graph(5))
     np.testing.assert_allclose(basis.values, [4, -1, -1, -1, -1], atol=1e-12)
+
+
+def test_sparse_scale_rejects_d_near_n():
+    # Past the dense route's order, d > n − 2 is refused before any solve.
+    from specsumm.spectral import _DENSE_ROUTE_LIMIT
+    n = _DENSE_ROUTE_LIMIT + 1
+    graph = Graph.from_edges(n, [(u, u + 1) for u in range(n - 1)])
+    with pytest.raises(ParameterError, match="too close to n"):
+        lm_eigs(graph, n - 1, seed=0)

@@ -806,3 +806,19 @@ def test_random_feasible_points_stay_below_eigenvalue_energy(rng):
     if violations:
         warnings.warn(f"objective exceeded top-k eigenvalue energy in "
                       f"{violations}/1000 trials (worst excess {worst:.3e})")
+
+
+_PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: skew_direction(np.zeros((4, 2)), np.zeros((4, 3))),
+     ValueError, "shape mismatch"),
+    (lambda: random_orthonormal_init(4, 0, seed=0),
+     ParameterError, "k must be >= 1"),
+    (lambda: ocsa(_PATH4, random_orthonormal_init(5, 2, seed=0)),
+     ParameterError, "incompatible with n=4"),
+], ids=["skew-shapes", "init-k-zero", "ocsa-start-rows"])
+def test_rejects_malformed_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -385,6 +385,32 @@ def _record_window_shapes(monkeypatch):
     return shapes
 
 
+# Prints the bits of _move_deltas on a full window of random counts at
+# k = 40, and those of each of its rows alone, as JSON.
+_WINDOW_AND_ROWS = """
+import json
+import numpy as np
+from specsumm.summary import _WINDOW_NODES, _move_deltas
+rng = np.random.default_rng(40)
+k = 40
+sizes = rng.integers(2, 50, size=k)
+counts = rng.integers(0, 1000, size=(k, k))
+counts = counts + counts.T
+a = rng.integers(0, k, size=_WINDOW_NODES)
+nbr = rng.integers(0, 50, size=(_WINDOW_NODES, k))
+
+
+def bits(rows):
+    deltas, slack = _move_deltas(counts, sizes, nbr[rows], a[rows])
+    return [[x.hex() for x in row] + [s.hex()]
+            for row, s in zip(deltas, slack)]
+
+
+print(json.dumps([bits(slice(None)),
+                  [bits(slice(r, r + 1))[0] for r in range(_WINDOW_NODES)]]))
+"""
+
+
 class TestMoveDeltas:
     """``_move_deltas``, the one delta form of reassignment, on a window's
     neighbor counts: each row is that of its node alone, bit for bit, and
@@ -444,6 +470,20 @@ class TestMoveDeltas:
         nbr = rng.integers(0, high, size=(len(a), k))
         # The two forms round differently, so a zero slack would fail.
         assert _rows_match_oracle(counts, sizes, nbr, a) > 0.0
+
+    def test_rows_do_not_depend_on_blas_threads(self):
+        # Each window row is its row alone, bit for bit, at either BLAS
+        # thread count: a BLAS product in the form (say, a GEMM in place of
+        # the einsum) rounds a 64-row window unlike one row at k = 40.
+        runs = [subprocess.run([sys.executable, "-c", _WINDOW_AND_ROWS],
+                               env=fresh_env(OPENBLAS_NUM_THREADS=threads),
+                               check=True, capture_output=True, text=True,
+                               timeout=60).stdout
+                for threads in ("1", "2")]
+        window, alone = json.loads(runs[0])
+        assert len(window) == summary_module._WINDOW_NODES
+        assert window == alone
+        assert runs[0] == runs[1]
 
     def test_empty_window(self, rng, monkeypatch):
         deltas, slack = _move_deltas(
@@ -571,43 +611,6 @@ class TestReassignWindows:
             assert len(moves) > 0
             assert max(rows for rows, _ in shapes) == 64
             assert {cols for _, cols in shapes} == {k}
-
-
-# Builds k = 600 groups, two large ones and 598 singletons, on a random
-# graph, reassigns them, and prints the move log as JSON.
-_SINGLETON_REASSIGN = """
-import json
-import numpy as np
-from specsumm import Graph, Membership, ReassignConfig, supernode_edge_counts
-from specsumm.summary import _reassign
-rng = np.random.default_rng(600)
-n, k = 1200, 600
-upper = np.triu_indices(n, k=1)
-keep = rng.random(len(upper[0])) < 0.01
-graph = Graph.from_edges(n, list(zip(upper[0][keep].tolist(),
-                                     upper[1][keep].tolist())))
-labels = rng.integers(0, 2, size=n)
-labels[rng.choice(n, size=k - 2, replace=False)] = np.arange(2, k)
-m = Membership(labels, k)
-_, moves, _ = _reassign(graph, m, supernode_edge_counts(graph, m),
-                        ReassignConfig(rounds=1, samples_per_round=400,
-                                       seed=3))
-print(json.dumps([[mv.node, mv.source, mv.target, mv.objective.hex()]
-                  for mv in moves]))
-"""
-
-
-def test_move_log_does_not_depend_on_blas_threads():
-    # About one in fifty rows that clear their slack here has its best
-    # delta at two or more targets with equal bits, so the lowest-index
-    # rule must see the same bits at either thread count.
-    logs = [subprocess.run([sys.executable, "-c", _SINGLETON_REASSIGN],
-                           env=fresh_env(OPENBLAS_NUM_THREADS=threads),
-                           check=True, capture_output=True, text=True,
-                           timeout=300).stdout
-            for threads in ("1", "2")]
-    assert len(json.loads(logs[0])) > 0
-    assert logs[0] == logs[1]
 
 
 def _exact_gains(graph, m, config):
@@ -786,3 +789,21 @@ class TestPipeline:
         assert np.array_equal(a_sum.membership.assign,
                               b_sum.membership.assign)
         assert a_rep.objective == b_rep.objective
+
+
+_PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: _mem([0, 0], 0), "k must be >= 1"),
+    (lambda: Summary(_mem([0, 1], 2), np.zeros((1, 1))),
+     "density must be 2x2"),
+    (lambda: supernode_edge_counts(_PATH3, _mem([0, 1], 2)),
+     "membership length must match graph order"),
+    (lambda: reassignment(_PATH3, _mem([0, 1], 2), np.zeros((2, 2))),
+     "membership length must match graph order"),
+], ids=["membership-k-zero", "density-shape", "edge-counts-length",
+        "reassignment-length"])
+def test_rejects_malformed_input(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()
