@@ -184,26 +184,40 @@ def _print_json(payload: dict) -> None:
                      allow_nan=False))
 
 
+def _read_graph(path: str | Path) -> bytes:
+    """The bytes of an edge-list file."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read graph file: {exc}") from exc
+
+
 def _load_graph(path: str | Path) -> tuple[Graph, bytes]:
     """The graph in an edge-list file and the bytes it was parsed from,
     read once."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read graph file: {exc}") from exc
+    data = _read_graph(path)
     graph, _ = load_edge_list(io.BytesIO(data))
     return graph, data
 
 
+def _source_hash(data: bytes) -> str:
+    """The ``meta.source_hash`` of a summary made from a graph file with
+    these bytes."""
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _meta(stored: SummaryFile) -> dict:
+    """A summary file's metadata, or no entries when it is not an object."""
+    return stored.meta if isinstance(stored.meta, dict) else {}
+
+
 def _stored_summary(graph: Graph,
-                    path: str | Path) -> tuple[Graph, Summary]:
-    """The summary stored at ``path`` and the graph it covers: the graph
-    itself, or its largest connected component when the summary was made
-    with ``--lcc`` and the node counts differ (a connected graph pays no
-    extra pass)."""
-    stored = read_summary_file(path)
-    meta = stored.meta if isinstance(stored.meta, dict) else {}
-    params = meta.get("params")
+                    stored: SummaryFile) -> tuple[Graph, Summary]:
+    """A stored summary and the graph it covers: the graph itself, or its
+    largest connected component when the summary was made with ``--lcc``
+    and the node counts differ (a connected graph pays no extra pass).
+    Any other node-count mismatch is a ParameterError."""
+    params = _meta(stored).get("params")
     if (stored.n != graph.node_count and isinstance(params, dict)
             and params.get("lcc") is True):
         graph, _ = largest_connected_component(graph)
@@ -230,7 +244,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     with _timed(seconds, "lcc"):
         if args.lcc:
             graph, _ = largest_connected_component(graph)
-    source_hash = "sha256:" + hashlib.sha256(data).hexdigest()
+    source_hash = _source_hash(data)
     del data  # the hash is all that is kept of the file's bytes
 
     method = {"lm": "lm-eigvecs", "ocsa": "ocsa-random"}[args.method]
@@ -260,7 +274,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with _timed(seconds, "load"):
         graph, _ = _load_graph(args.graph)
     with _timed(seconds, "evaluate"):
-        graph, summary = _stored_summary(graph, args.summary)
+        graph, summary = _stored_summary(graph,
+                                         read_summary_file(args.summary))
         recomputed, objective, loss = _summarize_counts(graph,
                                                         summary.membership)
         drift = float(np.max(np.abs(summary.density - recomputed.density),
@@ -313,10 +328,29 @@ def cmd_gen_sbm(args: argparse.Namespace) -> int:
 
 
 def cmd_triangles(args: argparse.Namespace) -> int:
-    graph, _ = _load_graph(args.graph)
-    graph, summary = _stored_summary(graph, args.summary)
-    exact = (exact_triangles(graph)
-             if graph.node_count <= _EXACT_TRIANGLE_LIMIT else None)
+    """The summary's triangle estimate, and the graph's exact count up to
+    ``_EXACT_TRIANGLE_LIMIT`` nodes.
+
+    Each file is read once, the graph's bytes first.  Above the limit the
+    estimate needs the summary alone, so when the summary's
+    ``meta.source_hash`` names these very bytes, the ones summarize parsed,
+    the file is not parsed at all.  Every other case parses it and checks
+    that the summary covers the graph, or its largest connected component
+    under ``--lcc``, as evaluate does.  The report is the same either way.
+    The summary is read before the graph is parsed, so when both files are
+    malformed the summary's error is the one reported.
+    """
+    data = _read_graph(args.graph)
+    stored = read_summary_file(args.summary)
+    claimed = _meta(stored).get("source_hash")
+    if (stored.n > _EXACT_TRIANGLE_LIMIT and isinstance(claimed, str)
+            and claimed == _source_hash(data)):
+        summary, exact = stored.to_summary(), None
+    else:
+        graph, _ = load_edge_list(io.BytesIO(data))
+        graph, summary = _stored_summary(graph, stored)
+        exact = (exact_triangles(graph)
+                 if graph.node_count <= _EXACT_TRIANGLE_LIMIT else None)
     _print_json({"estimate": expected_triangles(summary).expected,
                  "exact": exact})
     return 0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -530,7 +531,21 @@ class TestGenSbm:
                      "--out", str(tmp_path / "x.txt")]) == 2
 
 
+def _path_edges(n: int) -> str:
+    """The edge list of a path on n nodes, as write_edge_list gives it."""
+    return "".join(f"{u} {u + 1}\n" for u in range(n - 1))
+
+
+def _source_hash(path) -> str:
+    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestTriangles:
+    """The estimate and, up to the limit, the exact count.  Above the limit
+    triangles answers from the summary alone when the summary's
+    source_hash names the graph file's bytes; every other case parses the
+    file and checks it against the summary."""
+
     def _write_single_group_summary(self, tmp_path, text, n):
         from specsumm import load_edge_list
         graph_path = tmp_path / "g.txt"
@@ -568,6 +583,131 @@ class TestTriangles:
         other = tmp_path / "bigger.txt"
         other.write_text(TWO_TRIANGLES)
         assert main(["triangles", str(other), summary_path]) == 2
+
+    N = cli._EXACT_TRIANGLE_LIMIT + 2
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """A path on N nodes, the same edges after a header line, a path
+        one node longer, and a three-group summary of the path, not yet
+        written."""
+        text = _path_edges(self.N)
+        paths = {"plain": tmp_path / "plain.txt",
+                 "header": tmp_path / "header.txt",
+                 "longer": tmp_path / "longer.txt",
+                 "summary": tmp_path / "s.json"}
+        paths["plain"].write_text(text)
+        paths["header"].write_text("# header\n" + text)
+        paths["longer"].write_text(_path_edges(self.N + 1))
+        graph = Graph.from_edges(self.N, [(u, u + 1)
+                                          for u in range(self.N - 1)])
+        summary = build_summary(graph, Membership(
+            np.arange(self.N, dtype=np.int64) % 3, 3))
+        paths["stored"] = SummaryFile.from_summary(summary, {})
+        return paths
+
+    def _write(self, files, meta):
+        dataclasses.replace(files["stored"], meta=meta).write(
+            files["summary"])
+
+    @staticmethod
+    def _triangles(capsys, graph_path, summary_path):
+        code = main(["triangles", str(graph_path), str(summary_path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def _count_parses(monkeypatch):
+        calls = []
+        load = cli.load_edge_list
+
+        def counted(source):
+            calls.append(source)
+            return load(source)
+
+        monkeypatch.setattr(cli, "load_edge_list", counted)
+        return calls
+
+    def test_matching_hash_answers_without_parsing(self, files, capsys,
+                                                   monkeypatch):
+        self._write(files, {"source_hash": _source_hash(files["plain"])})
+        parsed = self._triangles(capsys, files["header"], files["summary"])
+        assert parsed[0] == 0 and json.loads(parsed[1])["exact"] is None
+
+        def refuse(source):
+            raise AssertionError("the edge list was parsed")
+
+        monkeypatch.setattr(cli, "load_edge_list", refuse)
+        assert self._triangles(capsys, files["plain"],
+                               files["summary"]) == parsed
+
+    @pytest.mark.parametrize("case", ["no-hash", "non-string-hash",
+                                      "non-dict-meta", "stale-hash"])
+    def test_other_summaries_take_the_parse(self, files, capsys,
+                                            monkeypatch, case):
+        # Each claimed hash is of the very file given, in a form that must
+        # not match, or of other bytes.
+        for graph_path in (files["plain"], files["longer"]):
+            digest = _source_hash(graph_path)
+            meta = {"no-hash": {"params": {"k": 3}},
+                    "non-string-hash": {"source_hash": [digest]},
+                    "non-dict-meta": [{"source_hash": digest}],
+                    "stale-hash": {"source_hash": _source_hash(
+                        files["header"])}}[case]
+            self._write(files, meta)
+            calls = self._count_parses(monkeypatch)
+            code, out, err = self._triangles(capsys, graph_path,
+                                             files["summary"])
+            monkeypatch.undo()
+            assert len(calls) == 1
+            if graph_path == files["longer"]:
+                assert code == 2 and out == ""
+                assert (f"summary is for n={self.N}, graph has "
+                        f"n={self.N + 1}") in err
+            else:
+                assert code == 0
+                self._write(files, {"source_hash": digest})
+                assert self._triangles(capsys, graph_path,
+                                       files["summary"]) == (code, out, err)
+
+    def test_small_graph_takes_the_parse_for_its_exact_count(
+            self, tmp_path, capsys, monkeypatch, k3):
+        graph_path, other = tmp_path / "k3.txt", tmp_path / "two.txt"
+        graph_path.write_text(K3)
+        other.write_text(TWO_TRIANGLES)
+        summary = build_summary(k3, Membership(np.zeros(3, np.int64), 1))
+        summary_path = tmp_path / "s.json"
+        for path in (graph_path, other):
+            SummaryFile.from_summary(
+                summary, {"source_hash": _source_hash(path)}).write(
+                    summary_path)
+            calls = self._count_parses(monkeypatch)
+            code, out, err = self._triangles(capsys, path, summary_path)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            if path == graph_path:
+                assert code == 0 and json.loads(out)["exact"] == 1
+            else:
+                # A hash that matches does not stand in for the node
+                # count below the limit.
+                assert code == 2
+                assert "summary is for n=3, graph has n=6" in err
+
+    def test_unreadable_graph_is_reported_before_the_summary(self, files,
+                                                             capsys):
+        # Neither file exists.
+        code, out, err = self._triangles(capsys, files["plain"].parent /
+                                         "missing.txt", files["summary"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read graph file")
+
+    def test_summary_error_comes_before_the_graphs(self, files, capsys):
+        files["header"].write_text("0 1\n1 x\n")
+        files["summary"].write_text("{not json")
+        code, out, err = self._triangles(capsys, files["header"],
+                                         files["summary"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: summary file is not valid JSON")
 
 
 class TestLccSummaries:
@@ -756,6 +896,16 @@ class TestScipyLoadedOnlyWhenCalled:
             SummaryFile.from_summary(
                 build_summary(graph, Membership(np.zeros(n, np.int64), 1)),
                 {}).write(paths[f"{name}_summary"])
+        # The large path plus a detached edge, and an --lcc summary of the
+        # path whose source_hash names this file.
+        paths["detached"] = root / "detached.txt"
+        paths["detached"].write_text(_path_edges(large)
+                                     + f"{large} {large + 1}\n")
+        SummaryFile.from_summary(
+            build_summary(graph, Membership(np.zeros(large, np.int64), 1)),
+            {"source_hash": _source_hash(paths["detached"]),
+             "params": {"lcc": True}}).write(root / "detached.summary.json")
+        paths["detached_summary"] = root / "detached.summary.json"
         return paths
 
     CASES = {
@@ -766,6 +916,9 @@ class TestScipyLoadedOnlyWhenCalled:
         "triangles-estimate": (["triangles", "{large}", "{large_summary}"],
                                False),
         "triangles-exact": (["triangles", "{small}", "{small_summary}"], True),
+        # A matching hash leaves no need to find the component.
+        "triangles-lcc-hash": (["triangles", "{detached}",
+                                "{detached_summary}"], False),
         "summarize": (["summarize", "{small}", "--k", "2", "--seed", "0",
                        "--out", "{root}/s.json"], True),
     }
@@ -780,5 +933,5 @@ class TestScipyLoadedOnlyWhenCalled:
         assert done.returncode == 0, done.stderr
         *reports, loaded = done.stdout.splitlines()
         assert bool(json.loads(loaded)) == loads_scipy, loaded
-        if case == "triangles-estimate":
+        if case in ("triangles-estimate", "triangles-lcc-hash"):
             assert json.loads(reports[0])["exact"] is None
