@@ -58,7 +58,11 @@ def _atomic_output(path: str | Path) -> Iterator[TextIO]:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        handle = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:  # named by the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    try:
+        with handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:

@@ -95,15 +95,23 @@ class Graph:
 
     @cached_property
     def _csr(self) -> sp.csr_matrix:
-        # Single shared float64 CSR backing for all matrix products; scipy's
-        # kernel sums each row in index order, so results are thread-count
-        # independent.  scipy is imported here, once per graph, so that the
-        # commands which never multiply by A start without it.
+        # Single shared float64 CSR backing for all matrix products, the
+        # ascent's through ``_row_blocks``; scipy's kernel sums each row in
+        # index order, so results are thread-count independent.  scipy is
+        # imported here, once per graph, so that the commands which never
+        # multiply by A start without it.
         import scipy.sparse as sp
 
         n = self.node_count
         data = np.ones(len(self.indices), dtype=np.float64)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    @cached_property
+    def _row_blocks(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        # The CSR's rows in each of ``row_halves``, copied once per graph:
+        # an ascent lane forms its half of A·Z as ``block @ x``, which has
+        # the bits of those rows of ``csr @ x``.
+        return tuple(self._csr[rows] for rows in row_halves(self.node_count))
 
     def adjacency_matmat(self, x: np.ndarray) -> np.ndarray:
         """A @ x for a vector or matrix with n rows."""
@@ -112,29 +120,6 @@ class Graph:
             raise ValueError(
                 f"operand has {x.shape[0]} rows, graph has {self.node_count} nodes")
         return self._csr @ x
-
-    def _matmat_rows(self, x: np.ndarray, out: np.ndarray,
-                     start: int, stop: int) -> None:
-        """Write rows [start, stop) of A @ x, and no others, into ``out``
-        (C-ordered n×k float64 arrays) with the bits of ``csr @ x``: the
-        same kernel sums each row's neighbours in index order."""
-        # scipy's private kernel: its public CSR constructor copies a row
-        # range's sliced arrays, and ``rows @ x`` would allocate the range's
-        # rows apart from the output.
-        from scipy.sparse._sparsetools import csr_matvecs
-
-        csr, n = self._csr, self.node_count
-        if (x.ndim != 2 or x.shape[0] != n or out.shape != x.shape
-                or not 0 <= start <= stop <= n or not all(
-                    a.dtype == np.float64 and a.flags.c_contiguous
-                    for a in (x, out))):
-            raise ValueError(f"need C-ordered float64 n×k operand and output "
-                             f"and 0 <= start <= stop <= n={n}")
-        part = out[start:stop]
-        # The kernel adds into its output rows, so they start at zero.
-        part.fill(0.0)
-        csr_matvecs(stop - start, n, x.shape[1], csr.indptr[start:stop + 1],
-                    csr.indices, csr.data, x.ravel(), part.ravel())
 
     def to_dense(self) -> np.ndarray:
         """Dense n×n 0/1 adjacency matrix (test-scale graphs only)."""
@@ -149,6 +134,11 @@ class Graph:
         src = np.repeat(np.arange(self.node_count), self.degrees)
         keep = src < self.indices
         return np.column_stack([src[keep], self.indices[keep]])
+
+
+def row_halves(n: int) -> tuple[slice, slice]:
+    """The row halves [0, h) and [h, n), h = n // 2, of n rows."""
+    return slice(0, n // 2), slice(n // 2, n)
 
 
 # Largest node count whose directed pair keys src·n + dst (at most n² − 1)

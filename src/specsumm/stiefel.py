@@ -22,11 +22,13 @@ system's Gram.
 Every n-row product is formed in the row halves [0, h) and [h, n),
 h = n // 2, and every n-row Gram XᵀY as X[:h]ᵀY[:h] + X[h:]ᵀY[h:].  An
 ``ocsa`` iteration is three passes: one writes G and takes GᵀZ and GᵀG,
-one a trial point, and one its A·Z, taking ZᵀAZ and ZᵀZ.  The halves of
-a pass run on two lanes, the calling thread and one worker thread, when
-the process's CPU affinity allows two CPUs or more (``taskset -c 0``
-gives one lane) and the iterate is large enough to repay the hand-offs,
-else in turn, with the same bits; the public functions replay them.
+one a trial point, and one its A·Z as two halves, each a CSR row block
+of the graph times Z (``Graph._row_blocks``), taking ZᵀAZ and ZᵀZ.  The
+halves of a pass run on two lanes, the calling thread and one worker
+thread, when the process's CPU affinity allows two CPUs or more
+(``taskset -c 0`` gives one lane) and the iterate is large enough to
+repay the hand-offs, else in turn, with the same bits; the public
+functions replay them.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable, ClassVar, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .graph import Graph
+from .graph import Graph, row_halves
 from .rng import make_generator
 
 __all__ = [
@@ -172,49 +174,44 @@ def _lanes(entries: int) -> Iterator[Callable]:
         yield side_by_side
 
 
-def _halves(n: int) -> tuple[slice, slice]:
-    """The row halves [0, h) and [h, n), h = n // 2, of n rows."""
-    return slice(0, n // 2), slice(n // 2, n)
-
-
 def _on_halves(both: Callable, n: int, work: Callable) -> tuple:
-    """A pass: ``work(rows)`` on each row half, one per lane of ``both``,
-    and the sums (first half plus second) of the Grams it returns."""
-    first, second = _halves(n)
-    done = both(lambda: work(first), lambda: work(second))
+    """A pass: ``work(half, rows)`` on row halves 0 and 1, one per lane of
+    ``both``, and the sums (first half plus second) of the Grams it returns."""
+    first, second = enumerate(row_halves(n))
+    done = both(lambda: work(*first), lambda: work(*second))
     return tuple(a + b for a, b in zip(*done))
 
 
-def _gram(X: np.ndarray, Y: np.ndarray, both: Callable = _in_turn
-          ) -> np.ndarray:
+def _gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """XᵀY of two n-row arrays as X[:h]ᵀY[:h] + X[h:]ᵀY[h:]: the one form
     of every n-row Gram (module docstring)."""
-    return _on_halves(both, len(X), lambda rows: (X[rows].T @ Y[rows],))[0]
+    first, second = row_halves(len(X))
+    return X[first].T @ Y[first] + X[second].T @ Y[second]
 
 
 def _trial_parts(graph: Graph, Z: np.ndarray, both: Callable
-                 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """The trial pass of a C-ordered point: A·Z, M = ZᵀAZ, F(Z) = ‖M‖²_F
-    and the Gram ZᵀZ, which the next curve system takes if the point is
-    accepted.  One sparse product serves the objective and, as
-    4·(A·Z)·M, the gradient at Z."""
-    AZ = np.empty_like(Z)
+                 ) -> tuple[tuple, np.ndarray, float, np.ndarray]:
+    """The trial pass of a C-ordered point: A·Z as its two row halves,
+    M = ZᵀAZ, F(Z) = ‖M‖²_F and the Gram ZᵀZ, which the next curve system
+    takes if the point is accepted.  One sparse product serves the
+    objective and, as 4·(A·Z)·M, the gradient at Z."""
+    blocks, AZ = graph._row_blocks, [None, None]
 
-    def rows_of(rows: slice) -> tuple:
-        graph._matmat_rows(Z, AZ, rows.start, rows.stop)
-        return Z[rows].T @ AZ[rows], Z[rows].T @ Z[rows]
+    def rows_of(half: int, rows: slice) -> tuple:
+        AZ[half] = blocks[half] @ Z
+        return Z[rows].T @ AZ[half], Z[rows].T @ Z[rows]
 
     M, ZtZ = _on_halves(both, len(Z), rows_of)
-    return AZ, M, float(np.sum(M * M)), ZtZ
+    return tuple(AZ), M, float(np.sum(M * M)), ZtZ
 
 
-def _gradient_parts(Z: np.ndarray, AZ: np.ndarray, M: np.ndarray,
+def _gradient_parts(Z: np.ndarray, AZ: tuple, M: np.ndarray,
                     both: Callable) -> tuple:
     """The gradient pass: G = 4·(A·Z)·M as ``gradient`` forms it, GᵀZ, GᵀG."""
-    G = np.empty_like(AZ)
+    G = np.empty_like(Z)
 
-    def rows_of(rows: slice) -> tuple:
-        np.matmul(AZ[rows], 4.0 * M, out=G[rows])
+    def rows_of(half: int, rows: slice) -> tuple:
+        np.matmul(AZ[half], 4.0 * M, out=G[rows])
         return G[rows].T @ Z[rows], G[rows].T @ G[rows]
 
     return (G, *_on_halves(both, len(G), rows_of))
@@ -237,11 +234,8 @@ def gradient(graph: Graph, Z: np.ndarray) -> np.ndarray:
     """Euclidean gradient of F: G = 4·A·Z·(ZᵀAZ), in row halves."""
     AZ, M, *_ = _trial_parts(
         graph, np.ascontiguousarray(Z, dtype=np.float64), _in_turn)
-    G = np.empty_like(AZ)
-    for rows in _halves(len(G)):
-        # Scaling M, not the product, by 4 is exact and saves an n×k pass.
-        np.matmul(AZ[rows], 4.0 * M, out=G[rows])
-    return G
+    # Scaling M, not the product, by 4 is exact and saves an n×k pass.
+    return np.vstack([part @ (4.0 * M) for part in AZ])
 
 
 def skew_direction(Z: np.ndarray, G: np.ndarray) -> SkewDirection:
@@ -288,7 +282,7 @@ class _CurveSystem(NamedTuple):
             raise CayleyStepError(f"singular curve system at tau={tau}") from exc
         out = np.empty(Z.shape)
 
-        def rows_of(rows: slice) -> tuple:
+        def rows_of(_, rows: slice) -> tuple:
             part = self.lift(coeff, rows, out[rows])
             part *= tau
             np.subtract(Z[rows], part, out=part)
@@ -453,11 +447,12 @@ def ocsa(graph: Graph, Z0: np.ndarray,
     search accepted, so an iteration makes one sparse product per trial
     step and no other: a gradient pass, then a point pass and a trial
     pass per trial step (module docstring), on one or two lanes with the
-    same bits.  A·Z is dropped once the gradient is formed, and the
-    search drops a rejected trial point before it makes the next, so the
-    ascent holds four n×k arrays at a time: the iterate, G, and a trial
-    point with its halves' lift terms or its A·Z.  Z0 is copied in C
-    order, never written, so its memory layout moves no bit.
+    same bits.  A·Z, held as its two row halves, is dropped once the
+    gradient is formed, and a rejected trial point before the next is
+    made, so the ascent holds four n×k arrays at a time: the iterate, G,
+    and a trial point with its halves' lift terms or with A·Z's halves.
+    Z0 is copied in C order, never written, so its memory layout moves no
+    bit.
 
     Raises
     ------

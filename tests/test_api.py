@@ -72,3 +72,37 @@ def test_ocsa_config_keeps_the_fields_perfbench_reads():
     config = OcsaConfig()
     assert config.initial_step > 0
     assert 0 < config.contraction < 1
+
+
+def _private_scipy_imports(source: str) -> list[str]:
+    """Every scipy module path that ``source`` imports with a segment
+    starting with "_", read without importing it.  A name taken from a
+    module counts as a segment of the path, so ``from scipy.sparse import
+    _sparsetools`` is caught as well."""
+    paths = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths.extend(alias.name for alias in node.names)
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and not node.level):
+            paths.extend(f"{node.module}.{alias.name}" for alias in node.names)
+    return [path for path in paths if path.split(".")[0] == "scipy"
+            and any(part.startswith("_") for part in path.split("."))]
+
+
+def test_no_private_scipy_module_is_imported():
+    # scipy may change a private module in any release.
+    assert _private_scipy_imports(
+        "import scipy.sparse._sparsetools\n"
+        "from scipy.sparse._sputils import upcast\n"
+        "from scipy.sparse import _sparsetools, csr_matrix\n"
+        "from scipy.sparse import csgraph\n"
+        "import numpy._core\n") == [
+            "scipy.sparse._sparsetools",
+            "scipy.sparse._sputils.upcast",
+            "scipy.sparse._sparsetools"]
+    sources = sorted(Path(specsumm.__file__).parent.glob("*.py"))
+    assert len(sources) >= len(MODULES)
+    found = {path.name: _private_scipy_imports(
+        path.read_text(encoding="utf-8")) for path in sources}
+    assert {name: paths for name, paths in found.items() if paths} == {}

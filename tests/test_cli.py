@@ -822,6 +822,17 @@ class TestAtomicWrites:
                      "--out", str(out)]) == 1
         assert not (tmp_path / "absent").exists()
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_missing_directory_error_names_the_target(self, tmp_path,
+                                                      graph_file, capsys,
+                                                      command):
+        # Not the temporary file beside it, which the user never named.
+        argv, targets = self._argv(command, graph_file, tmp_path / "absent")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(targets[0]) in err, err
+        assert ".tmp" not in err, err
+
 
 @pytest.mark.parametrize("argv", [
     ["summarize", "{graph}", "--k", "2", "--out", "{out}"],

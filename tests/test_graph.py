@@ -1,6 +1,4 @@
 import io
-import sys
-import threading
 from unittest import mock
 
 import networkx as nx
@@ -628,86 +626,28 @@ class TestKernels:
             yield Graph.from_edges(n + 31, np.vstack(
                 [graph.edge_pairs(), [[n + 3, n + 4]]]))
 
-    @staticmethod
-    def _in_ranges(graph, x, cuts, both):
-        """A @ x written as the row ranges between ``cuts``, each range on
-        a lane of ``both``."""
-        out = np.empty_like(x)
-        ranges = list(zip(cuts[:-1], cuts[1:]))
-        both(lambda: [graph._matmat_rows(x, out, *r) for r in ranges[0::2]],
-             lambda: [graph._matmat_rows(x, out, *r) for r in ranges[1::2]])
-        return out
-
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_row_block_product_matches_csr(self, rng, lanes, monkeypatch):
+        # Each lane forms its half of A·x as its row block times x: the
+        # rows of csr @ x, bit for bit, whatever x's layout.
         use_lanes(monkeypatch, lanes)
         with stiefel._lanes(1) as both:
             assert (both is stiefel._in_turn) == (lanes == 1)
             for graph in self._row_block_cases(rng):
                 n = graph.node_count
-                halves = [0, n // 2, n]
-                cuts = sorted(rng.integers(0, n + 1, size=4).tolist())
+                blocks = graph._row_blocks
+                assert graph._row_blocks is blocks
                 for k in (1, 3, 32):
                     x = rng.standard_normal((n, k))
                     want = graph._csr @ x
                     assert np.array_equal(want, graph.adjacency_matmat(
                         np.asfortranarray(x)))
-                    for bounds in (halves, [0] + cuts + [n]):
-                        got = self._in_ranges(graph, x, bounds, both)
-                        assert np.array_equal(got, want)
-
-    def test_row_block_product_leaves_other_rows(self, rng):
-        graph = random_graph(rng, 30, p=0.2)
-        x = rng.standard_normal((30, 4))
-        out = np.full((30, 4), 7.0)
-        graph._matmat_rows(x, out, 10, 20)
-        assert np.array_equal(out[10:20], (graph._csr @ x)[10:20])
-        assert (out[:10] == 7.0).all() and (out[20:] == 7.0).all()
-
-    def test_row_block_product_under_thread_stress(self, monkeypatch):
-        # A range written twice, half or never would break the equality:
-        # six threads on two lanes each, switching as often as the
-        # interpreter allows.
-        use_lanes(monkeypatch, 2)
-        graph, _ = generate_sbm(8, 50, 0.3, 0.02, seed=2)
-        n = graph.node_count
-        x = np.random.default_rng(3).standard_normal((n, 4))
-        want = graph._csr @ x
-        mismatches = []
-
-        def hammer():
-            with stiefel._lanes(1) as both:
-                for _ in range(40):
-                    got = self._in_ranges(graph, x, [0, n // 2, n], both)
-                    if not np.array_equal(got, want):
-                        mismatches.append(1)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=hammer) for _ in range(3)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert mismatches == []
-
-    def test_row_block_product_rejects_a_bad_operand(self, k3):
-        good = np.ones((3, 2))
-        for x, out, start, stop in (
-                (np.ones(3), np.ones(3), 0, 3),
-                (np.ones((4, 2)), np.ones((4, 2)), 0, 3),
-                (good, np.ones((3, 1)), 0, 3),
-                (good, np.ones((3, 2)), 2, 1),
-                (good, np.ones((3, 2)), 0, 4),
-                (np.asfortranarray(good), np.ones((3, 2)), 0, 3),
-                (good, np.asfortranarray(np.ones((3, 2))), 0, 3),
-                (good.astype(np.float32), np.ones((3, 2)), 0, 3)):
-            with pytest.raises(ValueError):
-                k3._matmat_rows(x, out, start, stop)
+                    for operand in (x, np.asfortranarray(x)):
+                        got = both(lambda: blocks[0] @ operand,
+                                   lambda: blocks[1] @ operand)
+                        for part, rows in zip(got, graph_module.row_halves(n)):
+                            assert part.shape == (rows.stop - rows.start, k)
+                            assert np.array_equal(part, want[rows])
 
     def test_trace_sq_examples(self, k3, p3, two_triangles):
         assert adjacency_trace_sq(k3) == 6.0

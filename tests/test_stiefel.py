@@ -25,6 +25,24 @@ def _delta_columns(n, cols):
     return Z
 
 
+def spy_block_products(monkeypatch, on_product):
+    """Call ``on_product(half)`` on the lane of each row-block product
+    ``graph._row_blocks[half] @ x``, before the product is made."""
+    blocks = Graph._row_blocks
+
+    class Spied:
+        def __init__(self, half, block):
+            self.half, self.block = half, block
+
+        def __matmul__(self, x):
+            on_product(self.half)
+            return self.block @ x
+
+    monkeypatch.setattr(Graph, "_row_blocks", property(lambda graph: tuple(
+        Spied(half, block)
+        for half, block in enumerate(blocks.__get__(graph, Graph)))))
+
+
 class TestObjective:
     def test_k3_top_eigvec(self, k3):
         z = np.ones((3, 1)) / np.sqrt(3.0)
@@ -207,12 +225,16 @@ class TestLineSearch:
         assert g0 == pytest.approx(direction_slope_reference(Z, G)[1],
                                    rel=1e-12, abs=0)
         assert trial == trace_objective_relaxed(two_triangles, Z_new)
-        assert np.array_equal(AZ, two_triangles.adjacency_matmat(Z_new))
+        # A·Z comes as its two row halves.
+        assert [len(part) for part in AZ] == [3, 3]
+        assert np.array_equal(np.vstack(AZ),
+                              two_triangles.adjacency_matmat(Z_new))
         # Both Grams in the ascent's one form: first row half plus second.
-        assert np.array_equal(M, Z_new[:3].T @ AZ[:3] + Z_new[3:].T @ AZ[3:])
+        assert np.array_equal(M, Z_new[:3].T @ AZ[0] + Z_new[3:].T @ AZ[1])
         assert np.array_equal(ZtZ,
                               Z_new[:3].T @ Z_new[:3] + Z_new[3:].T @ Z_new[3:])
-        np.testing.assert_allclose(M, Z_new.T @ AZ, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(M, Z_new.T @ np.vstack(AZ), rtol=0,
+                                   atol=1e-14)
 
     @staticmethod
     def _count_lifts(monkeypatch):
@@ -369,13 +391,7 @@ class TestOcsa:
         config = OcsaConfig(max_iterations=15, initial_step=1.0,
                             relative_tolerance=0.0)
         calls = []
-        matmat_rows = Graph._matmat_rows
-
-        def counted(self, x, out, start, stop):
-            calls.append((start, stop))
-            return matmat_rows(self, x, out, start, stop)
-
-        monkeypatch.setattr(Graph, "_matmat_rows", counted)
+        spy_block_products(monkeypatch, calls.append)
         monkeypatch.setattr(Graph, "adjacency_matmat", None)
         _, trace = ocsa(graph, Z0, config)
         assert trace.reason == "max-iter"
@@ -383,7 +399,7 @@ class TestOcsa:
         # One product for the start, then one per trial step, each made as
         # its two row halves: the gradient reuses the accepted step's A·Z.
         products = 1 + trace.iterations + trace.backtracks
-        assert calls == [(0, 20), (20, 40)] * products
+        assert calls == [0, 1] * products
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -605,14 +621,9 @@ class TestTwoLanes:
     def _run(monkeypatch, lanes, graph, Z0, config):
         use_lanes(monkeypatch, lanes, floor=None)
         calls = []
-        matmat_rows = Graph._matmat_rows
-
-        def counted(self, x, out, start, stop):
-            calls.append((start > 0, threading.current_thread()
-                          is not threading.main_thread()))
-            return matmat_rows(self, x, out, start, stop)
-
-        monkeypatch.setattr(Graph, "_matmat_rows", counted)
+        spy_block_products(monkeypatch, lambda half: calls.append(
+            (half > 0, threading.current_thread()
+             is not threading.main_thread())))
         Z, trace = ocsa(graph, Z0, config)
         # Two lanes make the second half of every A·Z on the worker, one
         # lane none.
@@ -661,12 +672,12 @@ class TestTwoLanes:
                 both(lambda: None, fail)
             assert both(lambda: 1, lambda: 2) == (1, 2)
 
-        def failing_rows(self, x, out, start, stop):
+        def failing_half(half):
             # The second row half is the worker's.
-            if start > 0:
+            if half > 0:
                 fail()
 
-        monkeypatch.setattr(Graph, "_matmat_rows", failing_rows)
+        spy_block_products(monkeypatch, failing_half)
         graph = random_graph(rng, 40)
         before = threading.active_count()
         with pytest.raises(WorkerOnly):
@@ -706,24 +717,14 @@ def test_two_lane_steps_replay_through_the_public_functions(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
-def test_gram_is_first_row_half_plus_second(n, monkeypatch):
+def test_gram_is_first_row_half_plus_second(n):
     rng = np.random.default_rng(n)
     X, Y = rng.standard_normal((2, n, 5))
     h = n // 2
-    got = {}
-    for lanes in (1, 2):
-        use_lanes(monkeypatch, lanes)
-        with stiefel._lanes(1) as both:
-            assert (both is stiefel._in_turn) == (lanes == 1)
-            for name, x, y in (("xy", X, Y), ("xx", X, X),
-                               ("fortran", np.asfortranarray(X), Y)):
-                gram = stiefel._gram(x, y, both)
-                assert np.array_equal(gram,
-                                      x[:h].T @ y[:h] + x[h:].T @ y[h:])
-                np.testing.assert_allclose(gram, x.T @ y, rtol=0, atol=1e-13)
-                got[lanes, name] = gram
-    for name in ("xy", "xx", "fortran"):
-        assert np.array_equal(got[1, name], got[2, name])
+    for x, y in ((X, Y), (X, X), (np.asfortranarray(X), Y)):
+        gram = stiefel._gram(x, y)
+        assert np.array_equal(gram, x[:h].T @ y[:h] + x[h:].T @ y[h:])
+        np.testing.assert_allclose(gram, x.T @ y, rtol=0, atol=1e-13)
 
 
 def test_ocsa_bits_do_not_depend_on_the_start_layout():
